@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from stp12.core import (
     Connection,
     ContractViolation,
+    DisjointSets,
     InputError,
     Instance,
     connection,
@@ -82,44 +83,28 @@ def decompose(
     edges = sorted(reference.unit_edges(instance))
 
     # C-comps: connected components over the unit edges, touched nodes only.
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        root = x
-        while parent.setdefault(root, root) != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
+    nodes = DisjointSets(instance.node_count)
     for u, v in edges:
-        parent[min(find(u), find(v))] = max(find(u), find(v))
+        nodes.union(u, v)
     c_groups: dict[int, set[int]] = {}
-    for node in parent:
-        c_groups.setdefault(find(node), set()).add(node)
+    for node in {n for e in edges for n in e}:
+        c_groups.setdefault(nodes.find(node), set()).add(node)
     c_comps = sorted((frozenset(g) for g in c_groups.values()), key=min)
 
     # S-comps: union edges that share a non-terminal endpoint.
-    edge_parent = list(range(len(edges)))
-
-    def efind(i: int) -> int:
-        while edge_parent[i] != i:
-            edge_parent[i] = edge_parent[edge_parent[i]]
-            i = edge_parent[i]
-        return i
-
+    groups = DisjointSets(len(edges))
     incident: dict[int, int] = {}
     for i, (u, v) in enumerate(edges):
         for node in (u, v):
             if node in instance.terminals:
                 continue
             if node in incident:
-                edge_parent[efind(incident[node])] = efind(i)
+                groups.union(incident[node], i)
             else:
                 incident[node] = i
     s_groups: dict[int, list[Connection]] = {}
     for i, e in enumerate(edges):
-        s_groups.setdefault(efind(i), []).append(e)
+        s_groups.setdefault(groups.find(i), []).append(e)
     s_comps = [
         _classify(instance, group) for group in sorted(s_groups.values(), key=min)
     ]

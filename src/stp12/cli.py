@@ -159,6 +159,13 @@ def _cmd_compare(args) -> int:
     if not instances:
         raise InputError("compare needs input files or --family")
 
+    runs = (
+        ("rs", harness.RS_BOUND,
+         lambda inst, log=None: rayward_smith(inst, args.finishing, log=log)),
+        ("six-phase", harness.SIX_PHASE_BOUND,
+         lambda inst, log=None: six_phase(inst, args.finishing, args.pack3, log=log)),
+    )
+    out_dir = str(args.out.parent if args.out is not None else Path.cwd())
     reports = []
     worst: dict[str, Fraction] = {}
     violations = []
@@ -171,21 +178,21 @@ def _cmd_compare(args) -> int:
         costs = {}
         ratios = {}
         traces = {}
-        for alg, bound in (("rs", harness.RS_BOUND), ("six-phase", harness.SIX_PHASE_BOUND)):
+        for alg, bound, solve in runs:
             log: list[str] = []
-            if alg == "rs":
-                solution = rayward_smith(inst, args.finishing, log=log)
-            else:
-                solution = six_phase(inst, args.finishing, args.pack3, log=log)
+            solution = solve(inst, log)
             key = f"{alg}/{args.finishing}"
             costs[key] = solution.cost
             traces[key] = log
-            if opt > 0:
-                ratios[key] = Fraction(solution.cost, opt)
-                if ratios[key] > bound:
-                    violations.append(
-                        _dump_violation(name, inst, alg, args, bound)
-                    )
+            # The algorithm in the checked name keeps the counterexample
+            # files of two algorithms on one instance apart.
+            ratio, violation = harness.check_ratio(
+                f"{alg}-{name}", inst, solution, opt, solve, bound, out_dir
+            )
+            if ratio is not None:
+                ratios[key] = ratio
+            if violation is not None:
+                violations.append({**violation, "instance": name, "algorithm": alg})
         reports.append(stpio.RatioReport(name, opt, costs, ratios, traces=traces))
 
         for key, value in ratios.items():
@@ -201,34 +208,11 @@ def _cmd_compare(args) -> int:
     return 1 if violations else 0
 
 
-def _dump_violation(name, inst, alg, args, bound) -> dict:
-    def run(candidate: Instance):
-        if alg == "rs":
-            return rayward_smith(candidate, args.finishing)
-        return six_phase(candidate, args.finishing, args.pack3)
-
-    def still_violates(candidate: Instance) -> bool:
-        opt = brute_force_opt(candidate).cost
-        return opt > 0 and Fraction(run(candidate).cost, opt) > bound
-
-    minimized = harness.minimize_instance(inst, still_violates)
-    dump = stpio.serialize_stp(minimized, f"counterexample-{alg}-{name}")
-    record = {"instance": name, "algorithm": alg, "nodes": minimized.node_count}
-    base = args.out.parent if args.out is not None else Path.cwd()
-    path = base / f"counterexample-{alg}-{_safe(name)}.stp"
-    path.write_text(dump, encoding="utf-8")
-    record["path"] = str(path)
-    return record
-
-
-def _safe(name: str) -> str:
-    return "".join(ch if ch.isalnum() or ch in "._-" else "_" for ch in name)
-
-
 def _cmd_audit(args) -> int:
     audits = []
     for name, inst in _read_instances(args.inputs):
-        reference = ReferenceSolution(dreyfus_wagner(inst).connections)
+        opt = dreyfus_wagner(inst)
+        reference = ReferenceSolution(opt.connections)
         normalized, trace = normalize(inst, reference, args.mode)
         s_comps, c_comps = decompose(inst, normalized)
         histogram: dict[str, int] = {}
@@ -238,7 +222,7 @@ def _cmd_audit(args) -> int:
             {
                 "instance": name,
                 "mode": args.mode,
-                "reference_cost": brute_force_opt(inst).cost,
+                "reference_cost": opt.cost,
                 "trace": [
                     {
                         "kind": step.kind,

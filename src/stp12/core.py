@@ -5,7 +5,8 @@ adjacent pairs are at distance 1, everything else at distance 2.  A solution
 is a set of unordered node pairs ("connections"); a pair that is a graph edge
 costs 1, a non-edge costs 2.  Greedy algorithms grow a partial solution by
 collapsing connected sets of components, which this module tracks with a
-union-find structure plus the induced component graph.
+union-find structure plus the induced component graph.  `DisjointSets` is
+the one union-find every module uses.
 """
 
 from __future__ import annotations
@@ -114,20 +115,12 @@ def is_valid_solution(instance: Instance, connections: Iterable[Connection]) -> 
     terms = instance.terminals
     if len(terms) <= 1:
         return True
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        root = x
-        while parent.setdefault(root, root) != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
+    sets = DisjointSets(instance.node_count)
     for u, v in connections:
-        parent[find(u)] = find(v)
-    roots = {find(t) for t in terms}
-    return len(roots) == 1
+        if not (0 <= u < instance.node_count and 0 <= v < instance.node_count):
+            raise InputError(f"connection ({u}, {v}) endpoint out of range")
+        sets.union(u, v)
+    return len({sets.find(t) for t in terms}) == 1
 
 
 @dataclass(frozen=True)
@@ -143,32 +136,15 @@ class Solution:
         return cls(conns, cost(instance, conns))
 
 
-class PartitionState:
-    """Union-find over nodes with terminal flags and the accumulated solution.
+class DisjointSets:
+    """Union-find over the ids 0..size-1.
 
-    Components are identified by their smallest node id, which keeps
-    representative choices and tie-breaking stable across runs.
+    Each set is identified by its smallest member, which keeps representative
+    choices and tie-breaking stable across runs.
     """
 
-    def __init__(self, instance: Instance):
-        self.instance = instance
-        self._parent = list(range(instance.node_count))
-        self._terminal_flag = [v in instance.terminals for v in range(instance.node_count)]
-        self.connections: list[Connection] = []
-        self.cost = 0
-
-    @classmethod
-    def initial(cls, instance: Instance) -> "PartitionState":
-        return cls(instance)
-
-    def copy(self) -> "PartitionState":
-        dup = PartitionState.__new__(PartitionState)
-        dup.instance = self.instance
-        dup._parent = list(self._parent)
-        dup._terminal_flag = list(self._terminal_flag)
-        dup.connections = list(self.connections)
-        dup.cost = self.cost
-        return dup
+    def __init__(self, size: int):
+        self._parent = list(range(size))
 
     def find(self, v: int) -> int:
         parent = self._parent
@@ -179,17 +155,33 @@ class PartitionState:
             parent[v], v = root, parent[v]
         return root
 
+    def union(self, a: int, b: int) -> bool:
+        """Merge the sets of a and b; False if they already were one set."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if ra < rb:
+            self._parent[rb] = ra
+        else:
+            self._parent[ra] = rb
+        return True
+
+
+class PartitionState(DisjointSets):
+    """Union-find over nodes with terminal flags and the accumulated solution."""
+
+    def __init__(self, instance: Instance):
+        super().__init__(instance.node_count)
+        self.instance = instance
+        self._terminal_flag = [v in instance.terminals for v in range(instance.node_count)]
+        self.connections: list[Connection] = []
+        self.cost = 0
+
     def components(self) -> list[int]:
         return sorted({self.find(v) for v in range(self.instance.node_count)})
 
     def component_count(self) -> int:
         return len({self.find(v) for v in range(self.instance.node_count)})
-
-    def component_members(self) -> dict[int, list[int]]:
-        members: dict[int, list[int]] = {}
-        for v in range(self.instance.node_count):
-            members.setdefault(self.find(v), []).append(v)
-        return members
 
     def is_terminal_component(self, root: int) -> bool:
         return self._terminal_flag[self.find(root)]
@@ -197,14 +189,13 @@ class PartitionState:
     def terminal_components(self) -> list[int]:
         return [r for r in self.components() if self._terminal_flag[r]]
 
-    def _union(self, a: int, b: int) -> int:
+    def union(self, a: int, b: int) -> bool:
         ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return ra
-        lo, hi = (ra, rb) if ra < rb else (rb, ra)
-        self._parent[hi] = lo
-        self._terminal_flag[lo] = self._terminal_flag[lo] or self._terminal_flag[hi]
-        return lo
+        if not super().union(ra, rb):
+            return False
+        flags = self._terminal_flag
+        flags[min(ra, rb)] = flags[ra] or flags[rb]
+        return True
 
 
 @dataclass(frozen=True)
@@ -258,27 +249,18 @@ def collapse(
         )
     # Check the edges span the selected components without cycles.
     index = {r: i for i, r in enumerate(comps)}
-    mini = list(range(len(comps)))
-
-    def mini_find(x: int) -> int:
-        while mini[x] != x:
-            mini[x] = mini[mini[x]]
-            x = mini[x]
-        return x
-
+    mini = DisjointSets(len(comps))
     for u, v in conns:
         ru, rv = state.find(u), state.find(v)
         if ru not in index or rv not in index:
             raise ContractViolation(f"connection ({u}, {v}) leaves the selected components")
-        a, b = mini_find(index[ru]), mini_find(index[rv])
-        if a == b:
+        if not mini.union(index[ru], index[rv]):
             raise ContractViolation(f"connection ({u}, {v}) closes a cycle")
-        mini[a] = b
-    if len({mini_find(i) for i in range(len(comps))}) != 1:
+    if len({mini.find(i) for i in range(len(comps))}) != 1:
         raise ContractViolation("tree edges do not connect the selected components")
 
     for u, v in conns:
-        state._union(u, v)
+        state.union(u, v)
         state.connections.append((u, v))
     state.cost += cost(state.instance, conns)
     return state

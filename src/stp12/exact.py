@@ -17,9 +17,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from stp12.core import CapExceeded, Connection, InputError, Instance, connection, cost
+from stp12.core import (
+    CapExceeded,
+    Connection,
+    DisjointSets,
+    InputError,
+    Instance,
+    connection,
+    cost,
+)
 
-BRUTE_FORCE_NODE_CAP = 20
+BRUTE_FORCE_NODE_CAP = 24
 DREYFUS_WAGNER_TERMINAL_CAP = 12
 
 _INF = 1 << 30
@@ -86,16 +94,7 @@ def _mst_over(
     node_mask: int, node_count: int, sorted_pairs: list[tuple[int, int, int]]
 ) -> tuple[int, tuple[Connection, ...]]:
     """Kruskal over the 1/2 metric restricted to the masked node set."""
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        root = x
-        while parent.setdefault(root, root) != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
+    union = DisjointSets(node_mask.bit_length()).union
     picked: list[Connection] = []
     total = 0
     needed = node_count - 1
@@ -104,10 +103,8 @@ def _mst_over(
             break
         if not (node_mask >> u & 1 and node_mask >> v & 1):
             continue
-        ru, rv = find(u), find(v)
-        if ru == rv:
+        if not union(u, v):
             continue
-        parent[ru] = rv
         picked.append((u, v))
         total += w
         needed -= 1

@@ -118,7 +118,7 @@ def _adjacent_terminal_components(
 def finishing_only_solver(instance: Instance, mode: str = "strict-paper") -> Solution:
     """Deliberately weak baseline: skip every greedy phase.  Used as the
     negative control proving the ratio suites can fail."""
-    state = PartitionState.initial(instance)
+    state = PartitionState(instance)
     return finishing(instance, state, mode)
 
 
@@ -219,15 +219,6 @@ def full_corpus(
     return random_corpus(count, seed) + gadget_corpus() + bp_sweep(max_depth)
 
 
-def _opt_cap_for(instance: Instance) -> int:
-    # The adversarial sweep tops out at 21 nodes, a bit over the default cap;
-    # the subset oracle stays fast there because it enumerates at most
-    # 2^(non-terminals with degree >= 3) spanning computations.  Anything
-    # beyond 24 nodes is refused as usual.
-    del instance
-    return 24
-
-
 # ---------------------------------------------------------------------------
 # Suites
 
@@ -253,7 +244,7 @@ def suite_oracles(
     if not corpus:
         warnings.append("empty corpus: oracle agreement passes vacuously")
     for name, inst in corpus:
-        bf = brute_force_opt(inst, max_nodes=_opt_cap_for(inst))
+        bf = brute_force_opt(inst)
         dw_res = dw(inst)
         ok = (
             dw_res.cost == bf.cost
@@ -280,7 +271,7 @@ def suite_oracles(
         edges = [
             (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
         ]
-        aux = AuxGraph.build({e: [0] for e in edges})
+        aux = AuxGraph.build(edges)
         got = len(max_matching(aux))
         want = brute_force_matching_size(n, edges)
         if got != want:
@@ -303,7 +294,7 @@ def suite_oracles(
             "random-gnp", {"n": n, "p": p, "r": r}, seed=rng2.getrandbits(32)
         )
         inst = stpio.generate(spec)
-        state = PartitionState.initial(inst)
+        state = PartitionState(inst)
         preprocess_terminal_edges(inst, state)
         structure = best_comet(inst, state)
         got_ci = None if structure is None else structure_cost_index(structure)
@@ -347,25 +338,21 @@ def _ratio_suite(
     max_instance = None
     violations: list[dict] = []
     skipped: list[str] = []
+
+    def solve(candidate: Instance) -> Solution:
+        return solver(candidate, "cheapest")
+
     for name, inst in instances:
         try:
-            opt = brute_force_opt(inst, max_nodes=_opt_cap_for(inst)).cost
+            opt = brute_force_opt(inst).cost
         except CapExceeded as exc:
             skipped.append(f"{name}: {exc}")
             continue
-        solution = solver(inst, "cheapest")
-        if not is_valid_solution(inst, solution.connections):
-            violations.append({"instance": name, "reason": "invalid solution"})
-            continue
-        if opt == 0:
-            if solution.cost != 0:
-                violations.append({"instance": name, "reason": "nonzero on trivial"})
-            continue
-        ratio = Fraction(solution.cost, opt)
-        if ratio > max_ratio:
+        ratio, violation = check_ratio(name, inst, solve(inst), opt, solve, bound, out_dir)
+        if ratio is not None and ratio > max_ratio:
             max_ratio, max_instance = ratio, name
-        if ratio > bound:
-            violations.append(_violation_record(name, inst, solver, bound, out_dir))
+        if violation is not None:
+            violations.append(violation)
     return {
         "suite": suite_name,
         "passed": not violations,
@@ -379,22 +366,50 @@ def _ratio_suite(
     }
 
 
+def check_ratio(
+    name: str,
+    instance: Instance,
+    solution: Solution,
+    opt: int,
+    solve: Callable[[Instance], Solution],
+    bound: Fraction,
+    out_dir: str | None,
+) -> tuple[Fraction | None, dict | None]:
+    """Check one solution of `solve` against the instance's optimum cost.
+
+    Returns the exact ratio (None when the optimum is 0 or the solution is
+    invalid) and a violation record, or None when the solution is valid and
+    within the bound.  A ratio violation is minimized by re-running `solve`
+    and dumped by `_violation_record`.
+    """
+    if not is_valid_solution(instance, solution.connections):
+        return None, {"instance": name, "reason": "invalid solution"}
+    if opt == 0:
+        if solution.cost != 0:
+            return None, {"instance": name, "reason": "nonzero on trivial"}
+        return None, None
+    ratio = Fraction(solution.cost, opt)
+    if ratio > bound:
+        return ratio, _violation_record(name, instance, solve, bound, out_dir)
+    return ratio, None
+
+
 def _violation_record(
     name: str,
     instance: Instance,
-    solver: Callable[[Instance, str], Solution],
+    solve: Callable[[Instance], Solution],
     bound: Fraction,
     out_dir: str | None,
 ) -> dict:
     def still_violates(candidate: Instance) -> bool:
-        opt = brute_force_opt(candidate, max_nodes=_opt_cap_for(candidate)).cost
+        opt = brute_force_opt(candidate).cost
         if opt == 0:
             return False
-        return Fraction(solver(candidate, "cheapest").cost, opt) > bound
+        return Fraction(solve(candidate).cost, opt) > bound
 
     minimized = minimize_instance(instance, still_violates)
-    opt = brute_force_opt(minimized, max_nodes=_opt_cap_for(minimized)).cost
-    got = solver(minimized, "cheapest").cost
+    opt = brute_force_opt(minimized).cost
+    got = solve(minimized).cost
     dump = stpio.serialize_stp(minimized, f"counterexample-{name}")
     record = {
         "instance": name,

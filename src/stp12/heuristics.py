@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from stp12.core import (
     Connection,
+    DisjointSets,
     InputError,
     Instance,
     PartitionState,
@@ -44,6 +45,31 @@ class Star:
         return self.edges
 
 
+def _free_nodes(instance: Instance, state: PartitionState) -> list[int]:
+    """Nodes living in terminal-free components (always singletons here)."""
+    return [
+        v
+        for v in range(instance.node_count)
+        if not state.is_terminal_component(v)
+    ]
+
+
+def _adjacent_terminal_reps(
+    instance: Instance, state: PartitionState, node: int
+) -> dict[int, Connection]:
+    """Smallest connecting edge from node to each adjacent terminal component."""
+    reps: dict[int, Connection] = {}
+    for v in instance.neighbors(node):
+        root = state.find(v)
+        if not state.is_terminal_component(root):
+            continue
+        rep = connection(node, v)
+        old = reps.get(root)
+        if old is None or rep < old:
+            reps[root] = rep
+    return reps
+
+
 def find_max_star(instance: Instance, state: PartitionState) -> Star | None:
     """Largest star in the current component graph.
 
@@ -53,23 +79,11 @@ def find_max_star(instance: Instance, state: PartitionState) -> Star | None:
     """
     best: tuple[int, int, tuple[int, ...]] | None = None
     best_reps: dict[int, Connection] | None = None
-    members = state.component_members()
-    for croot in sorted(members):
-        if state.is_terminal_component(croot):
-            continue
-        reps: dict[int, Connection] = {}
-        for u in members[croot]:
-            for v in instance.neighbors(u):
-                root = state.find(v)
-                if not state.is_terminal_component(root):
-                    continue
-                rep = connection(u, v)
-                old = reps.get(root)
-                if old is None or rep < old:
-                    reps[root] = rep
+    for center in _free_nodes(instance, state):
+        reps = _adjacent_terminal_reps(instance, state, center)
         if not reps:
             continue
-        key = (-len(reps), croot, tuple(sorted(reps)))
+        key = (-len(reps), center, tuple(sorted(reps)))
         if best is None or key < best:
             best = key
             best_reps = reps
@@ -118,25 +132,16 @@ def finishing(instance: Instance, state: PartitionState, mode: str = "cheapest")
 
     # cheapest: Kruskal on the component metric (1 with a representative
     # edge, 2 otherwise), which is optimal for two-valued weights.
-    group = {r: r for r in roots}
-
-    def find(r: int) -> int:
-        while group[r] != r:
-            group[r] = group[group[r]]
-            r = group[r]
-        return r
-
+    wanted = set(roots)
+    group = DisjointSets(instance.node_count)
     merged = 0
     cg = induced_graph(instance, state)
     for (a, b), rep in sorted(cg.edges.items()):
-        if a in group and b in group:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                group[max(ra, rb)] = min(ra, rb)
-                conns.append(connection(*rep))
-                merged += 1
+        if a in wanted and b in wanted and group.union(a, b):
+            conns.append(connection(*rep))
+            merged += 1
     if merged < len(roots) - 1:
-        remaining = sorted({find(r) for r in roots})
+        remaining = sorted({group.find(r) for r in roots})
         for a, b in zip(remaining, remaining[1:]):
             conns.append(connection(anchors[a], anchors[b]))
     return Solution.from_connections(instance, conns)
@@ -160,7 +165,7 @@ def rayward_smith(
     """Run the three-step greedy and return a valid solution."""
     if not instance.terminals:
         raise InputError("rayward_smith needs at least one terminal")
-    state = PartitionState.initial(instance)
+    state = PartitionState(instance)
     preprocess_terminal_edges(instance, state)
     if log is not None:
         log.append(f"preprocessing: cost {state.cost}")

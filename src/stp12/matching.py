@@ -10,7 +10,8 @@ O(V^3) scheme with base pointers and LCA-driven blossom marking.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable
 
 from stp12.core import InputError
 
@@ -19,25 +20,23 @@ from stp12.core import InputError
 class AuxGraph:
     """Auxiliary graph for a fixed comet center.
 
-    Vertices are terminal component ids.  Each edge is annotated with the
-    fork nodes that realize it: non-terminals adjacent to the center and to
-    both endpoint components.
+    Vertices are terminal component ids; edges are the component pairs some
+    fork node can serve, each stored once as (smaller, larger) in ascending
+    order.
     """
 
     vertices: tuple[int, ...]
-    edges: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
+    edges: tuple[tuple[int, int], ...] = ()
 
     @classmethod
-    def build(cls, pair_forks: dict[tuple[int, int], list[int]]) -> "AuxGraph":
-        edges = {}
-        verts: set[int] = set()
-        for (a, b), forks in pair_forks.items():
+    def build(cls, pairs: Iterable[tuple[int, int]]) -> "AuxGraph":
+        edges: set[tuple[int, int]] = set()
+        for a, b in pairs:
             if a == b:
                 raise InputError("auxiliary edge endpoints must differ")
-            key = (a, b) if a < b else (b, a)
-            edges[key] = tuple(sorted(set(forks)))
-            verts.update(key)
-        return cls(tuple(sorted(verts)), dict(sorted(edges.items())))
+            edges.add((a, b) if a < b else (b, a))
+        verts = {v for edge in edges for v in edge}
+        return cls(tuple(sorted(verts)), tuple(sorted(edges)))
 
 
 @dataclass(frozen=True)

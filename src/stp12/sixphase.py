@@ -16,6 +16,14 @@ exactly 1.  The six phases:
    then collapse the selection
 6. repeatedly collapse the structure with the least cost index while it is
    below 1, then finish like the greedy heuristic
+
+Phases 2 and 3 run as one loop that collapses a largest star while s >= 4.
+Both phases always take a largest star, so phase 2 is exactly the run of
+that loop before its first 4-star, and phase 3 the rest; the collapse
+sequence is the same as running them one after the other.  Star sizes can
+grow mid-loop (a free neighbour of a collapsed center now touches the
+merged component), so a 5-star after the first 4-star is still phase 3,
+and the log labels it that way.
 """
 
 from __future__ import annotations
@@ -34,7 +42,14 @@ from stp12.core import (
     collapse,
     connection,
 )
-from stp12.heuristics import Star, find_max_star, finishing, preprocess_terminal_edges
+from stp12.heuristics import (
+    Star,
+    _adjacent_terminal_reps,
+    _free_nodes,
+    find_max_star,
+    finishing,
+    preprocess_terminal_edges,
+)
 
 PACK3_STRATEGIES = ("exact", "greedy")
 DEFAULT_PACK3_CAP = 512
@@ -130,30 +145,6 @@ def structure_cost_index(structure: Star | Comet) -> CostIndex:
 
 def _terminal_count(structure: Star | Comet) -> int:
     return structure.s if isinstance(structure, Star) else structure.terminal_count
-
-
-def _free_nodes(instance: Instance, state: PartitionState) -> list[int]:
-    """Nodes living in terminal-free components (always singletons here)."""
-    return [
-        v
-        for v in range(instance.node_count)
-        if not state.is_terminal_component(v)
-    ]
-
-
-def _adjacent_terminal_reps(
-    instance: Instance, state: PartitionState, node: int
-) -> dict[int, Connection]:
-    reps: dict[int, Connection] = {}
-    for v in instance.neighbors(node):
-        root = state.find(v)
-        if not state.is_terminal_component(root):
-            continue
-        rep = connection(node, v)
-        old = reps.get(root)
-        if old is None or rep < old:
-            reps[root] = rep
-    return reps
 
 
 def build_fork_candidates(
@@ -438,23 +429,19 @@ def six_phase(
         if log is not None:
             log.append(message)
 
-    state = PartitionState.initial(instance)
+    state = PartitionState(instance)
     preprocess_terminal_edges(instance, state)
     note(f"phase 1 terminal edges: cost {state.cost}")
 
-    while True:
-        star = find_max_star(instance, state)
-        if star is None or star.s <= 4:
-            break
-        collapse(state, star.touched_components(), star.connections())
-        note(f"phase 2 collapse {star.s}-star at {star.center}: cost {state.cost}")
-
+    phase = 2
     while True:
         star = find_max_star(instance, state)
         if star is None or star.s < 4:
             break
+        if star.s == 4:
+            phase = 3
         collapse(state, star.touched_components(), star.connections())
-        note(f"phase 3 collapse {star.s}-star at {star.center}: cost {state.cost}")
+        note(f"phase {phase} collapse {star.s}-star at {star.center}: cost {state.cost}")
 
     selected = max_3star_set(instance, state, pack3, pack3_cap)
     note(f"phase 4 packed {len(selected)} disjoint 3-stars ({pack3})")

@@ -104,11 +104,11 @@ def test_criterion_3_matching_correctness():
     )
     cases.append((10, petersen))
     for n, edges in cases:
-        aux = AuxGraph.build({e: [0] for e in edges})
+        aux = AuxGraph.build(edges)
         got = len(max_matching(aux))
         want = brute_force_matching_size(n, edges)
         assert got == want, (n, edges)
-    assert len(max_matching(AuxGraph.build({tuple(e): [0] for e in petersen}))) == 5
+    assert len(max_matching(AuxGraph.build(petersen))) == 5
     report("criterion 3 (matching correctness)", True, f"{len(cases)} graphs incl. Petersen")
 
 
@@ -122,7 +122,7 @@ def test_criterion_4_comet_search_correctness():
         spec = GeneratorSpec("random-gnp", {"n": n, "p": p, "r": r},
                              seed=rng.getrandbits(32))
         inst = generate(spec)
-        state = PartitionState.initial(inst)
+        state = PartitionState(inst)
         preprocess_terminal_edges(inst, state)
         structure = best_comet(inst, state)
         got = None if structure is None else structure_cost_index(structure)

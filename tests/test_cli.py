@@ -1,8 +1,12 @@
 import json
+from fractions import Fraction
 
 import pytest
 
+from stp12 import cli, harness
 from stp12.cli import main
+from stp12.core import Solution
+from stp12.exact import brute_force_opt
 from stp12.io import parse_stp
 
 P3_TEXT = """\
@@ -102,6 +106,61 @@ def test_compare_reports_ratios_and_max(tmp_path):
     assert payload["violations"] == []
 
 
+def test_compare_checks_the_depth7_witness(tmp_path):
+    # n = 21: the harness and compare share one oracle cap, so the paper's
+    # 13/10 witness is checked here rather than skipped.
+    out_path = tmp_path / "report.json"
+    code = main([
+        "compare", "--family", "bp-adversarial", "--param", "depth=7",
+        "--out", str(out_path),
+    ])
+    assert code == 0
+    payload = json.loads(out_path.read_text())
+    report = payload["reports"][0]
+    assert not report["skipped"]
+    assert report["opt_cost"] == 20
+    assert payload["max_ratios"]["rs/cheapest"] == {"num": 13, "den": 10}
+    assert payload["violations"] == []
+
+
+def test_compare_reports_and_dumps_a_violation(tmp_path, monkeypatch):
+    # Negative control: skipping every greedy phase costs 6 on a 4-star
+    # whose optimum is 4, above the 4/3 bound.
+    def weak_rs(inst, mode, log=None):
+        return harness.finishing_only_solver(inst, mode)
+
+    monkeypatch.setattr(cli, "rayward_smith", weak_rs)
+    out_path = tmp_path / "report.json"
+    code = main([
+        "compare", "--family", "star-cluster", "--param", "k=4", "--param", "m=1",
+        "--out", str(out_path),
+    ])
+    assert code == 1
+    payload = json.loads(out_path.read_text())
+    [violation] = payload["violations"]
+    assert violation["algorithm"] == "rs"
+    assert violation["reason"] == "ratio above bound"
+    dumped = parse_stp((tmp_path / violation["path"]).read_text())
+    opt = brute_force_opt(dumped).cost
+    assert Fraction(weak_rs(dumped, "cheapest").cost, opt) > harness.RS_BOUND
+
+
+def test_compare_flags_an_invalid_solution(tmp_path, monkeypatch):
+    def no_connections(inst, mode, pack3, log=None):
+        return Solution.from_connections(inst, [])
+
+    monkeypatch.setattr(cli, "six_phase", no_connections)
+    out_path = tmp_path / "report.json"
+    code = main([
+        "compare", "--family", "star-cluster", "--param", "k=4", "--param", "m=1",
+        "--out", str(out_path),
+    ])
+    assert code == 1
+    [violation] = json.loads(out_path.read_text())["violations"]
+    assert violation["algorithm"] == "six-phase"
+    assert violation["reason"] == "invalid solution"
+
+
 def test_compare_skips_over_cap_instances(tmp_path):
     out_path = tmp_path / "report.json"
     code = main([
@@ -154,3 +213,15 @@ def test_audit_long_path_optimum(tmp_path):
     payload = json.loads(out_path.read_text())
     entry = payload["audit"][0]
     assert entry["classification"] in ({}, {"terminal-edge": 1})
+
+
+def test_audit_beyond_subset_oracle_cap(tmp_path):
+    # n = 26 is over the subset oracle's cap, but |R| = 8 is within the
+    # Dreyfus-Wagner cap, and that oracle provides the reference.
+    gen_path = tmp_path / "gnp.stp"
+    assert main(["gen", "--family", "random-gnp", "--param", "n=26",
+                 "--param", "p=1/5", "--param", "r=8", "--out", str(gen_path)]) == 0
+    out_path = tmp_path / "audit.json"
+    assert main(["audit", str(gen_path), "--mode", "s4", "--out", str(out_path)]) == 0
+    entry = json.loads(out_path.read_text())["audit"][0]
+    assert entry["reference_cost"] > 0

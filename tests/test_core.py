@@ -66,6 +66,13 @@ def test_validity_path_and_empty():
     assert not is_valid_solution(inst, [])
 
 
+def test_validity_rejects_bad_endpoint():
+    inst = path3()
+    for bad in [(-1, 2), (0, 3)]:
+        with pytest.raises(InputError):
+            is_valid_solution(inst, [(0, 1), bad])
+
+
 def test_validity_single_terminal():
     inst = Instance.from_edges(3, [(0, 1)], [1])
     assert is_valid_solution(inst, [])
@@ -73,7 +80,7 @@ def test_validity_single_terminal():
 
 def test_induced_graph_identity_partition():
     inst = Instance.from_edges(5, [(0, 1), (1, 2), (3, 4)], [0])
-    state = PartitionState.initial(inst)
+    state = PartitionState(inst)
     cg = induced_graph(inst, state)
     assert cg.components == (0, 1, 2, 3, 4)
     assert set(cg.edges) == {(0, 1), (1, 2), (3, 4)}
@@ -82,7 +89,7 @@ def test_induced_graph_identity_partition():
 
 def test_induced_graph_single_component_is_empty():
     inst = path3()
-    state = PartitionState.initial(inst)
+    state = PartitionState(inst)
     collapse(state, [0, 1], [(0, 1)])
     collapse(state, [0, 2], [(1, 2)])
     assert induced_graph(inst, state).edges == {}
@@ -90,7 +97,7 @@ def test_induced_graph_single_component_is_empty():
 
 def test_induced_graph_after_merge_has_representative():
     inst = path3()
-    state = PartitionState.initial(inst)
+    state = PartitionState(inst)
     collapse(state, [0, 1], [(0, 1)])
     cg = induced_graph(inst, state)
     assert cg.edges == {(0, 2): (1, 2)}
@@ -98,7 +105,7 @@ def test_induced_graph_after_merge_has_representative():
 
 def test_collapse_two_components_edge_cost():
     inst = path3()
-    state = PartitionState.initial(inst)
+    state = PartitionState(inst)
     collapse(state, [0, 1], [(0, 1)])
     assert state.cost == 1
     assert state.find(0) == state.find(1) == 0
@@ -107,7 +114,7 @@ def test_collapse_two_components_edge_cost():
 def test_collapse_three_star():
     # Collapsing a 3-star merges four components for cost 3.
     inst = Instance.from_edges(4, [(0, 1), (0, 2), (0, 3)], [1, 2, 3])
-    state = PartitionState.initial(inst)
+    state = PartitionState(inst)
     collapse(state, [0, 1, 2, 3], [(0, 1), (0, 2), (0, 3)])
     assert state.cost == 3
     assert state.component_count() == 1
@@ -116,35 +123,35 @@ def test_collapse_three_star():
 
 def test_collapse_non_edge_costs_two():
     inst = path3()
-    state = PartitionState.initial(inst)
+    state = PartitionState(inst)
     collapse(state, [0, 2], [(0, 2)])
     assert state.cost == 2
 
 
 def test_collapse_rejects_cycle():
     inst = Instance.from_edges(3, [(0, 1), (1, 2), (0, 2)], [0, 1, 2])
-    state = PartitionState.initial(inst)
+    state = PartitionState(inst)
     with pytest.raises(ContractViolation):
         collapse(state, [0, 1, 2], [(0, 1), (1, 2), (0, 2)])
 
 
 def test_collapse_rejects_non_spanning():
     inst = Instance.from_edges(4, [(0, 1), (2, 3)], [0, 1, 2, 3])
-    state = PartitionState.initial(inst)
+    state = PartitionState(inst)
     with pytest.raises(ContractViolation):
         collapse(state, [0, 1, 2, 3], [(0, 1), (0, 1), (2, 3)])
 
 
 def test_collapse_rejects_foreign_edge():
     inst = Instance.from_edges(4, [(0, 1), (2, 3)], [0, 1])
-    state = PartitionState.initial(inst)
+    state = PartitionState(inst)
     with pytest.raises(ContractViolation):
         collapse(state, [0, 1], [(2, 3)])
 
 
 def test_terminal_flag_is_or_of_merged():
     inst = Instance.from_edges(4, [(0, 1), (1, 2), (2, 3)], [3])
-    state = PartitionState.initial(inst)
+    state = PartitionState(inst)
     collapse(state, [0, 1], [(0, 1)])
     assert not state.is_terminal_component(0)
     collapse(state, [2, 3], [(2, 3)])
@@ -174,15 +181,14 @@ def test_accumulated_cost_matches_recomputation():
         n = rng.randint(3, 14)
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
         inst = Instance.from_edges(n, edges, rng.sample(range(n), rng.randint(1, n)))
-        state = PartitionState.initial(inst)
+        state = PartitionState(inst)
         for _ in range(rng.randint(1, 6)):
             roots = state.components()
             if len(roots) < 2:
                 break
             a, b = rng.sample(roots, 2)
-            members = state.component_members()
-            u = rng.choice(members[a])
-            v = rng.choice(members[b])
+            u = rng.choice([x for x in range(n) if state.find(x) == a])
+            v = rng.choice([x for x in range(n) if state.find(x) == b])
             collapse(state, [a, b], [(u, v)])
         assert state.cost == cost(inst, state.connections)
 

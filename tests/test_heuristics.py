@@ -32,7 +32,7 @@ def random_instance(rng, max_nodes=12, max_terminals=6):
 
 def test_find_max_star_full_fan():
     inst = big_star(5)
-    star = find_max_star(inst, PartitionState.initial(inst))
+    star = find_max_star(inst, PartitionState(inst))
     assert star is not None
     assert star.center == 0 and star.s == 5
     assert star.edges == tuple((0, i) for i in range(1, 6))
@@ -42,14 +42,14 @@ def test_find_max_star_prefers_larger():
     # center 0 reaches three terminals, center 1 reaches four
     edges = [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (1, 5)]
     inst = Instance.from_edges(6, edges, [2, 3, 4, 5])
-    star = find_max_star(inst, PartitionState.initial(inst))
+    star = find_max_star(inst, PartitionState(inst))
     assert star.center == 1 and star.s == 4
 
 
 def test_residual_star_shrinks_after_collapse():
     edges = [(0, 2), (0, 3), (0, 4), (0, 5), (1, 4), (1, 5)]
     inst = Instance.from_edges(6, edges, [2, 3, 4, 5])
-    state = PartitionState.initial(inst)
+    state = PartitionState(inst)
     star = find_max_star(inst, state)
     assert star.center == 0 and star.s == 4
     collapse(state, star.touched_components(), star.connections())
@@ -59,45 +59,45 @@ def test_residual_star_shrinks_after_collapse():
 
 def test_no_star_when_no_free_center():
     inst = Instance.from_edges(2, [(0, 1)], [0, 1])
-    assert find_max_star(inst, PartitionState.initial(inst)) is None
+    assert find_max_star(inst, PartitionState(inst)) is None
 
 
 def test_preprocess_collapses_adjacent_terminals():
     inst = Instance.from_edges(2, [(0, 1)], [0, 1])
-    state = preprocess_terminal_edges(inst, PartitionState.initial(inst))
+    state = preprocess_terminal_edges(inst, PartitionState(inst))
     assert state.component_count() == 1 and state.cost == 1
 
 
 def test_preprocess_terminal_path():
     inst = Instance.from_edges(3, [(0, 1), (1, 2)], [0, 1, 2])
-    state = preprocess_terminal_edges(inst, PartitionState.initial(inst))
+    state = preprocess_terminal_edges(inst, PartitionState(inst))
     assert state.cost == 2
     assert state.component_count() == 1
 
 
 def test_preprocess_fixed_point_when_nothing_to_do():
     inst = Instance.from_edges(4, [(0, 1)], [2, 3])
-    state = preprocess_terminal_edges(inst, PartitionState.initial(inst))
+    state = preprocess_terminal_edges(inst, PartitionState(inst))
     assert state.cost == 0 and state.connections == []
 
 
 def test_finishing_strict_with_no_edges():
     inst = Instance.from_edges(3, [], [0, 1, 2])
-    state = PartitionState.initial(inst)
+    state = PartitionState(inst)
     assert finishing(inst, state, "strict-paper").cost == 4
     assert finishing(inst, state, "cheapest").cost == 4
 
 
 def test_finishing_single_component():
     inst = Instance.from_edges(2, [(0, 1)], [0, 1])
-    state = preprocess_terminal_edges(inst, PartitionState.initial(inst))
+    state = preprocess_terminal_edges(inst, PartitionState(inst))
     assert finishing(inst, state, "strict-paper").cost == 1
 
 
 def test_finishing_cheapest_uses_representative_edge():
     # two merged terminal pairs joined by one inter-component edge
     inst = Instance.from_edges(4, [(1, 2)], [0, 1, 2, 3])
-    state = PartitionState.initial(inst)
+    state = PartitionState(inst)
     collapse(state, [0, 1], [(0, 1)])
     collapse(state, [2, 3], [(2, 3)])
     assert finishing(inst, state, "cheapest").cost - state.cost == 1

@@ -28,7 +28,7 @@ from stp12.sixphase import (
 
 
 def fresh_state(inst):
-    state = PartitionState.initial(inst)
+    state = PartitionState(inst)
     preprocess_terminal_edges(inst, state)
     return state
 
@@ -99,7 +99,7 @@ def test_best_comet_prefers_large_star():
 
 def test_best_comet_absent_without_structures():
     inst = Instance.from_edges(3, [], [0, 1, 2])
-    assert best_comet(inst, PartitionState.initial(inst)) is None
+    assert best_comet(inst, PartitionState(inst)) is None
 
 
 def test_best_comet_fork_exclusivity_fallback():
@@ -129,7 +129,7 @@ def test_best_comet_matches_enumeration_randomized():
 def test_max_3star_set_two_disjoint():
     edges = [(0, 1), (0, 2), (0, 3), (4, 5), (4, 6), (4, 7)]
     inst = Instance.from_edges(8, edges, [1, 2, 3, 5, 6, 7])
-    stars = max_3star_set(inst, PartitionState.initial(inst))
+    stars = max_3star_set(inst, PartitionState(inst))
     assert len(stars) == 2
 
 
@@ -137,7 +137,7 @@ def test_max_3star_set_overlap_allows_one():
     # both centers need terminal 3
     edges = [(0, 2), (0, 3), (0, 4), (1, 3), (1, 5), (1, 6)]
     inst = Instance.from_edges(7, edges, [2, 3, 4, 5, 6])
-    stars = max_3star_set(inst, PartitionState.initial(inst))
+    stars = max_3star_set(inst, PartitionState(inst))
     assert len(stars) == 1
 
 
@@ -150,7 +150,7 @@ def test_max_3star_set_exact_beats_greedy_trap():
         + [(2, 6), (2, 7), (2, 8)]
     )
     inst = Instance.from_edges(9, edges, [3, 4, 5, 6, 7, 8])
-    state = PartitionState.initial(inst)
+    state = PartitionState(inst)
     exact = max_3star_set(inst, state, "exact")
     greedy = max_3star_set(inst, state, "greedy")
     assert len(exact) == 2
@@ -187,14 +187,14 @@ def test_max_3star_set_cap_refusal():
     edges = [(0, i) for i in range(1, 9)]
     inst = Instance.from_edges(9, edges, range(1, 9))
     with pytest.raises(CapExceeded):
-        max_3star_set(inst, PartitionState.initial(inst), "exact", cap=10)
-    stars = max_3star_set(inst, PartitionState.initial(inst), "greedy", cap=10)
+        max_3star_set(inst, PartitionState(inst), "exact", cap=10)
+    stars = max_3star_set(inst, PartitionState(inst), "greedy", cap=10)
     assert len(stars) == 1
 
 
 def test_upgrade_unchanged_without_fork():
     inst = Instance.from_edges(4, [(0, 1), (0, 2), (0, 3)], [1, 2, 3])
-    state = PartitionState.initial(inst)
+    state = PartitionState(inst)
     stars = max_3star_set(inst, state)
     assert upgrade_to_comets(inst, state, stars) == stars
 
@@ -217,7 +217,7 @@ def test_upgrade_competing_stars_share_one_fork():
         + [(0, 2), (1, 2), (2, 9), (2, 10)]
     )
     inst = Instance.from_edges(11, edges, [3, 4, 5, 6, 7, 8, 9, 10])
-    state = PartitionState.initial(inst)
+    state = PartitionState(inst)
     stars = max_3star_set(inst, state)
     assert len(stars) == 2
     upgraded = upgrade_to_comets(inst, state, stars)
