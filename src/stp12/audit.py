@@ -202,26 +202,14 @@ def bridge_step(
     u, v = edge
     if u in instance.terminals or v in instance.terminals:
         raise ContractViolation("bridge step needs both endpoints non-terminal")
-    plan = _bridge_plan(instance, reference, edge)
-    if plan is None:
-        raise ContractViolation("no non-edge reconnection exists across the cut")
-    removed, added = plan
-    return ReferenceSolution(reference.connections - {removed} | set(added))
-
-
-def _bridge_plan(
-    instance: Instance, reference: ReferenceSolution, edge: Connection
-) -> tuple[Connection, tuple[Connection, ...]] | None:
-    """Removal plus the preferred non-edge reconnection, if the cut needs one."""
-    u, v = edge
-    side_u = _reachable(reference.connections - {edge}, u)
+    remaining = reference.connections - {edge}
+    side_u = _reachable(remaining, u)
     if v in side_u:
-        return edge, ()
-    side_v = _reachable(reference.connections - {edge}, v)
-    best = _pick_reconnection(instance, side_u, side_v, fallback=None)
-    if best is None or instance.has_edge(*best):
-        return None
-    return edge, (best,)
+        return ReferenceSolution(remaining)
+    best = _pick_reconnection(instance, side_u, _reachable(remaining, v), fallback=None)
+    if best is None:
+        raise ContractViolation("no non-edge reconnection exists across the cut")
+    return ReferenceSolution(remaining | {best})
 
 
 def _pick_reconnection(
@@ -292,19 +280,21 @@ def normalize(
     current = reference
     trace: list[NormalizationStep] = []
     while True:
-        step = (
-            _prune_move(instance, current)
-            or _path_move(instance, current)
-            or _bridge_move(instance, current, mode)
-        )
+        step = _prune_move(instance, current)
+        if step is None:
+            path = _path_move(instance, current)
+            if path is not None:
+                step = "path", path_step(instance, current, path)
+        if step is None:
+            step = _bridge_move(instance, current, mode)
         if step is None:
             return current, trace
-        removed, added, kind = step
+        kind, after = step
+        removed = current.connections - after.connections
+        added = after.connections - current.connections
         delta = cost(instance, added) - cost(instance, removed)
-        current = ReferenceSolution(
-            current.connections - frozenset(removed) | frozenset(added)
-        )
         trace.append(NormalizationStep(kind, tuple(sorted(removed)), tuple(sorted(added)), delta))
+        current = after
 
 
 def _prune_move(instance, reference):
@@ -314,7 +304,7 @@ def _prune_move(instance, reference):
         if node in instance.terminals or len(adjacency[node]) != 1:
             continue
         conn = connection(node, adjacency[node][0])
-        return (conn,), (), "prune"
+        return "prune", ReferenceSolution(reference.connections - {conn})
     # connection group in a terminal-free component
     seen: set[int] = set()
     for node in sorted(adjacency):
@@ -323,10 +313,8 @@ def _prune_move(instance, reference):
         component = _reachable(reference.connections, node)
         seen.update(component)
         if not (component & instance.terminals):
-            dropped = tuple(sorted(
-                c for c in reference.connections if c[0] in component
-            ))
-            return dropped, (), "junk"
+            kept = frozenset(c for c in reference.connections if c[0] not in component)
+            return "junk", ReferenceSolution(kept)
     return None
 
 
@@ -380,17 +368,7 @@ def _path_move(instance, reference):
             candidates.append(oriented)
     if not candidates:
         return None
-    path = min(candidates, key=lambda p: (p[0], p[-1], p))
-    removed = tuple(connection(u, v) for u, v in zip(path, path[1:]))
-    remaining = reference.connections - frozenset(removed)
-    side_a = _reachable(remaining, path[0])
-    if path[-1] in side_a:
-        return removed, (), "path"
-    side_b = _reachable(remaining, path[-1])
-    reconnection = _pick_reconnection(
-        instance, side_a, side_b, fallback=connection(path[0], path[-1])
-    )
-    return removed, (reconnection,), "path"
+    return min(candidates, key=lambda p: (p[0], p[-1], p))
 
 
 def _bridge_move(instance, reference, mode):
@@ -401,11 +379,10 @@ def _bridge_move(instance, reference, mode):
             continue
         if mode == "s4" and not _bridge_sides_big_enough(unit, edge):
             continue
-        plan = _bridge_plan(instance, reference, edge)
-        if plan is None:
-            continue
-        removed, added = plan
-        return (removed,), added, "bridge"
+        try:
+            return "bridge", bridge_step(instance, reference, edge)
+        except ContractViolation:
+            continue  # no non-edge reconnection across this cut
     return None
 
 

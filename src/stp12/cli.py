@@ -6,7 +6,7 @@ optimal reference and report the classification histogram), gen (write a
 generated instance as an .stp file).
 
 Exit codes: 0 success, 1 reported violation, 2 input/parse error, 3 cap
-refusal.
+refusal (for compare: the oracle cap skipped every instance).
 """
 
 from __future__ import annotations
@@ -205,7 +205,12 @@ def _cmd_compare(args) -> int:
     }
     document["violations"] = violations
     _emit(document, args.out)
-    return 1 if violations else 0
+    if violations:
+        return 1
+    if all(report.skipped for report in reports):
+        print("refused: the oracle cap skipped every instance", file=sys.stderr)
+        return 3
+    return 0
 
 
 def _cmd_audit(args) -> int:

@@ -45,53 +45,45 @@ class Star:
         return self.edges
 
 
-def _free_nodes(instance: Instance, state: PartitionState) -> list[int]:
-    """Nodes living in terminal-free components (always singletons here)."""
-    return [
-        v
-        for v in range(instance.node_count)
-        if not state.is_terminal_component(v)
-    ]
+# free node -> {terminal component root: smallest edge joining them}
+TerminalView = dict[int, dict[int, Connection]]
 
 
-def _adjacent_terminal_reps(
-    instance: Instance, state: PartitionState, node: int
-) -> dict[int, Connection]:
-    """Smallest connecting edge from node to each adjacent terminal component."""
-    reps: dict[int, Connection] = {}
-    for v in instance.neighbors(node):
-        root = state.find(v)
-        if not state.is_terminal_component(root):
+def terminal_view(instance: Instance, state: PartitionState) -> TerminalView:
+    """The terminal components each free node touches, keyed by free node.
+
+    Every star and comet search reads this view.  Nodes and their neighbours
+    are scanned in ascending order, so the view iterates centers ascending
+    and the first edge seen to a component is its smallest connecting edge.
+    Free nodes touching no terminal component are left out.
+    """
+    view: TerminalView = {}
+    for v in range(instance.node_count):
+        if state.is_terminal_component(v):
             continue
-        rep = connection(node, v)
-        old = reps.get(root)
-        if old is None or rep < old:
-            reps[root] = rep
-    return reps
+        reps: dict[int, Connection] = {}
+        for u in instance.neighbors(v):
+            root = state.find(u)
+            if root not in reps and state.is_terminal_component(root):
+                reps[root] = connection(v, u)
+        if reps:
+            view[v] = reps
+    return view
+
+
+def largest_star(view: TerminalView) -> Star | None:
+    """Largest star in the view; ties go to the smallest center."""
+    if not view:
+        return None
+    center = max(view, key=lambda c: (len(view[c]), -c))
+    reps = view[center]
+    leaves = tuple(sorted(reps))
+    return Star(center, leaves, tuple(reps[r] for r in leaves))
 
 
 def find_max_star(instance: Instance, state: PartitionState) -> Star | None:
-    """Largest star in the current component graph.
-
-    Ties go to the smallest center id, then the lexicographically smallest
-    leaf list.  Returns None when no free non-terminal touches a terminal
-    component.
-    """
-    best: tuple[int, int, tuple[int, ...]] | None = None
-    best_reps: dict[int, Connection] | None = None
-    for center in _free_nodes(instance, state):
-        reps = _adjacent_terminal_reps(instance, state, center)
-        if not reps:
-            continue
-        key = (-len(reps), center, tuple(sorted(reps)))
-        if best is None or key < best:
-            best = key
-            best_reps = reps
-    if best is None or best_reps is None:
-        return None
-    _, center, leaves = best
-    edges = tuple(best_reps[r] for r in leaves)
-    return Star(center, leaves, edges)
+    """Largest star in the current component graph, or None if there is none."""
+    return largest_star(terminal_view(instance, state))
 
 
 def preprocess_terminal_edges(instance: Instance, state: PartitionState) -> PartitionState:

@@ -30,10 +30,16 @@ class ParseError(InputError):
 
 
 def parse_stp(text: str) -> Instance:
-    """Parse an STP document into an Instance (ids mapped to 0-based)."""
+    """Parse an STP document into an Instance (ids mapped to 0-based).
+
+    A declared Edges or Terminals count must equal the E or T lines present.
+    """
     node_count: int | None = None
     edges: list[tuple[int, int]] = []
     terminals: list[int] = []
+    edge_lines = 0
+    # (declared count, line of the declaration) for Edges and Terminals
+    declared: dict[str, tuple[int, int]] = {}
     section: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -55,8 +61,9 @@ def parse_stp(text: str) -> Instance:
             if keyword == "NODES":
                 node_count = _int_field(tokens, 1, lineno, "Nodes")
             elif keyword == "EDGES":
-                _int_field(tokens, 1, lineno, "Edges")
+                declared["Edges"] = (_int_field(tokens, 1, lineno, "Edges"), lineno)
             elif keyword == "E":
+                edge_lines += 1
                 if len(tokens) != 4:
                     raise ParseError(f"edge line needs 'E u v w', got {line!r}", lineno)
                 u, v, w = (_parse_int(t, lineno) for t in tokens[1:])
@@ -76,7 +83,7 @@ def parse_stp(text: str) -> Instance:
                 raise ParseError(f"unknown Graph line {line!r}", lineno)
         elif section == "terminals":
             if keyword == "TERMINALS":
-                _int_field(tokens, 1, lineno, "Terminals")
+                declared["Terminals"] = (_int_field(tokens, 1, lineno, "Terminals"), lineno)
             elif keyword == "T":
                 t = _int_field(tokens, 1, lineno, "T")
                 if node_count is None or not (1 <= t <= node_count):
@@ -87,6 +94,10 @@ def parse_stp(text: str) -> Instance:
         # content of other sections (Comment, ...) is ignored
     if node_count is None:
         raise ParseError("missing SECTION Graph with a Nodes line", 1)
+    found = {"Edges": edge_lines, "Terminals": len(terminals)}
+    for what, (count, lineno) in declared.items():
+        if count != found[what]:
+            raise ParseError(f"{what} declares {count}, found {found[what]}", lineno)
     return Instance.from_edges(node_count, edges, terminals)
 
 

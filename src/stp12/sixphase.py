@@ -44,11 +44,12 @@ from stp12.core import (
 )
 from stp12.heuristics import (
     Star,
-    _adjacent_terminal_reps,
-    _free_nodes,
+    TerminalView,
     find_max_star,
     finishing,
+    largest_star,
     preprocess_terminal_edges,
+    terminal_view,
 )
 
 PACK3_STRATEGIES = ("exact", "greedy")
@@ -143,26 +144,18 @@ def structure_cost_index(structure: Star | Comet) -> CostIndex:
     return structure.cost_index
 
 
-def _terminal_count(structure: Star | Comet) -> int:
-    return structure.s if isinstance(structure, Star) else structure.terminal_count
-
-
 def build_fork_candidates(
-    instance: Instance, state: PartitionState, center: int, directs: set[int]
+    instance: Instance, view: TerminalView, center: int
 ) -> dict[tuple[int, int], list[int]]:
     """Map each servable terminal-component pair to the fork nodes realizing it.
 
     A fork node must be a free non-terminal adjacent to the center; pairs may
     not touch components already attached directly to the center.
     """
+    directs = view.get(center, {})
     pair_forks: dict[tuple[int, int], list[int]] = {}
     for f in instance.neighbors(center):
-        if state.is_terminal_component(f):
-            continue
-        leaves = sorted(
-            root for root in _adjacent_terminal_reps(instance, state, f)
-            if root not in directs
-        )
+        leaves = sorted(root for root in view.get(f, ()) if root not in directs)
         for pair in combinations(leaves, 2):
             pair_forks.setdefault(pair, []).append(f)
     return pair_forks
@@ -239,17 +232,21 @@ def best_comet(instance: Instance, state: PartitionState) -> Star | Comet | None
     """
     from stp12.matching import AuxGraph, max_matching
 
+    view = terminal_view(instance, state)
     candidates: list[tuple[CostIndex, int, int, int, Star | Comet]] = []
-    star = find_max_star(instance, state)
+    star = largest_star(view)
     if star is not None and star.s >= 2:
         candidates.append((star_cost_index(star.s), -star.s, star.center, 0, star))
 
-    for center in _free_nodes(instance, state):
-        direct_reps = _adjacent_terminal_reps(instance, state, center)
+    # Every free node is a possible center, also one with no direct terminal
+    # component: a (3,0)-comet has cost index 4/5.
+    for center in range(instance.node_count):
+        if state.is_terminal_component(center):
+            continue
+        direct_reps = view.get(center, {})
         if len(direct_reps) > 2:
             continue
-        directs = sorted(direct_reps)
-        pair_forks = build_fork_candidates(instance, state, center, set(directs))
+        pair_forks = build_fork_candidates(instance, view, center)
         if not pair_forks:
             continue
         aux = AuxGraph.build(pair_forks)
@@ -263,17 +260,14 @@ def best_comet(instance: Instance, state: PartitionState) -> Star | Comet | None
             Fork(
                 node=f,
                 leaves=pair,
-                edges=(
-                    connection(center, f),
-                    _adjacent_terminal_reps(instance, state, f)[pair[0]],
-                    _adjacent_terminal_reps(instance, state, f)[pair[1]],
-                ),
+                edges=(connection(center, f), view[f][pair[0]], view[f][pair[1]]),
             )
             for pair, f in sorted(assignment)
         )
+        directs = tuple(sorted(direct_reps))
         comet = Comet(
             center=center,
-            directs=tuple(directs),
+            directs=directs,
             direct_edges=tuple(direct_reps[r] for r in directs),
             forks=forks,
         )
@@ -301,8 +295,7 @@ def max_3star_set(
     if strategy not in PACK3_STRATEGIES:
         raise InputError(f"unknown 3-star strategy {strategy!r}")
     candidates: list[tuple[int, tuple[int, ...], dict[int, Connection]]] = []
-    for center in sorted(_free_nodes(instance, state)):
-        reps = _adjacent_terminal_reps(instance, state, center)
+    for center, reps in terminal_view(instance, state).items():
         if len(reps) < 3:
             continue
         for combo in combinations(sorted(reps), 3):
@@ -372,9 +365,10 @@ def upgrade_to_comets(
     for star in ordered:
         used_comps.update(star.leaves)
     blocked_nodes = {star.center for star in ordered}
+    view = terminal_view(instance, state)
     result: list[Star | Comet] = []
     for star in ordered:
-        fork = _find_free_fork(instance, state, star.center, used_comps, blocked_nodes)
+        fork = _find_free_fork(instance, view, star.center, used_comps, blocked_nodes)
         if fork is None:
             result.append(star)
             continue
@@ -393,15 +387,15 @@ def upgrade_to_comets(
 
 def _find_free_fork(
     instance: Instance,
-    state: PartitionState,
+    view: TerminalView,
     center: int,
     used_comps: set[int],
     blocked_nodes: set[int],
 ) -> Fork | None:
-    for f in sorted(instance.neighbors(center)):
-        if f in blocked_nodes or state.is_terminal_component(f):
+    for f in instance.neighbors(center):
+        if f in blocked_nodes or f not in view:
             continue
-        reps = _adjacent_terminal_reps(instance, state, f)
+        reps = view[f]
         fresh = sorted(root for root in reps if root not in used_comps)
         if len(fresh) < 2:
             continue
@@ -418,7 +412,6 @@ def six_phase(
     instance: Instance,
     mode: str = "cheapest",
     pack3: str = "exact",
-    pack3_cap: int = DEFAULT_PACK3_CAP,
     log: list[str] | None = None,
 ) -> Solution:
     """Run all six phases and return a valid solution."""
@@ -443,7 +436,7 @@ def six_phase(
         collapse(state, star.touched_components(), star.connections())
         note(f"phase {phase} collapse {star.s}-star at {star.center}: cost {state.cost}")
 
-    selected = max_3star_set(instance, state, pack3, pack3_cap)
+    selected = max_3star_set(instance, state, pack3)
     note(f"phase 4 packed {len(selected)} disjoint 3-stars ({pack3})")
 
     upgraded = upgrade_to_comets(instance, state, selected)

@@ -55,6 +55,15 @@ def test_solve_exact_refuses_over_cap(tmp_path, capsys):
     assert "refused" in capsys.readouterr().err
 
 
+def test_mismatched_declared_counts_exit_two(tmp_path, capsys):
+    lines = ["SECTION Graph", "Nodes 3", "Edges 5", "E 1 2 1", "END",
+             "SECTION Terminals", "Terminals 7", "T 1", "T 2", "END", "EOF"]
+    path = tmp_path / "short.stp"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["solve", str(path)]) == 2
+    assert "Edges declares 5, found 1" in capsys.readouterr().err
+
+
 def test_parse_error_exits_two(tmp_path, capsys):
     path = tmp_path / "bad.stp"
     path.write_text("SECTION Graph\nNodes 2\nEdges 1\nE 1 2 7\nEND\nEOF\n")
@@ -167,9 +176,20 @@ def test_compare_skips_over_cap_instances(tmp_path):
         "compare", "--family", "random-gnp", "--param", "n=30",
         "--param", "p=1/10", "--param", "r=3", "--out", str(out_path),
     ])
-    assert code == 0
+    assert code == 3
     payload = json.loads(out_path.read_text())
     assert payload["reports"][0]["skipped"]
+
+
+def test_compare_with_one_instance_in_cap_exits_zero(p3_file, tmp_path):
+    lines = ["SECTION Graph", "Nodes 25", "Edges 0", "END",
+             "SECTION Terminals", "Terminals 2", "T 1", "T 2", "END", "EOF"]
+    big = tmp_path / "big.stp"
+    big.write_text("\n".join(lines) + "\n")
+    out_path = tmp_path / "report.json"
+    assert main(["compare", str(p3_file), str(big), "--out", str(out_path)]) == 0
+    reports = json.loads(out_path.read_text())["reports"]
+    assert [bool(r["skipped"]) for r in reports] == [False, True]
 
 
 def test_compare_identical_runs_are_byte_identical(tmp_path):

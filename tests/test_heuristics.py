@@ -14,6 +14,7 @@ from stp12.heuristics import (
     finishing,
     preprocess_terminal_edges,
     rayward_smith,
+    terminal_view,
 )
 
 
@@ -55,6 +56,32 @@ def test_residual_star_shrinks_after_collapse():
     collapse(state, star.touched_components(), star.connections())
     residual = find_max_star(inst, state)
     assert residual is not None and residual.s == 1
+
+
+def two_edge_component():
+    # terminal edges 0-6 and 0-7 make one component {0, 6, 7}; free node 5
+    # reaches it by (5, 6) and (5, 7) and also touches terminals 1 and 3;
+    # free nodes 2 and 4 touch no terminal
+    edges = [(0, 6), (0, 7), (5, 6), (5, 7), (1, 5), (3, 5), (2, 4)]
+    inst = Instance.from_edges(8, edges, [0, 1, 3, 6, 7])
+    state = preprocess_terminal_edges(inst, PartitionState(inst))
+    return inst, state
+
+
+def test_find_max_star_uses_smallest_edge_into_component():
+    inst, state = two_edge_component()
+    assert terminal_view(inst, state) == {5: {0: (5, 6), 1: (1, 5), 3: (3, 5)}}
+    star = find_max_star(inst, state)
+    assert star.center == 5 and star.leaves == (0, 1, 3)
+    assert star.edges == ((5, 6), (1, 5), (3, 5))
+
+
+def test_find_max_star_tie_goes_to_smallest_center():
+    # centers 1 and 5 both touch three terminals; 5's leaves sort first
+    edges = [(1, 2), (1, 3), (1, 4), (0, 5), (2, 5), (3, 5)]
+    inst = Instance.from_edges(6, edges, [0, 2, 3, 4])
+    star = find_max_star(inst, PartitionState(inst))
+    assert star.center == 1 and star.leaves == (2, 3, 4)
 
 
 def test_no_star_when_no_free_center():

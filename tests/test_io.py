@@ -80,6 +80,25 @@ def test_parse_rejects_out_of_range_endpoint():
         parse_stp(text)
 
 
+@pytest.mark.parametrize(
+    "graph, terminals, line",
+    [
+        ("Edges 5\nE 1 2 1\n", "Terminals 2\nT 1\nT 2\n", 3),
+        ("Edges 1\nE 1 2 1\n", "Terminals 7\nT 1\nT 2\n", 7),
+        ("Edges 1\nE 1 2 1\nE 2 3 2\n", "Terminals 2\nT 1\nT 2\n", 3),
+    ],
+    ids=["edges-short", "terminals-short", "weight-two-line-counted"],
+)
+def test_parse_rejects_mismatched_declared_counts(graph, terminals, line):
+    text = (
+        f"SECTION Graph\nNodes 3\n{graph}END\n"
+        f"SECTION Terminals\n{terminals}END\nEOF\n"
+    )
+    with pytest.raises(ParseError) as err:
+        parse_stp(text)
+    assert err.value.line == line
+
+
 def test_parse_skips_comment_sections_and_magic():
     text = (
         "33D32945 STP File, STP Format Version 1.0\n"

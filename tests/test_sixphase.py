@@ -86,6 +86,27 @@ def test_best_comet_finds_1_2_comet():
     assert exhaustive_min_cost_index(inst, state) == Fraction(2, 3)
 
 
+def test_best_comet_fork_uses_smallest_edge_into_component():
+    # center 0 with directs 2, 3; fork 1 reaches terminal 4 and the terminal
+    # component {5, 6, 7}, through (1, 6) and (1, 7)
+    edges = [(0, 2), (0, 3), (0, 1), (1, 4), (1, 6), (1, 7), (5, 6), (5, 7)]
+    inst = Instance.from_edges(8, edges, [2, 3, 4, 5, 6, 7])
+    structure = best_comet(inst, fresh_state(inst))
+    assert isinstance(structure, Comet) and structure.center == 0
+    assert structure.forks == (Fork(node=1, leaves=(4, 5), edges=((0, 1), (1, 4), (1, 6))),)
+
+
+def test_best_comet_finds_3_0_comet_at_terminal_free_center():
+    # center 0 touches no terminal; forks 1, 2, 3 each reach two terminals
+    edges = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 6), (2, 7), (3, 8), (3, 9)]
+    inst = Instance.from_edges(10, edges, range(4, 10))
+    state = fresh_state(inst)
+    structure = best_comet(inst, state)
+    assert isinstance(structure, Comet) and structure.center == 0
+    assert (structure.a, structure.b) == (3, 0)
+    assert structure.cost_index == Fraction(4, 5) == exhaustive_min_cost_index(inst, state)
+
+
 def test_best_comet_prefers_large_star():
     # center 0 carries four directs; the comet option has a worse index
     edges = [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (5, 6), (5, 7)]
@@ -181,6 +202,14 @@ def _exhaustive_packing_size(inst, state):
         if len(set(centers)) == len(centers) and len(set(comps)) == len(comps):
             best = max(best, len(chosen))
     return best
+
+
+def test_max_3star_set_uses_smallest_edge_into_component():
+    # free node 5 reaches the terminal component {0, 6, 7} by (5, 6) and (5, 7)
+    edges = [(0, 6), (0, 7), (5, 6), (5, 7), (1, 5), (3, 5)]
+    inst = Instance.from_edges(8, edges, [0, 1, 3, 6, 7])
+    stars = max_3star_set(inst, fresh_state(inst))
+    assert stars == (Star(5, (0, 1, 3), ((5, 6), (1, 5), (3, 5))),)
 
 
 def test_max_3star_set_cap_refusal():
