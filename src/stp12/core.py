@@ -167,13 +167,41 @@ class DisjointSets:
         return True
 
 
+# free node -> {terminal component root: smallest edge joining them}
+TerminalView = dict[int, dict[int, Connection]]
+
+
+@dataclass
+class ViewUpkeep:
+    """A partition's terminal view, kept current by its merges.
+
+    `touching` maps each terminal root to the free nodes whose view entry
+    holds it.  `changed` gathers the free nodes whose entry changed (key set,
+    edge or root id) and the nodes that stopped being free; a reader that
+    keeps per-node results between merges drains it.  `comets` is where
+    `sixphase.best_comet` keeps each center's best comet between calls.
+    """
+
+    view: TerminalView
+    touching: dict[int, set[int]]
+    changed: set[int] = field(default_factory=set)
+    comets: dict[int, tuple] | None = None
+
+
 class PartitionState(DisjointSets):
-    """Union-find over nodes with terminal flags and the accumulated solution."""
+    """Union-find over nodes with terminal flags and the accumulated solution.
+
+    The terminal view is built on its first read and from then on updated by
+    every merge, whether it comes from `collapse` or a direct `union`.
+    """
 
     def __init__(self, instance: Instance):
         super().__init__(instance.node_count)
         self.instance = instance
         self._terminal_flag = [v in instance.terminals for v in range(instance.node_count)]
+        # members of the free components that are not singletons
+        self._free_members: dict[int, list[int]] = {}
+        self._upkeep: ViewUpkeep | None = None
         self.connections: list[Connection] = []
         self.cost = 0
 
@@ -191,11 +219,114 @@ class PartitionState(DisjointSets):
 
     def union(self, a: int, b: int) -> bool:
         ra, rb = self.find(a), self.find(b)
-        if not super().union(ra, rb):
+        if ra == rb:
             return False
-        flags = self._terminal_flag
-        flags[min(ra, rb)] = flags[ra] or flags[rb]
+        self.merge((ra, rb))
         return True
+
+    def merge(self, roots: Iterable[int]) -> None:
+        """Merge distinct current component roots into one component."""
+        roots = list(roots)
+        root = min(roots)
+        flags = self._terminal_flag
+        terminal = any(flags[r] for r in roots)
+        if terminal:
+            absorbed = [m for r in roots if not flags[r]
+                        for m in self._free_members.pop(r, (r,))]
+            if self._upkeep is not None:
+                _absorb(self, self._upkeep, [r for r in roots if flags[r]], absorbed, root)
+        else:
+            # No terminal component changes, so neither does the view.
+            members = []
+            for r in roots:
+                members.extend(self._free_members.pop(r, (r,)))
+            self._free_members[root] = members
+        for r in roots:
+            self._parent[r] = root
+        flags[root] = terminal
+
+    def view_upkeep(self) -> ViewUpkeep:
+        """The kept terminal view, built from the partition on first read."""
+        if self._upkeep is None:
+            self._upkeep = _build_upkeep(self)
+        return self._upkeep
+
+
+def _build_upkeep(state: PartitionState) -> ViewUpkeep:
+    """Terminal view of the current partition, from the whole graph.
+
+    Nodes and their neighbours are scanned in ascending order, so the first
+    edge seen to a component is its smallest connecting edge.
+    """
+    instance = state.instance
+    view: TerminalView = {}
+    touching: dict[int, set[int]] = {}
+    for v in range(instance.node_count):
+        if state.is_terminal_component(v):
+            continue
+        reps: dict[int, Connection] = {}
+        for u in instance.neighbors(v):
+            root = state.find(u)
+            if root not in reps and state.is_terminal_component(root):
+                reps[root] = connection(v, u)
+        if reps:
+            view[v] = reps
+            for root in reps:
+                touching.setdefault(root, set()).add(v)
+    return ViewUpkeep(view, touching)
+
+
+def _absorb(
+    state: PartitionState,
+    upkeep: ViewUpkeep,
+    terminal_roots: list[int],
+    absorbed: list[int],
+    root: int,
+) -> None:
+    """Update the view for a merge into the terminal component `root`.
+
+    Called before the union-find changes.  `terminal_roots` are the merged
+    terminal components and `absorbed` the free nodes merged with them.  Only
+    the free nodes touching the merged members change: their keys among
+    `terminal_roots` fold into `root`, whose edge goes to the smallest
+    neighbour in the merged component.
+    """
+    view, touching, changed = upkeep.view, upkeep.touching, upkeep.changed
+    for f in absorbed:
+        changed.add(f)
+        for k in view.pop(f, ()):
+            touching[k].discard(f)
+    affected: set[int] = set()
+    for k in terminal_roots:
+        affected.update(touching.pop(k, ()))
+    instance = state.instance
+    flags = state._terminal_flag
+    for f in absorbed:
+        for u in instance.neighbors(f):
+            if not flags[state.find(u)]:
+                affected.add(u)
+    affected.difference_update(absorbed)
+    adjacency = instance.adjacency
+    for v in affected:
+        reps = view.setdefault(v, {})
+        before = reps.get(root)
+        nearest = None
+        dropped = 0
+        for k in terminal_roots:
+            edge = reps.pop(k, None)
+            if edge is not None:
+                dropped += 1
+                u = edge[0] + edge[1] - v
+                if nearest is None or u < nearest:
+                    nearest = u
+        for f in absorbed:
+            if adjacency[v] >> f & 1 and (nearest is None or f < nearest):
+                nearest = f
+        edge = connection(v, nearest)
+        reps[root] = edge
+        if dropped != 1 or before != edge:
+            changed.add(v)
+    touching[root] = affected
 
 
 @dataclass(frozen=True)
@@ -259,8 +390,7 @@ def collapse(
     if len({mini.find(i) for i in range(len(comps))}) != 1:
         raise ContractViolation("tree edges do not connect the selected components")
 
-    for u, v in conns:
-        state.union(u, v)
-        state.connections.append((u, v))
+    state.merge(comps)
+    state.connections.extend(conns)
     state.cost += cost(state.instance, conns)
     return state

@@ -18,6 +18,7 @@ from stp12.core import (
     Instance,
     PartitionState,
     Solution,
+    TerminalView,
     collapse,
     connection,
     induced_graph,
@@ -45,30 +46,16 @@ class Star:
         return self.edges
 
 
-# free node -> {terminal component root: smallest edge joining them}
-TerminalView = dict[int, dict[int, Connection]]
-
-
 def terminal_view(instance: Instance, state: PartitionState) -> TerminalView:
     """The terminal components each free node touches, keyed by free node.
 
-    Every star and comet search reads this view.  Nodes and their neighbours
-    are scanned in ascending order, so the view iterates centers ascending
-    and the first edge seen to a component is its smallest connecting edge.
-    Free nodes touching no terminal component are left out.
+    Every star and comet search reads this view: free node -> {terminal
+    component root: smallest edge joining them}.  Free nodes touching no
+    terminal component are left out.  The state builds it on the first read
+    and keeps it current through every later merge, so it must not be
+    changed by its readers; its centers are in no particular order.
     """
-    view: TerminalView = {}
-    for v in range(instance.node_count):
-        if state.is_terminal_component(v):
-            continue
-        reps: dict[int, Connection] = {}
-        for u in instance.neighbors(v):
-            root = state.find(u)
-            if root not in reps and state.is_terminal_component(root):
-                reps[root] = connection(v, u)
-        if reps:
-            view[v] = reps
-    return view
+    return state.view_upkeep().view
 
 
 def largest_star(view: TerminalView) -> Star | None:

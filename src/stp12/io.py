@@ -14,13 +14,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Iterable
 
-from stp12.core import InputError, Instance
+from stp12.core import CapExceeded, InputError, Instance
 
 STP_MAGIC = "33D32945 STP File, STP Format Version 1.0"
 
 GENERATOR_FAMILIES = ("random-gnp", "star-cluster", "comet-chain", "bp-adversarial")
 
 REPORT_SCHEMA_VERSION = 1
+
+# Largest `Nodes` declaration parse_stp accepts; an Instance holds one
+# adjacency bitmask per node, allocated from the declared count.
+MAX_NODES = 100_000
 
 
 class ParseError(InputError):
@@ -33,6 +37,8 @@ def parse_stp(text: str) -> Instance:
     """Parse an STP document into an Instance (ids mapped to 0-based).
 
     A declared Edges or Terminals count must equal the E or T lines present.
+    A Nodes count above MAX_NODES is refused with CapExceeded on its line,
+    before anything is allocated for it.
     """
     node_count: int | None = None
     edges: list[tuple[int, int]] = []
@@ -60,6 +66,10 @@ def parse_stp(text: str) -> Instance:
         if section == "graph":
             if keyword == "NODES":
                 node_count = _int_field(tokens, 1, lineno, "Nodes")
+                if node_count > MAX_NODES:
+                    raise CapExceeded(
+                        f"line {lineno}: Nodes {node_count} above the limit {MAX_NODES}"
+                    )
             elif keyword == "EDGES":
                 declared["Edges"] = (_int_field(tokens, 1, lineno, "Edges"), lineno)
             elif keyword == "E":

@@ -229,55 +229,74 @@ def best_comet(instance: Instance, state: PartitionState) -> Star | Comet | None
     a maximum matching on the fork-servable pairs.  Ties break on more
     terminals, then smaller center id.  Returns None when no structure
     touches two terminal components.
-    """
-    from stp12.matching import AuxGraph, max_matching
 
-    view = terminal_view(instance, state)
-    candidates: list[tuple[CostIndex, int, int, int, Star | Comet]] = []
+    A center's best comet depends only on the view entries of the center and
+    its neighbours, so each one is kept with the view and scored again only
+    when the view reports one of those entries changed or the center is no
+    longer free.
+    """
+    upkeep = state.view_upkeep()
+    view = upkeep.view
+    if upkeep.comets is None:
+        upkeep.comets = {}
+        centers = range(instance.node_count)
+    else:
+        centers = set(upkeep.changed)
+        for v in upkeep.changed:
+            centers.update(instance.neighbors(v))
+    upkeep.changed.clear()
+    comets = upkeep.comets
+    # Every free node is a possible center, also one with no direct terminal
+    # component: a (3,0)-comet has cost index 4/5.
+    for center in centers:
+        comets.pop(center, None)
+        if state.is_terminal_component(center):
+            continue
+        comet = _comet_at(instance, view, center)
+        if comet is not None:
+            comets[center] = (comet.cost_index, -comet.terminal_count, center, 1, comet)
+
+    candidates = list(comets.values())
     star = largest_star(view)
     if star is not None and star.s >= 2:
         candidates.append((star_cost_index(star.s), -star.s, star.center, 0, star))
-
-    # Every free node is a possible center, also one with no direct terminal
-    # component: a (3,0)-comet has cost index 4/5.
-    for center in range(instance.node_count):
-        if state.is_terminal_component(center):
-            continue
-        direct_reps = view.get(center, {})
-        if len(direct_reps) > 2:
-            continue
-        pair_forks = build_fork_candidates(instance, view, center)
-        if not pair_forks:
-            continue
-        aux = AuxGraph.build(pair_forks)
-        matched = sorted(max_matching(aux).pairs)
-        assignment = _assign_forks(pair_forks, matched) if matched else None
-        if assignment is None:
-            assignment = _max_fork_set(pair_forks)
-        if not assignment:
-            continue
-        forks = tuple(
-            Fork(
-                node=f,
-                leaves=pair,
-                edges=(connection(center, f), view[f][pair[0]], view[f][pair[1]]),
-            )
-            for pair, f in sorted(assignment)
-        )
-        directs = tuple(sorted(direct_reps))
-        comet = Comet(
-            center=center,
-            directs=directs,
-            direct_edges=tuple(direct_reps[r] for r in directs),
-            forks=forks,
-        )
-        candidates.append(
-            (comet.cost_index, -comet.terminal_count, center, 1, comet)
-        )
-
     if not candidates:
         return None
     return min(candidates, key=lambda item: item[:4])[4]
+
+
+def _comet_at(instance: Instance, view: TerminalView, center: int) -> Comet | None:
+    """Comet with the most forks at a free center with at most two directs."""
+    from stp12.matching import AuxGraph, max_matching
+
+    direct_reps = view.get(center, {})
+    if len(direct_reps) > 2:
+        return None
+    pair_forks = build_fork_candidates(instance, view, center)
+    if not pair_forks:
+        return None
+    aux = AuxGraph.build(pair_forks)
+    matched = sorted(max_matching(aux).pairs)
+    assignment = _assign_forks(pair_forks, matched) if matched else None
+    if assignment is None:
+        assignment = _max_fork_set(pair_forks)
+    if not assignment:
+        return None
+    forks = tuple(
+        Fork(
+            node=f,
+            leaves=pair,
+            edges=(connection(center, f), view[f][pair[0]], view[f][pair[1]]),
+        )
+        for pair, f in sorted(assignment)
+    )
+    directs = tuple(sorted(direct_reps))
+    return Comet(
+        center=center,
+        directs=directs,
+        direct_edges=tuple(direct_reps[r] for r in directs),
+        forks=forks,
+    )
 
 
 def max_3star_set(
@@ -295,7 +314,10 @@ def max_3star_set(
     if strategy not in PACK3_STRATEGIES:
         raise InputError(f"unknown 3-star strategy {strategy!r}")
     candidates: list[tuple[int, tuple[int, ...], dict[int, Connection]]] = []
-    for center, reps in terminal_view(instance, state).items():
+    view = terminal_view(instance, state)
+    # The view keeps no center order; both packings depend on this one.
+    for center in sorted(view):
+        reps = view[center]
         if len(reps) < 3:
             continue
         for combo in combinations(sorted(reps), 3):

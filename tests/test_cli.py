@@ -64,6 +64,13 @@ def test_mismatched_declared_counts_exit_two(tmp_path, capsys):
     assert "Edges declares 5, found 1" in capsys.readouterr().err
 
 
+def test_oversized_nodes_exit_three(tmp_path, capsys):
+    path = tmp_path / "huge.stp"
+    path.write_text("SECTION Graph\nNodes 1000000000000000000\nEND\nEOF\n")
+    assert main(["solve", str(path)]) == 3
+    assert "refused: line 2: Nodes" in capsys.readouterr().err
+
+
 def test_parse_error_exits_two(tmp_path, capsys):
     path = tmp_path / "bad.stp"
     path.write_text("SECTION Graph\nNodes 2\nEdges 1\nE 1 2 7\nEND\nEOF\n")

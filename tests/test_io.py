@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from stp12.core import InputError
+from stp12 import io as stpio
+from stp12.core import CapExceeded, InputError
 from stp12.exact import brute_force_opt
 from stp12.heuristics import rayward_smith
 from stp12.io import (
@@ -97,6 +98,28 @@ def test_parse_rejects_mismatched_declared_counts(graph, terminals, line):
     with pytest.raises(ParseError) as err:
         parse_stp(text)
     assert err.value.line == line
+
+
+def test_parse_refuses_nodes_above_limit_before_allocating(monkeypatch):
+    class NoInstance:
+        @staticmethod
+        def from_edges(*args):
+            raise AssertionError("parse_stp built an instance")
+
+    monkeypatch.setattr(stpio, "Instance", NoInstance)
+    text = (
+        "SECTION Graph\nNodes 1000000000000000000\nEdges 1\nE 1 2 1\nEND\n"
+        "SECTION Terminals\nTerminals 1\nT 1\nEND\nEOF\n"
+    )
+    with pytest.raises(CapExceeded, match="line 2: Nodes 1000000000000000000"):
+        parse_stp(text)
+
+
+def test_parse_accepts_nodes_at_limit():
+    text = f"SECTION Graph\nNodes {stpio.MAX_NODES}\nEND\nEOF\n"
+    assert parse_stp(text).node_count == stpio.MAX_NODES
+    with pytest.raises(CapExceeded):
+        parse_stp(f"SECTION Graph\nNodes {stpio.MAX_NODES + 1}\nEND\nEOF\n")
 
 
 def test_parse_skips_comment_sections_and_magic():

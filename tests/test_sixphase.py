@@ -13,7 +13,7 @@ from stp12.core import (
 )
 from stp12.exact import brute_force_opt
 from stp12.harness import exhaustive_min_cost_index
-from stp12.heuristics import Star, preprocess_terminal_edges
+from stp12.heuristics import Star, preprocess_terminal_edges, terminal_view
 from stp12.sixphase import (
     Comet,
     Fork,
@@ -210,6 +210,27 @@ def test_max_3star_set_uses_smallest_edge_into_component():
     inst = Instance.from_edges(8, edges, [0, 1, 3, 6, 7])
     stars = max_3star_set(inst, fresh_state(inst))
     assert stars == (Star(5, (0, 1, 3), ((5, 6), (1, 5), (3, 5))),)
+
+
+def test_max_3star_set_ignores_view_insertion_order():
+    # The kept view iterates centers in the order merges left them; the
+    # packing must be the one read off an ascending view.  The greedy trap
+    # packs differently when centers are scanned from 2 down.
+    trap = [(0, 3), (0, 5), (0, 7), (1, 3), (1, 4), (1, 5), (2, 6), (2, 7), (2, 8)]
+    rng = random.Random(83)
+    instances = [Instance.from_edges(9, trap, [3, 4, 5, 6, 7, 8])]
+    instances += [random_instance(rng, max_nodes=14, max_terminals=9) for _ in range(150)]
+    for inst in instances:
+        for strategy in ("exact", "greedy"):
+            want = max_3star_set(inst, PartitionState(inst), strategy)
+            for shuffle in (list.reverse, rng.shuffle):
+                state = PartitionState(inst)
+                view = terminal_view(inst, state)
+                items = list(view.items())
+                shuffle(items)
+                view.clear()
+                view.update(items)
+                assert max_3star_set(inst, state, strategy) == want
 
 
 def test_max_3star_set_cap_refusal():
