@@ -180,12 +180,21 @@ class ViewUpkeep:
     edge or root id) and the nodes that stopped being free; a reader that
     keeps per-node results between merges drains it.  `comets` is where
     `sixphase.best_comet` keeps each center's best comet between calls.
+
+    Once `comets` exists, every merge also sorts the changed nodes and their
+    neighbours into `renamed` and `reshaped` (see `_sort_neighbourhoods`):
+    around a renamed node the merge only put the new root in place of one
+    old root, so a result that depends on the shape of those entries alone
+    still holds there.  `closed` keeps the closed neighbourhoods this needs.
     """
 
     view: TerminalView
     touching: dict[int, set[int]]
     changed: set[int] = field(default_factory=set)
     comets: dict[int, tuple] | None = None
+    renamed: set[int] = field(default_factory=set)
+    reshaped: set[int] = field(default_factory=set)
+    closed: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
 
 class PartitionState(DisjointSets):
@@ -291,14 +300,12 @@ def _absorb(
     `terminal_roots` fold into `root`, whose edge goes to the smallest
     neighbour in the merged component.
     """
-    view, touching, changed = upkeep.view, upkeep.touching, upkeep.changed
+    view, touching = upkeep.view, upkeep.touching
     for f in absorbed:
-        changed.add(f)
         for k in view.pop(f, ()):
             touching[k].discard(f)
-    affected: set[int] = set()
-    for k in terminal_roots:
-        affected.update(touching.pop(k, ()))
+    held = {k: touching.pop(k, set()) for k in terminal_roots}
+    affected: set[int] = set().union(*held.values())
     instance = state.instance
     flags = state._terminal_flag
     for f in absorbed:
@@ -307,6 +314,7 @@ def _absorb(
                 affected.add(u)
     affected.difference_update(absorbed)
     adjacency = instance.adjacency
+    marked = set(absorbed)
     for v in affected:
         reps = view.setdefault(v, {})
         before = reps.get(root)
@@ -325,8 +333,66 @@ def _absorb(
         edge = connection(v, nearest)
         reps[root] = edge
         if dropped != 1 or before != edge:
-            changed.add(v)
+            marked.add(v)
     touching[root] = affected
+    upkeep.changed.update(marked)
+    if upkeep.comets is not None:
+        _sort_neighbourhoods(instance, upkeep, held, set(absorbed), affected, marked)
+
+
+def _sort_neighbourhoods(
+    instance: Instance,
+    upkeep: ViewUpkeep,
+    held: dict[int, set[int]],
+    absorbed: set[int],
+    affected: set[int],
+    marked: set[int],
+) -> None:
+    """Sort the nodes around one merge's changed entries into renamed and reshaped.
+
+    `held` maps each merged terminal root to the free nodes whose entry held
+    it before the merge.  A node is renamed when no node of its closed
+    neighbourhood was absorbed, and every entry there that the merge touched
+    held exactly one merged root, the same one throughout: the merge only
+    put the new root in its place and may have changed edges, so the key
+    sets there keep their sizes and keys that differed still differ.  Every
+    other node is reshaped.
+    """
+    sole: dict[int, int] = {}   # free node -> the one merged root it held
+    shared: set[int] = set()    # free nodes that held two or more
+    for k, nodes in held.items():
+        for u in nodes:
+            if u in sole:
+                shared.add(u)
+            else:
+                sole[u] = k
+    closed = upkeep.closed
+
+    def around(v: int) -> tuple[int, ...]:
+        if v not in closed:
+            closed[v] = (v, *instance.neighbors(v))
+        return closed[v]
+
+    centers: set[int] = set()
+    for v in marked:
+        centers.update(around(v))
+    for c in centers:
+        name = None
+        for u in around(c):
+            if u in absorbed or u in shared:
+                break
+            k = sole.get(u)
+            if k is None:
+                if u in affected:   # gained the new root: held none before
+                    break
+            elif name is None:
+                name = k
+            elif k != name:
+                break
+        else:
+            upkeep.renamed.add(c)
+            continue
+        upkeep.reshaped.add(c)
 
 
 @dataclass(frozen=True)

@@ -232,8 +232,11 @@ def best_comet(instance: Instance, state: PartitionState) -> Star | Comet | None
 
     A center's best comet depends only on the view entries of the center and
     its neighbours, so each one is kept with the view and scored again only
-    when the view reports one of those entries changed or the center is no
-    longer free.
+    when the view reports those entries reshaped or the center is no longer
+    free.  Its cost index and terminal count depend only on the shape of
+    those entries, so a center the view reports renamed keeps its sort key;
+    only its comet, which names roots and edges, is dropped, and it is built
+    again if that center comes out on top.
     """
     upkeep = state.view_upkeep()
     view = upkeep.view
@@ -241,10 +244,14 @@ def best_comet(instance: Instance, state: PartitionState) -> Star | Comet | None
         upkeep.comets = {}
         centers = range(instance.node_count)
     else:
-        centers = set(upkeep.changed)
-        for v in upkeep.changed:
-            centers.update(instance.neighbors(v))
+        centers = set(upkeep.reshaped)
+        for center in upkeep.renamed - centers:
+            kept = upkeep.comets.get(center)
+            if kept is not None:
+                upkeep.comets[center] = kept[:4] + (None,)
     upkeep.changed.clear()
+    upkeep.renamed.clear()
+    upkeep.reshaped.clear()
     comets = upkeep.comets
     # Every free node is a possible center, also one with no direct terminal
     # component: a (3,0)-comet has cost index 4/5.
@@ -262,7 +269,12 @@ def best_comet(instance: Instance, state: PartitionState) -> Star | Comet | None
         candidates.append((star_cost_index(star.s), -star.s, star.center, 0, star))
     if not candidates:
         return None
-    return min(candidates, key=lambda item: item[:4])[4]
+    best = min(candidates, key=lambda item: item[:4])
+    if best[4] is None:
+        comet = _comet_at(instance, view, best[2])
+        comets[best[2]] = best[:4] + (comet,)
+        return comet
+    return best[4]
 
 
 def _comet_at(instance: Instance, view: TerminalView, center: int) -> Comet | None:

@@ -3,7 +3,8 @@
 The view is built on its first read and then updated by every merge; these
 tests rebuild it from the whole graph after each merge and compare, check
 that exactly the entries that changed are reported, and check the phase-6
-comet cache against both the exhaustive enumeration and a cold search.
+comet cache against the exhaustive enumeration, a cold search and a fresh
+scoring of every center.
 """
 
 import random
@@ -14,7 +15,7 @@ from stp12.core import Instance, PartitionState, collapse, connection
 from stp12.harness import exhaustive_min_cost_index, full_corpus
 from stp12.heuristics import rayward_smith, terminal_view
 from stp12.io import GeneratorSpec, generate
-from stp12.sixphase import best_comet, six_phase, structure_cost_index
+from stp12.sixphase import _comet_at, best_comet, six_phase, structure_cost_index
 
 
 def reference_view(inst, state):
@@ -108,6 +109,98 @@ def test_cached_best_comet_matches_enumeration_and_cold_search(monkeypatch):
     for inst, pack3 in corpus_and_gnp():
         six_phase(inst, pack3=pack3)
     assert steps > 1033
+
+
+def comet_keys(inst, state):
+    """Cost index and terminal count of the best comet at every free center."""
+    view = terminal_view(inst, state)
+    keys = {}
+    for center in free_nodes(inst, state):
+        comet = _comet_at(inst, view, center)
+        if comet is not None:
+            keys[center] = (comet.cost_index, -comet.terminal_count)
+    return keys
+
+
+def test_comet_cache_matches_a_fresh_scoring_at_every_step(monkeypatch):
+    # Every kept key must equal a fresh scoring, and every kept comet the
+    # fresh comet; a renamed center keeps its key and drops its comet.
+    steps = 0
+    renamed = {True: 0, False: 0}
+
+    def checked_best_comet(inst, state):
+        nonlocal steps
+        upkeep = state.view_upkeep()
+        if upkeep.comets is not None:
+            keys = comet_keys(inst, state)
+            for center in upkeep.renamed - upkeep.reshaped:
+                kept = upkeep.comets.get(center)
+                assert (kept and kept[:2]) == keys.get(center)
+                renamed[kept is not None] += 1
+        got = best_comet(inst, state)
+        view = terminal_view(inst, state)
+        assert {c: kept[:2] for c, kept in upkeep.comets.items()} == comet_keys(inst, state)
+        for center, kept in upkeep.comets.items():
+            assert kept[2:4] == (center, 1)
+            assert kept[4] is None or kept[4] == _comet_at(inst, view, center)
+        assert not (upkeep.changed or upkeep.renamed or upkeep.reshaped)
+        steps += 1
+        return got
+
+    monkeypatch.setattr(sixphase, "best_comet", checked_best_comet)
+    # Larger instances re-root big components, which renames many roots.
+    larger = [
+        generate(GeneratorSpec("random-gnp", {"n": n, "p": Fraction(4, n), "r": n // 4}, seed))
+        for n, seed in ((600, 4), (800, 5))
+    ]
+    for inst, pack3 in corpus_and_gnp() + [(inst, "greedy") for inst in larger]:
+        six_phase(inst, pack3=pack3)
+    assert steps > 1033
+    assert renamed[True] > 100 and renamed[False] > 500
+
+
+def test_merge_sorts_renamed_and_reshaped_nodes():
+    # Terminals 0, 4, 7, 8.  Node 1 touches 0 and 4; node 2 touches 0 and
+    # its neighbour 3 touches 4; node 5 touches 4 and 8 and forks for the
+    # center 6, which touches 7.
+    edges = [(0, 1), (1, 4), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 8)]
+    inst = Instance.from_edges(9, edges, [0, 4, 7, 8])
+    state = PartitionState(inst)
+    before = best_comet(inst, state)
+    assert before.center == 6 and before.forks[0].leaves == (4, 8)
+    upkeep = state.view_upkeep()
+
+    assert checked_merge(inst, state, lambda: state.union(0, 4))
+    assert upkeep.changed == {1, 3, 5}
+    # 5 and 6 only see 4 renamed to 0; 1 held both roots, and the
+    # neighbourhoods of 2 and 3 held one each.
+    assert upkeep.renamed == {5, 6, 8}
+    assert upkeep.reshaped == {0, 1, 2, 3, 4}
+    after = best_comet(inst, state)
+    assert after.forks[0].leaves == (0, 8)
+    cold = PartitionState(inst)
+    cold.union(0, 4)
+    assert after == best_comet(inst, cold)
+    assert upkeep.comets[6][:4] == (before.cost_index, -3, 6, 1)
+
+    # A node 9 joining the center to 0 makes it see two merged roots.
+    inst = Instance.from_edges(10, edges + [(6, 9), (9, 0)], [0, 4, 7, 8])
+    state = PartitionState(inst)
+    best_comet(inst, state)
+    state.union(0, 4)
+    assert 6 in state.view_upkeep().reshaped
+
+
+def test_views_read_without_comets_sort_nothing():
+    inst = gnp_instances()[0]
+    state = PartitionState(inst)
+    terminal_view(inst, state)
+    for u, v in inst.edges():
+        if state.is_terminal_component(u) != state.is_terminal_component(v):
+            state.union(u, v)
+    upkeep = state.view_upkeep()
+    assert upkeep.changed
+    assert not (upkeep.renamed or upkeep.reshaped or upkeep.closed)
 
 
 def test_random_unions_and_collapses_keep_the_view():
