@@ -11,6 +11,7 @@ the one union-find every module uses.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -85,10 +86,10 @@ class Instance:
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, in lexicographic order."""
         for u in range(self.node_count):
-            mask = self.adjacency[u] >> (u + 1) << (u + 1)
+            mask = self.adjacency[u] >> (u + 1)   # bit i stands for u + 1 + i
             while mask:
                 low = mask & -mask
-                yield u, low.bit_length() - 1
+                yield u, u + low.bit_length()
                 mask ^= low
 
     def is_terminal(self, v: int) -> bool:
@@ -179,7 +180,12 @@ class ViewUpkeep:
     holds it.  `changed` gathers the free nodes whose entry changed (key set,
     edge or root id) and the nodes that stopped being free; a reader that
     keeps per-node results between merges drains it.  `comets` is where
-    `sixphase.best_comet` keeps each center's best comet between calls.
+    `sixphase.best_comet` keeps each center's best comet between calls, and
+    `comet_keys` the heap it reads the best one from.
+
+    `sizes` is a lazy min-heap of `(-len(entry), center)`: a merge pushes an
+    entry again only when its size changes, and `largest` drops the tops
+    that no longer match the view.
 
     Once `comets` exists, every merge also sorts the changed nodes and their
     neighbours into `renamed` and `reshaped` (see `_sort_neighbourhoods`):
@@ -190,11 +196,24 @@ class ViewUpkeep:
 
     view: TerminalView
     touching: dict[int, set[int]]
+    sizes: list[tuple[int, int]]
     changed: set[int] = field(default_factory=set)
     comets: dict[int, tuple] | None = None
+    comet_keys: list[tuple] = field(default_factory=list)
     renamed: set[int] = field(default_factory=set)
     reshaped: set[int] = field(default_factory=set)
     closed: dict[int, tuple[int, ...]] = field(default_factory=dict)
+
+    def largest(self) -> int | None:
+        """Center of the largest entry, ties to the smallest; None if empty."""
+        view, sizes = self.view, self.sizes
+        while sizes:
+            size, center = sizes[0]
+            reps = view.get(center)
+            if reps is not None and len(reps) == -size:
+                return center
+            heapq.heappop(sizes)
+        return None
 
 
 class PartitionState(DisjointSets):
@@ -262,27 +281,30 @@ class PartitionState(DisjointSets):
 
 
 def _build_upkeep(state: PartitionState) -> ViewUpkeep:
-    """Terminal view of the current partition, from the whole graph.
+    """Terminal view of the current partition, built anew.
 
-    Nodes and their neighbours are scanned in ascending order, so the first
-    edge seen to a component is its smallest connecting edge.
+    Only the members of terminal components have their neighbours scanned,
+    in ascending order of member and neighbour, so the first edge seen from
+    a free node to a component is its smallest connecting edge.
     """
     instance = state.instance
+    flags = state._terminal_flag
+    roots = [state.find(v) for v in range(instance.node_count)]
     view: TerminalView = {}
     touching: dict[int, set[int]] = {}
-    for v in range(instance.node_count):
-        if state.is_terminal_component(v):
+    for u, root in enumerate(roots):
+        if not flags[root]:
             continue
-        reps: dict[int, Connection] = {}
-        for u in instance.neighbors(v):
-            root = state.find(u)
-            if root not in reps and state.is_terminal_component(root):
+        for v in instance.neighbors(u):
+            if flags[roots[v]]:
+                continue
+            reps = view.setdefault(v, {})
+            if root not in reps:
                 reps[root] = connection(v, u)
-        if reps:
-            view[v] = reps
-            for root in reps:
                 touching.setdefault(root, set()).add(v)
-    return ViewUpkeep(view, touching)
+    sizes = [(-len(reps), v) for v, reps in view.items()]
+    heapq.heapify(sizes)
+    return ViewUpkeep(view, touching, sizes)
 
 
 def _absorb(
@@ -299,26 +321,37 @@ def _absorb(
     the free nodes touching the merged members change: their keys among
     `terminal_roots` fold into `root`, whose edge goes to the smallest
     neighbour in the merged component.
+
+    When `root` keeps its name (it is one of `terminal_roots`), a node whose
+    entry held `root` and no other merged root, and which has no absorbed
+    neighbour, keeps its entry as it is.  So only the nodes of the other
+    merged roots and the neighbours of absorbed nodes are visited, and they
+    are folded into the kept root's `touching` set (small to large).  When
+    the merged component takes a free node's id, every set is visited.
     """
     view, touching = upkeep.view, upkeep.touching
+    absorbed_set = set(absorbed)
     for f in absorbed:
         for k in view.pop(f, ()):
             touching[k].discard(f)
-    held = {k: touching.pop(k, set()) for k in terminal_roots}
-    affected: set[int] = set().union(*held.values())
+    big = touching.pop(root, set())
+    small = {k: touching.pop(k, set()) for k in terminal_roots if k != root}
     instance = state.instance
     flags = state._terminal_flag
-    for f in absorbed:
+    # free node -> its smallest absorbed neighbour
+    nearest_absorbed: dict[int, int] = {}
+    for f in sorted(absorbed):
         for u in instance.neighbors(f):
             if not flags[state.find(u)]:
-                affected.add(u)
-    affected.difference_update(absorbed)
-    adjacency = instance.adjacency
+                nearest_absorbed.setdefault(u, f)
+    affected: set[int] = set(nearest_absorbed).union(*small.values())
+    affected -= absorbed_set
+    sizes = upkeep.sizes
     marked = set(absorbed)
     for v in affected:
         reps = view.setdefault(v, {})
         before = reps.get(root)
-        nearest = None
+        nearest = nearest_absorbed.get(v)
         dropped = 0
         for k in terminal_roots:
             edge = reps.pop(k, None)
@@ -327,42 +360,46 @@ def _absorb(
                 u = edge[0] + edge[1] - v
                 if nearest is None or u < nearest:
                     nearest = u
-        for f in absorbed:
-            if adjacency[v] >> f & 1 and (nearest is None or f < nearest):
-                nearest = f
         edge = connection(v, nearest)
         reps[root] = edge
-        if dropped != 1 or before != edge:
+        if dropped != 1:
+            heapq.heappush(sizes, (-len(reps), v))
             marked.add(v)
-    touching[root] = affected
+        elif before != edge:
+            marked.add(v)
     upkeep.changed.update(marked)
     if upkeep.comets is not None:
-        _sort_neighbourhoods(instance, upkeep, held, set(absorbed), affected, marked)
+        _sort_neighbourhoods(instance, upkeep, root, big, small, absorbed_set, affected, marked)
+    big |= affected
+    touching[root] = big
 
 
 def _sort_neighbourhoods(
     instance: Instance,
     upkeep: ViewUpkeep,
-    held: dict[int, set[int]],
+    root: int,
+    big: set[int],
+    small: dict[int, set[int]],
     absorbed: set[int],
     affected: set[int],
     marked: set[int],
 ) -> None:
     """Sort the nodes around one merge's changed entries into renamed and reshaped.
 
-    `held` maps each merged terminal root to the free nodes whose entry held
-    it before the merge.  A node is renamed when no node of its closed
-    neighbourhood was absorbed, and every entry there that the merge touched
-    held exactly one merged root, the same one throughout: the merge only
-    put the new root in its place and may have changed edges, so the key
-    sets there keep their sizes and keys that differed still differ.  Every
-    other node is reshaped.
+    Before the merge, `big` held the free nodes whose entry held `root`
+    (empty when `root` is a free node's id) and `small` maps every other
+    merged terminal root to the free nodes whose entry held it.  A node is
+    renamed when no node of its closed neighbourhood was absorbed, and every
+    entry there that the merge touched held exactly one merged root, the
+    same one throughout: the merge only put the new root in its place and
+    may have changed edges, so the key sets there keep their sizes and keys
+    that differed still differ.  Every other node is reshaped.
     """
-    sole: dict[int, int] = {}   # free node -> the one merged root it held
+    sole: dict[int, int] = {}   # free node -> the one small root it held
     shared: set[int] = set()    # free nodes that held two or more
-    for k, nodes in held.items():
+    for k, nodes in small.items():
         for u in nodes:
-            if u in sole:
+            if u in sole or u in big:
                 shared.add(u)
             else:
                 sole[u] = k
@@ -381,11 +418,15 @@ def _sort_neighbourhoods(
         for u in around(c):
             if u in absorbed or u in shared:
                 break
-            k = sole.get(u)
-            if k is None:
-                if u in affected:   # gained the new root: held none before
-                    break
-            elif name is None:
+            if u in sole:
+                k = sole[u]
+            elif u in big:
+                k = root
+            elif u in affected:   # gained the new root: held none before
+                break
+            else:
+                continue
+            if name is None:
                 name = k
             elif k != name:
                 break

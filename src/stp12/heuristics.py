@@ -19,6 +19,7 @@ from stp12.core import (
     PartitionState,
     Solution,
     TerminalView,
+    ViewUpkeep,
     collapse,
     connection,
     induced_graph,
@@ -58,33 +59,40 @@ def terminal_view(instance: Instance, state: PartitionState) -> TerminalView:
     return state.view_upkeep().view
 
 
-def largest_star(view: TerminalView) -> Star | None:
-    """Largest star in the view; ties go to the smallest center."""
-    if not view:
+def largest_star(upkeep: ViewUpkeep) -> Star | None:
+    """Largest star in the kept view; ties go to the smallest center."""
+    center = upkeep.largest()
+    if center is None:
         return None
-    center = max(view, key=lambda c: (len(view[c]), -c))
-    reps = view[center]
+    reps = upkeep.view[center]
     leaves = tuple(sorted(reps))
     return Star(center, leaves, tuple(reps[r] for r in leaves))
 
 
 def find_max_star(instance: Instance, state: PartitionState) -> Star | None:
     """Largest star in the current component graph, or None if there is none."""
-    return largest_star(terminal_view(instance, state))
+    return largest_star(state.view_upkeep())
 
 
 def preprocess_terminal_edges(instance: Instance, state: PartitionState) -> PartitionState:
-    """Collapse every edge whose two endpoints are both terminal nodes."""
-    changed = True
-    while changed:
-        changed = False
-        for u, v in instance.edges():
-            if u not in instance.terminals or v not in instance.terminals:
-                continue
+    """Collapse every edge whose two endpoints are both terminal nodes.
+
+    The terminal-terminal edges are visited once, in lexicographic order;
+    after that every such edge lies inside one component.
+    """
+    terminal_mask = 0
+    for t in instance.terminals:
+        terminal_mask |= 1 << t
+    for u in sorted(instance.terminals):
+        # terminal neighbours above u; bit i stands for u + 1 + i
+        above = (instance.adjacency[u] & terminal_mask) >> (u + 1)
+        while above:
+            low = above & -above
+            v = u + low.bit_length()
+            above ^= low
             ru, rv = state.find(u), state.find(v)
             if ru != rv:
                 collapse(state, (ru, rv), ((u, v),))
-                changed = True
     return state
 
 
@@ -115,8 +123,10 @@ def finishing(instance: Instance, state: PartitionState, mode: str = "cheapest")
     group = DisjointSets(instance.node_count)
     merged = 0
     cg = induced_graph(instance, state)
-    for (a, b), rep in sorted(cg.edges.items()):
-        if a in wanted and b in wanted and group.union(a, b):
+    between = [(key, rep) for key, rep in cg.edges.items()
+               if key[0] in wanted and key[1] in wanted]
+    for (a, b), rep in sorted(between):
+        if group.union(a, b):
             conns.append(connection(*rep))
             merged += 1
     if merged < len(roots) - 1:

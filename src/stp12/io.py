@@ -9,6 +9,7 @@ the metric already makes every absent pair cost 2.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -18,11 +19,13 @@ from stp12.core import CapExceeded, InputError, Instance
 
 STP_MAGIC = "33D32945 STP File, STP Format Version 1.0"
 
-GENERATOR_FAMILIES = ("random-gnp", "star-cluster", "comet-chain", "bp-adversarial")
+GENERATOR_FAMILIES = (
+    "random-gnp", "random-sparse", "star-cluster", "comet-chain", "bp-adversarial"
+)
 
 REPORT_SCHEMA_VERSION = 1
 
-# Largest `Nodes` declaration parse_stp accepts; an Instance holds one
+# Largest node count parse_stp and generate accept; an Instance holds one
 # adjacency bitmask per node, allocated from the declared count.
 MAX_NODES = 100_000
 
@@ -164,9 +167,15 @@ class GeneratorSpec:
 
 
 def generate(spec: GeneratorSpec) -> Instance:
-    """Deterministically build an instance from a GeneratorSpec."""
+    """Deterministically build an instance from a GeneratorSpec.
+
+    A family whose parameters ask for more than MAX_NODES nodes is refused
+    with CapExceeded before anything is drawn or allocated.
+    """
     if spec.family == "random-gnp":
         return _generate_gnp(spec)
+    if spec.family == "random-sparse":
+        return _generate_sparse(spec)
     if spec.family == "star-cluster":
         return _generate_star_cluster(spec)
     if spec.family == "comet-chain":
@@ -188,7 +197,15 @@ def _param(spec: GeneratorSpec, key: str, kind=int, minimum=None):
     return value
 
 
-def _generate_gnp(spec: GeneratorSpec) -> Instance:
+def _node_cap(spec: GeneratorSpec, node_count: int) -> None:
+    if node_count > MAX_NODES:
+        raise CapExceeded(
+            f"{spec.family} makes {node_count} nodes, above the limit {MAX_NODES}"
+        )
+
+
+def _gnp_params(spec: GeneratorSpec) -> tuple[int, int, float]:
+    """n, r and p of the two random families, checked."""
     n = _param(spec, "n", int, 1)
     r = _param(spec, "r", int, 1)
     p = _param(spec, "p", Fraction, 0)
@@ -196,8 +213,14 @@ def _generate_gnp(spec: GeneratorSpec) -> Instance:
         raise InputError("parameter 'p' must be a density in [0, 1]")
     if r > n:
         raise InputError("parameter 'r' cannot exceed 'n'")
+    _node_cap(spec, n)
+    return n, r, float(p)
+
+
+def _generate_gnp(spec: GeneratorSpec) -> Instance:
+    """Every pair is an edge with probability p, one draw per pair."""
+    n, r, threshold = _gnp_params(spec)
     rng = random.Random(spec.seed)
-    threshold = float(p)
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < threshold
     ]
@@ -205,10 +228,43 @@ def _generate_gnp(spec: GeneratorSpec) -> Instance:
     return Instance.from_edges(n, edges, terminals)
 
 
+def _generate_sparse(spec: GeneratorSpec) -> Instance:
+    """random-gnp's distribution in O(n + m) draws (geometric skipping)."""
+    n, r, p = _gnp_params(spec)
+    rng = random.Random(spec.seed)
+    edges = _sparse_edges(n, p, rng)
+    terminals = rng.sample(range(n), r)
+    return Instance.from_edges(n, edges, terminals)
+
+
+def _sparse_edges(n: int, p: float, rng: random.Random) -> list[tuple[int, int]]:
+    """Each pair (u, v), u < v, with probability p; sorted by v, then u.
+
+    About one draw per edge: the number of pairs skipped before the next
+    edge is geometric, so it is drawn directly (Batagelj and Brandes 2005).
+    """
+    if p <= 0:
+        return []
+    if p >= 1:
+        return [(u, v) for v in range(n) for u in range(v)]
+    log_q = math.log(1.0 - p)
+    edges: list[tuple[int, int]] = []
+    u, v = -1, 1
+    while v < n:
+        u += 1 + int(math.log(1.0 - rng.random()) / log_q)
+        while u >= v and v < n:
+            u -= v
+            v += 1
+        if v < n:
+            edges.append((u, v))
+    return edges
+
+
 def _generate_star_cluster(spec: GeneratorSpec) -> Instance:
     """m disjoint k-stars; consecutive clusters joined by one terminal edge."""
     k = _param(spec, "k", int, 2)
     m = _param(spec, "m", int, 1)
+    _node_cap(spec, m * (k + 1))
     edges: list[tuple[int, int]] = []
     terminals: list[int] = []
     for i in range(m):
@@ -231,6 +287,7 @@ def _generate_comet_chain(spec: GeneratorSpec) -> Instance:
     if 2 * a + b < 1:
         raise InputError("comet-chain needs at least one terminal per gadget")
     gadget_size = 1 + b + 3 * a
+    _node_cap(spec, count * gadget_size)
     edges: list[tuple[int, int]] = []
     terminals: list[int] = []
     for i in range(count):
@@ -258,6 +315,7 @@ def _generate_bp_adversarial(spec: GeneratorSpec) -> Instance:
     optimum threads the center chain; the cost ratio climbs to 4/3 with
     depth."""
     depth = _param(spec, "depth", int, 1)
+    _node_cap(spec, 3 * depth)
     edges: list[tuple[int, int]] = []
     terminals: list[int] = []
     for i in range(depth):

@@ -28,6 +28,7 @@ and the log labels it that way.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -236,10 +237,12 @@ def best_comet(instance: Instance, state: PartitionState) -> Star | Comet | None
     free.  Its cost index and terminal count depend only on the shape of
     those entries, so a center the view reports renamed keeps its sort key;
     only its comet, which names roots and edges, is dropped, and it is built
-    again if that center comes out on top.
+    again if that center comes out on top.  The best kept comet is read off
+    a lazy heap of the kept sort keys, and the largest star off the view's
+    own heap.
     """
     upkeep = state.view_upkeep()
-    view = upkeep.view
+    view, keys = upkeep.view, upkeep.comet_keys
     if upkeep.comets is None:
         upkeep.comets = {}
         centers = range(instance.node_count)
@@ -261,15 +264,23 @@ def best_comet(instance: Instance, state: PartitionState) -> Star | Comet | None
             continue
         comet = _comet_at(instance, view, center)
         if comet is not None:
-            comets[center] = (comet.cost_index, -comet.terminal_count, center, 1, comet)
-
-    candidates = list(comets.values())
-    star = largest_star(view)
+            key = (comet.cost_index, -comet.terminal_count, center, 1)
+            comets[center] = key + (comet,)
+            heapq.heappush(keys, key)
+    best = None
+    while keys:
+        kept = comets.get(keys[0][2])
+        if kept is not None and kept[:4] == keys[0]:
+            best = kept
+            break
+        heapq.heappop(keys)   # that center was scored again or is gone
+    star = largest_star(upkeep)
     if star is not None and star.s >= 2:
-        candidates.append((star_cost_index(star.s), -star.s, star.center, 0, star))
-    if not candidates:
+        key = (star_cost_index(star.s), -star.s, star.center, 0)
+        if best is None or key < best[:4]:
+            return star
+    if best is None:
         return None
-    best = min(candidates, key=lambda item: item[:4])
     if best[4] is None:
         comet = _comet_at(instance, view, best[2])
         comets[best[2]] = best[:4] + (comet,)

@@ -105,6 +105,16 @@ def test_gen_rejects_bad_params(tmp_path, capsys):
                  "--param", "p=3/2", "--param", "r=1", "--out", str(out)]) == 2
 
 
+def test_gen_refuses_too_many_nodes(tmp_path, capsys):
+    # Just above the limit, so that a missing cap fails fast instead of
+    # drawing or allocating without bound.
+    out = tmp_path / "x.stp"
+    assert main(["gen", "--family", "star-cluster", "--param", "k=100000",
+                 "--param", "m=1", "--out", str(out)]) == 3
+    assert "refused: star-cluster makes 100001 nodes" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_reports_ratios_and_max(tmp_path):
     out_path = tmp_path / "report.json"
     code = main([

@@ -9,6 +9,7 @@ from stp12.core import (
     is_valid_solution,
 )
 from stp12.exact import brute_force_opt
+from stp12.harness import full_corpus
 from stp12.heuristics import (
     find_max_star,
     finishing,
@@ -16,6 +17,7 @@ from stp12.heuristics import (
     rayward_smith,
     terminal_view,
 )
+from stp12.io import GeneratorSpec, generate
 
 
 def big_star(n):
@@ -106,6 +108,33 @@ def test_preprocess_fixed_point_when_nothing_to_do():
     inst = Instance.from_edges(4, [(0, 1)], [2, 3])
     state = preprocess_terminal_edges(inst, PartitionState(inst))
     assert state.cost == 0 and state.connections == []
+
+
+def two_pass_preprocess(inst, state):
+    """Scan every edge in order until a pass collapses nothing."""
+    changed = True
+    while changed:
+        changed = False
+        for u, v in inst.edges():
+            if u in inst.terminals and v in inst.terminals:
+                ru, rv = state.find(u), state.find(v)
+                if ru != rv:
+                    collapse(state, (ru, rv), ((u, v),))
+                    changed = True
+    return state
+
+
+def test_preprocess_matches_the_two_pass_loop():
+    cases = [inst for _, inst in full_corpus(seed=0)] + [
+        generate(GeneratorSpec("random-gnp", {"n": n, "p": Fraction(4, n), "r": n // d}, n))
+        for n in (200, 300, 400)
+        for d in (4, 2)
+    ]
+    for inst in cases:
+        want = two_pass_preprocess(inst, PartitionState(inst))
+        got = preprocess_terminal_edges(inst, PartitionState(inst))
+        assert got.connections == want.connections
+        assert got.cost == want.cost
 
 
 def test_finishing_strict_with_no_edges():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -182,6 +183,92 @@ def test_generator_validates_parameters():
         generate(GeneratorSpec("star-cluster", {"k": 1, "m": 2}))
     with pytest.raises(InputError):
         generate(GeneratorSpec("nonsense", {}))
+
+
+LIMIT = stpio.MAX_NODES
+
+
+class NoInstance:
+    @staticmethod
+    def from_edges(*args):
+        raise AssertionError("generate built an instance")
+
+
+def no_draws(*args):
+    raise AssertionError("generate made a random generator")
+
+
+@pytest.mark.parametrize(
+    "family, params, nodes",
+    [
+        ("random-gnp", {"n": 10**9, "p": Fraction(1, 2), "r": 1}, 10**9),
+        ("random-gnp", {"n": LIMIT + 1, "p": Fraction(1, 2), "r": 1}, LIMIT + 1),
+        ("random-sparse", {"n": 10**18, "p": Fraction(1, 2), "r": 1}, 10**18),
+        ("star-cluster", {"k": LIMIT, "m": 1}, LIMIT + 1),
+        ("comet-chain", {"a": 0, "b": LIMIT, "count": 1}, LIMIT + 1),
+        ("comet-chain", {"a": 1, "b": 0, "count": LIMIT // 4 + 1}, 4 * (LIMIT // 4 + 1)),
+        ("bp-adversarial", {"depth": LIMIT // 3 + 1}, 3 * (LIMIT // 3 + 1)),
+    ],
+)
+def test_generate_refuses_too_many_nodes_before_drawing(monkeypatch, family, params, nodes):
+    monkeypatch.setattr(stpio, "Instance", NoInstance)
+    monkeypatch.setattr(stpio.random, "Random", no_draws)
+    with pytest.raises(CapExceeded, match=f"{family} makes {nodes} nodes"):
+        generate(GeneratorSpec(family, params))
+
+
+class NodeCount:
+    """Stands in for Instance: returns the node count it was given."""
+
+    @staticmethod
+    def from_edges(node_count, edges, terminals):
+        return node_count
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("random-sparse", {"n": LIMIT, "p": 0, "r": 1}),
+        ("star-cluster", {"k": LIMIT - 1, "m": 1}),
+        ("comet-chain", {"a": 0, "b": LIMIT - 1, "count": 1}),
+    ],
+)
+def test_generate_accepts_nodes_at_limit(monkeypatch, family, params):
+    monkeypatch.setattr(stpio, "Instance", NodeCount)
+    assert generate(GeneratorSpec(family, params)) == LIMIT
+
+
+def sparse(n, p, r, seed=0):
+    return generate(GeneratorSpec("random-sparse", {"n": n, "p": p, "r": r}, seed))
+
+
+def test_sparse_deterministic_per_seed():
+    assert sparse(40, Fraction(1, 10), 5, seed=7) == sparse(40, Fraction(1, 10), 5, seed=7)
+    assert sparse(40, Fraction(1, 10), 5, seed=8) != sparse(40, Fraction(1, 10), 5, seed=7)
+
+
+def test_sparse_edges_are_distinct_pairs_in_order():
+    for p in (0.01, 0.2, 0.7, 0.99):
+        for seed in range(20):
+            edges = stpio._sparse_edges(30, p, random.Random(seed))
+            assert all(0 <= u < v < 30 for u, v in edges)
+            assert edges == sorted(set(edges), key=lambda e: (e[1], e[0]))
+
+
+def test_sparse_mean_edge_count_follows_p():
+    # 435 pairs at p = 1/5: 87 edges expected, standard error 0.42 over 400 seeds
+    total = sum(sparse(30, Fraction(1, 5), 1, seed).edge_count() for seed in range(400))
+    assert abs(total / 400 - 87) < 2.5
+
+
+def test_sparse_densities_and_counts():
+    assert sparse(12, 0, 3).edge_count() == 0
+    assert sparse(12, 1, 3).edge_count() == 66
+    assert len(sparse(12, Fraction(1, 3), 12).terminals) == 12
+    with pytest.raises(InputError):
+        sparse(5, Fraction(1, 2), 6)
+    with pytest.raises(InputError):
+        sparse(5, Fraction(3, 2), 1)
 
 
 def test_write_report_schema():

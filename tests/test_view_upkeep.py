@@ -2,20 +2,29 @@
 
 The view is built on its first read and then updated by every merge; these
 tests rebuild it from the whole graph after each merge and compare, check
-that exactly the entries that changed are reported, and check the phase-6
+that exactly the entries that changed are reported, check the phase-6
 comet cache against the exhaustive enumeration, a cold search and a fresh
-scoring of every center.
+scoring of every center, and check the star and comet heaps against a
+linear scan of the view and the cache.
 """
 
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 from stp12 import heuristics, sixphase
 from stp12.core import Instance, PartitionState, collapse, connection
 from stp12.harness import exhaustive_min_cost_index, full_corpus
 from stp12.heuristics import rayward_smith, terminal_view
 from stp12.io import GeneratorSpec, generate
-from stp12.sixphase import _comet_at, best_comet, six_phase, structure_cost_index
+from stp12.heuristics import Star, find_max_star
+from stp12.sixphase import (
+    _comet_at,
+    best_comet,
+    six_phase,
+    star_cost_index,
+    structure_cost_index,
+)
 
 
 def reference_view(inst, state):
@@ -252,3 +261,103 @@ def test_direct_union_updates_a_read_view():
     assert checked_merge(inst, state, lambda: state.union(3, 4))
     assert view == {2: {0: (1, 2), 3: (2, 3)}}
     assert not checked_merge(inst, state, lambda: state.union(5, 4))
+
+
+def linear_star(view):
+    """Largest entry of the view by a full scan; ties to the smallest center."""
+    if not view:
+        return None
+    center = max(view, key=lambda c: (len(view[c]), -c))
+    leaves = tuple(sorted(view[center]))
+    return Star(center, leaves, tuple(view[center][r] for r in leaves))
+
+
+def test_heaps_match_a_linear_scan_at_every_step(monkeypatch):
+    stars = comets = 0
+
+    def checked_find_max_star(inst, state):
+        nonlocal stars
+        got = find_max_star(inst, state)
+        assert got == linear_star(terminal_view(inst, state))
+        stars += 1
+        return got
+
+    def checked_best_comet(inst, state):
+        nonlocal comets
+        got = best_comet(inst, state)
+        upkeep = state.view_upkeep()
+        candidates = list(upkeep.comets.values())
+        star = linear_star(upkeep.view)
+        if star is not None and star.s >= 2:
+            candidates.append((star_cost_index(star.s), -star.s, star.center, 0, star))
+        want = min(candidates, key=lambda item: item[:4]) if candidates else None
+        assert got == (want and want[4])
+        comets += 1
+        return got
+
+    monkeypatch.setattr(heuristics, "find_max_star", checked_find_max_star)
+    monkeypatch.setattr(sixphase, "find_max_star", checked_find_max_star)
+    monkeypatch.setattr(sixphase, "best_comet", checked_best_comet)
+    larger = [
+        generate(GeneratorSpec("random-gnp", {"n": n, "p": Fraction(4, n), "r": n // 4}, seed))
+        for n, seed in ((600, 4), (800, 5))
+    ]
+    sparse = generate(
+        GeneratorSpec("random-sparse", {"n": 2000, "p": Fraction(4, 1999), "r": 500}, 1)
+    )
+    cases = corpus_and_gnp() + [(inst, "greedy") for inst in larger + [sparse]]
+    for inst, pack3 in cases:
+        rayward_smith(inst)
+        six_phase(inst, pack3=pack3)
+    assert stars > 2000 and comets > 1033
+
+
+def test_kept_root_visits_only_what_the_merge_changes():
+    # Terminal component {0, 5} keeps its name when the star at 1 joins it
+    # to terminal 6.  Node 2 touches only 0 among the merged roots and no
+    # absorbed node, so its entry is left alone; node 3 reaches {0, 5}
+    # through 5 and now through the smaller absorbed 1; node 4 held both 0
+    # and 6.
+    edges = [(0, 1), (1, 6), (0, 2), (2, 7), (3, 5), (1, 3), (0, 4), (4, 6), (0, 5)]
+    inst = Instance.from_edges(8, edges, [0, 5, 6, 7])
+    state = PartitionState(inst)
+    state.union(0, 5)
+    best_comet(inst, state)
+    upkeep = state.view_upkeep()
+    assert upkeep.view == {
+        1: {0: (0, 1), 6: (1, 6)},
+        2: {0: (0, 2), 7: (2, 7)},
+        3: {0: (3, 5)},
+        4: {0: (0, 4), 6: (4, 6)},
+    }
+    kept = upkeep.touching[0]
+    upkeep.view[2] = MappingProxyType(upkeep.view[2])   # any write fails
+
+    checked_merge(inst, state, lambda: state.merge([0, 1, 6]))
+    assert upkeep.view == {2: {0: (0, 2), 7: (2, 7)}, 3: {0: (1, 3)}, 4: {0: (0, 4)}}
+    assert upkeep.changed == {1, 3, 4}
+    assert upkeep.touching[0] is kept and kept == {2, 3, 4}
+    assert 6 not in upkeep.touching
+    assert {3, 4} <= upkeep.reshaped and 2 not in upkeep.renamed | upkeep.reshaped
+    assert find_max_star(inst, state).center == 2
+
+
+def test_merge_under_a_free_name_rekeys_every_set():
+    # The star at the free node 0 joins terminals 3 and 5 under the name 0.
+    edges = [(0, 3), (0, 5), (1, 3), (2, 5), (3, 4), (4, 5), (2, 6)]
+    inst = Instance.from_edges(7, edges, [3, 5, 6])
+    state = PartitionState(inst)
+    best_comet(inst, state)
+    upkeep = state.view_upkeep()
+    assert upkeep.view == {
+        0: {3: (0, 3), 5: (0, 5)},
+        1: {3: (1, 3)},
+        2: {5: (2, 5), 6: (2, 6)},
+        4: {3: (3, 4), 5: (4, 5)},
+    }
+
+    checked_merge(inst, state, lambda: state.merge([0, 3, 5]))
+    assert upkeep.view == {1: {0: (1, 3)}, 2: {0: (2, 5), 6: (2, 6)}, 4: {0: (3, 4)}}
+    assert upkeep.changed == {0, 1, 2, 4}
+    assert upkeep.touching == {0: {1, 2, 4}, 6: {2}}
+    assert find_max_star(inst, state).center == 2
