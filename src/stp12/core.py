@@ -177,30 +177,25 @@ class ViewUpkeep:
     """A partition's terminal view, kept current by its merges.
 
     `touching` maps each terminal root to the free nodes whose view entry
-    holds it.  `changed` gathers the free nodes whose entry changed (key set,
-    edge or root id) and the nodes that stopped being free; a reader that
-    keeps per-node results between merges drains it.  `comets` is where
-    `sixphase.best_comet` keeps each center's best comet between calls, and
-    `comet_keys` the heap it reads the best one from.
+    holds it.  `comets` is where `sixphase.best_comet` keeps each center's
+    best comet sort key between calls, and `comet_keys` the heap it reads
+    the best one from.
 
     `sizes` is a lazy min-heap of `(-len(entry), center)`: a merge pushes an
     entry again only when its size changes, and `largest` drops the tops
     that no longer match the view.
 
-    Once `comets` exists, every merge also sorts the changed nodes and their
-    neighbours into `renamed` and `reshaped` (see `_sort_neighbourhoods`):
-    around a renamed node the merge only put the new root in place of one
-    old root, so a result that depends on the shape of those entries alone
-    still holds there.  `closed` keeps the closed neighbourhoods this needs.
+    Once `comets` exists, every merge also adds to `reshaped` the nodes
+    whose closed neighbourhood changed shape (see `_sort_neighbourhoods`);
+    a result that depends on the shape of those entries alone still holds
+    everywhere else.  `closed` keeps the closed neighbourhoods this needs.
     """
 
     view: TerminalView
     touching: dict[int, set[int]]
     sizes: list[tuple[int, int]]
-    changed: set[int] = field(default_factory=set)
     comets: dict[int, tuple] | None = None
     comet_keys: list[tuple] = field(default_factory=list)
-    renamed: set[int] = field(default_factory=set)
     reshaped: set[int] = field(default_factory=set)
     closed: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
@@ -367,7 +362,6 @@ def _absorb(
             marked.add(v)
         elif before != edge:
             marked.add(v)
-    upkeep.changed.update(marked)
     if upkeep.comets is not None:
         _sort_neighbourhoods(instance, upkeep, root, big, small, absorbed_set, affected, marked)
     big |= affected
@@ -384,16 +378,16 @@ def _sort_neighbourhoods(
     affected: set[int],
     marked: set[int],
 ) -> None:
-    """Sort the nodes around one merge's changed entries into renamed and reshaped.
+    """Add the nodes around one merge's changed entries that it reshaped.
 
     Before the merge, `big` held the free nodes whose entry held `root`
     (empty when `root` is a free node's id) and `small` maps every other
     merged terminal root to the free nodes whose entry held it.  A node is
-    renamed when no node of its closed neighbourhood was absorbed, and every
-    entry there that the merge touched held exactly one merged root, the
-    same one throughout: the merge only put the new root in its place and
-    may have changed edges, so the key sets there keep their sizes and keys
-    that differed still differ.  Every other node is reshaped.
+    only renamed when no node of its closed neighbourhood was absorbed, and
+    every entry there that the merge touched held exactly one merged root,
+    the same one throughout: the merge only put the new root in its place
+    and may have changed edges, so the key sets there keep their sizes and
+    keys that differed still differ.  Every other node is reshaped.
     """
     sole: dict[int, int] = {}   # free node -> the one small root it held
     shared: set[int] = set()    # free nodes that held two or more
@@ -431,8 +425,7 @@ def _sort_neighbourhoods(
             elif k != name:
                 break
         else:
-            upkeep.renamed.add(c)
-            continue
+            continue   # only renamed
         upkeep.reshaped.add(c)
 
 
@@ -440,8 +433,7 @@ def _sort_neighbourhoods(
 class ComponentGraph:
     """The graph induced on components, with one representative pair per edge."""
 
-    components: tuple[int, ...]
-    edges: dict[tuple[int, int], Connection] = field(default_factory=dict)
+    edges: dict[tuple[int, int], Connection]
 
 
 def induced_graph(instance: Instance, state: PartitionState) -> ComponentGraph:
@@ -460,7 +452,7 @@ def induced_graph(instance: Instance, state: PartitionState) -> ComponentGraph:
         old = edges.get(key)
         if old is None or rep < old:
             edges[key] = rep
-    return ComponentGraph(tuple(state.components()), edges)
+    return ComponentGraph(edges)
 
 
 def collapse(

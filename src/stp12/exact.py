@@ -111,9 +111,7 @@ def _mst_over(
     return total, tuple(sorted(picked))
 
 
-def dreyfus_wagner(
-    instance: Instance, max_terminals: int = DREYFUS_WAGNER_TERMINAL_CAP
-) -> OptResult:
+def dreyfus_wagner(instance: Instance) -> OptResult:
     """Steiner DP over terminal subsets on the 1/2 metric closure.
 
     O(3^k n + 2^k n^2) time for k terminals.  Agrees with brute_force_opt
@@ -123,8 +121,10 @@ def dreyfus_wagner(
     k = len(terms)
     if not terms:
         raise InputError("dreyfus_wagner needs at least one terminal")
-    if k > max_terminals:
-        raise CapExceeded(f"dreyfus_wagner refuses |R|={k} > cap {max_terminals}")
+    if k > DREYFUS_WAGNER_TERMINAL_CAP:
+        raise CapExceeded(
+            f"dreyfus_wagner refuses |R|={k} > cap {DREYFUS_WAGNER_TERMINAL_CAP}"
+        )
     if k == 1:
         return OptResult(0, frozenset())
 

@@ -29,6 +29,9 @@ from stp12.sixphase import best_comet, cost_index, six_phase, structure_cost_ind
 RS_BOUND = Fraction(4, 3)
 SIX_PHASE_BOUND = Fraction(5, 4)
 DEFAULT_SEED = 20260809
+# Largest node and terminal counts of a random corpus instance
+CORPUS_MAX_NODES = 12
+CORPUS_MAX_TERMINALS = 6
 
 
 # ---------------------------------------------------------------------------
@@ -164,21 +167,16 @@ def _delete_node(instance: Instance, victim: int) -> Instance | None:
 # ---------------------------------------------------------------------------
 # Fixed corpora
 
-def random_corpus(
-    count: int = 1000,
-    seed: int = DEFAULT_SEED,
-    max_nodes: int = 12,
-    max_terminals: int = 6,
-) -> list[tuple[str, Instance]]:
+def random_corpus(count: int = 1000, seed: int = DEFAULT_SEED) -> list[tuple[str, Instance]]:
     """Random instances within the oracle caps, reproducible from the seed."""
     import random as _random
 
     rng = _random.Random(seed)
     out = []
     for i in range(count):
-        n = rng.randint(2, max_nodes)
+        n = rng.randint(2, CORPUS_MAX_NODES)
         p = rng.choice((Fraction(1, 5), Fraction(7, 20), Fraction(1, 2), Fraction(7, 10)))
-        r = rng.randint(1, min(max_terminals, n))
+        r = rng.randint(1, min(CORPUS_MAX_TERMINALS, n))
         spec = stpio.GeneratorSpec(
             "random-gnp", {"n": n, "p": p, "r": r}, seed=rng.getrandbits(32)
         )

@@ -28,6 +28,10 @@ REPORT_SCHEMA_VERSION = 1
 # Largest node count parse_stp and generate accept; an Instance holds one
 # adjacency bitmask per node, allocated from the declared count.
 MAX_NODES = 100_000
+# Largest n random-gnp accepts: it makes one draw per node pair, which at
+# n = MAX_NODES is 5 * 10^9 draws.  random-sparse draws the same distribution
+# in O(n + m).
+GNP_MAX_NODES = 10_000
 
 
 class ParseError(InputError):
@@ -170,7 +174,8 @@ def generate(spec: GeneratorSpec) -> Instance:
     """Deterministically build an instance from a GeneratorSpec.
 
     A family whose parameters ask for more than MAX_NODES nodes is refused
-    with CapExceeded before anything is drawn or allocated.
+    with CapExceeded before anything is drawn or allocated, and so is
+    random-gnp above GNP_MAX_NODES.
     """
     if spec.family == "random-gnp":
         return _generate_gnp(spec)
@@ -220,6 +225,11 @@ def _gnp_params(spec: GeneratorSpec) -> tuple[int, int, float]:
 def _generate_gnp(spec: GeneratorSpec) -> Instance:
     """Every pair is an edge with probability p, one draw per pair."""
     n, r, threshold = _gnp_params(spec)
+    if n > GNP_MAX_NODES:
+        raise CapExceeded(
+            f"random-gnp draws once per node pair; n={n} is above its limit "
+            f"{GNP_MAX_NODES}, use random-sparse"
+        )
     rng = random.Random(spec.seed)
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < threshold

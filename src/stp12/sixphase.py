@@ -232,14 +232,13 @@ def best_comet(instance: Instance, state: PartitionState) -> Star | Comet | None
     touches two terminal components.
 
     A center's best comet depends only on the view entries of the center and
-    its neighbours, so each one is kept with the view and scored again only
-    when the view reports those entries reshaped or the center is no longer
-    free.  Its cost index and terminal count depend only on the shape of
-    those entries, so a center the view reports renamed keeps its sort key;
-    only its comet, which names roots and edges, is dropped, and it is built
-    again if that center comes out on top.  The best kept comet is read off
-    a lazy heap of the kept sort keys, and the largest star off the view's
-    own heap.
+    its neighbours, and its sort key (cost index, terminal count) only on the
+    shape of those entries.  So each center's key is kept with the view and
+    scored again only when the view reports that neighbourhood reshaped or
+    the center is no longer free; a merge that only renames roots there
+    leaves the key as it is.  The best kept key is read off a lazy heap of
+    the keys, the largest star off the view's own heap, and only the winning
+    comet is built.
     """
     upkeep = state.view_upkeep()
     view, keys = upkeep.view, upkeep.comet_keys
@@ -248,12 +247,6 @@ def best_comet(instance: Instance, state: PartitionState) -> Star | Comet | None
         centers = range(instance.node_count)
     else:
         centers = set(upkeep.reshaped)
-        for center in upkeep.renamed - centers:
-            kept = upkeep.comets.get(center)
-            if kept is not None:
-                upkeep.comets[center] = kept[:4] + (None,)
-    upkeep.changed.clear()
-    upkeep.renamed.clear()
     upkeep.reshaped.clear()
     comets = upkeep.comets
     # Every free node is a possible center, also one with no direct terminal
@@ -265,27 +258,20 @@ def best_comet(instance: Instance, state: PartitionState) -> Star | Comet | None
         comet = _comet_at(instance, view, center)
         if comet is not None:
             key = (comet.cost_index, -comet.terminal_count, center, 1)
-            comets[center] = key + (comet,)
+            comets[center] = key
             heapq.heappush(keys, key)
-    best = None
-    while keys:
-        kept = comets.get(keys[0][2])
-        if kept is not None and kept[:4] == keys[0]:
-            best = kept
-            break
-        heapq.heappop(keys)   # that center was scored again or is gone
+    # A key that is not the one kept for its center was scored again or is gone.
+    while keys and comets.get(keys[0][2]) is not keys[0]:
+        heapq.heappop(keys)
+    best = keys[0] if keys else None
     star = largest_star(upkeep)
     if star is not None and star.s >= 2:
         key = (star_cost_index(star.s), -star.s, star.center, 0)
-        if best is None or key < best[:4]:
+        if best is None or key < best:
             return star
     if best is None:
         return None
-    if best[4] is None:
-        comet = _comet_at(instance, view, best[2])
-        comets[best[2]] = best[:4] + (comet,)
-        return comet
-    return best[4]
+    return _comet_at(instance, view, best[2])
 
 
 def _comet_at(instance: Instance, view: TerminalView, center: int) -> Comet | None:
@@ -326,13 +312,12 @@ def max_3star_set(
     instance: Instance,
     state: PartitionState,
     strategy: str = "exact",
-    cap: int = DEFAULT_PACK3_CAP,
 ) -> tuple[Star, ...]:
     """Maximum-size set of 3-stars disjoint on centers and terminal components.
 
-    The packing problem is solved exactly by branch and bound up to `cap`
-    candidate 3-stars; beyond that the exact strategy refuses and the caller
-    should fall back to the deterministic greedy.
+    The packing problem is solved exactly by branch and bound up to
+    DEFAULT_PACK3_CAP candidate 3-stars; beyond that the exact strategy
+    refuses and the caller should fall back to the deterministic greedy.
     """
     if strategy not in PACK3_STRATEGIES:
         raise InputError(f"unknown 3-star strategy {strategy!r}")
@@ -346,9 +331,9 @@ def max_3star_set(
         for combo in combinations(sorted(reps), 3):
             candidates.append((center, combo, reps))
 
-    if strategy == "exact" and len(candidates) > cap:
+    if strategy == "exact" and len(candidates) > DEFAULT_PACK3_CAP:
         raise CapExceeded(
-            f"3-star packing has {len(candidates)} candidates > cap {cap}; "
+            f"3-star packing has {len(candidates)} candidates > cap {DEFAULT_PACK3_CAP}; "
             "use the greedy strategy"
         )
 

@@ -115,6 +115,14 @@ def test_gen_refuses_too_many_nodes(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_refuses_random_gnp_above_its_limit(tmp_path, capsys):
+    out = tmp_path / "x.stp"
+    assert main(["gen", "--family", "random-gnp", "--param", "n=10001",
+                 "--param", "p=1/10000", "--param", "r=1", "--out", str(out)]) == 3
+    assert "use random-sparse" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_reports_ratios_and_max(tmp_path):
     out_path = tmp_path / "report.json"
     code = main([

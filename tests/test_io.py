@@ -217,6 +217,14 @@ def test_generate_refuses_too_many_nodes_before_drawing(monkeypatch, family, par
         generate(GeneratorSpec(family, params))
 
 
+def test_gnp_refuses_more_nodes_than_it_can_draw_for(monkeypatch):
+    monkeypatch.setattr(stpio, "Instance", NoInstance)
+    monkeypatch.setattr(stpio.random, "Random", no_draws)
+    n = stpio.GNP_MAX_NODES + 1
+    with pytest.raises(CapExceeded, match=f"n={n} is above .* use random-sparse"):
+        generate(GeneratorSpec("random-gnp", {"n": n, "p": Fraction(1, 2), "r": 1}))
+
+
 class NodeCount:
     """Stands in for Instance: returns the node count it was given."""
 

@@ -234,11 +234,12 @@ def test_max_3star_set_ignores_view_insertion_order():
 
 
 def test_max_3star_set_cap_refusal():
-    edges = [(0, i) for i in range(1, 9)]
-    inst = Instance.from_edges(9, edges, range(1, 9))
+    # C(16, 3) = 560 candidate 3-stars, above the cap of 512
+    edges = [(0, i) for i in range(1, 17)]
+    inst = Instance.from_edges(17, edges, range(1, 17))
     with pytest.raises(CapExceeded):
-        max_3star_set(inst, PartitionState(inst), "exact", cap=10)
-    stars = max_3star_set(inst, PartitionState(inst), "greedy", cap=10)
+        max_3star_set(inst, PartitionState(inst), "exact")
+    stars = max_3star_set(inst, PartitionState(inst), "greedy")
     assert len(stars) == 1
 
 

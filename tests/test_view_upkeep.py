@@ -2,10 +2,10 @@
 
 The view is built on its first read and then updated by every merge; these
 tests rebuild it from the whole graph after each merge and compare, check
-that exactly the entries that changed are reported, check the phase-6
-comet cache against the exhaustive enumeration, a cold search and a fresh
-scoring of every center, and check the star and comet heaps against a
-linear scan of the view and the cache.
+that every free center the merge does not report reshaped keeps its comet
+sort key, check the phase-6 comet cache against the exhaustive
+enumeration, a cold search and a fresh scoring of every center, and check
+the star and comet heaps against a linear scan of the view and the cache.
 """
 
 import random
@@ -47,18 +47,32 @@ def free_nodes(inst, state):
     return {v for v in range(inst.node_count) if not state.is_terminal_component(v)}
 
 
+def comet_keys(inst, state):
+    """Cost index and terminal count of the best comet at every free center."""
+    view = terminal_view(inst, state)
+    keys = {}
+    for center in free_nodes(inst, state):
+        comet = _comet_at(inst, view, center)
+        if comet is not None:
+            keys[center] = (comet.cost_index, -comet.terminal_count)
+    return keys
+
+
 def checked_merge(inst, state, merge):
-    """Run merge() and check the kept view and the nodes it reports changed."""
+    """Run merge() and check the kept view and the centers it reports reshaped.
+
+    Once the comet cache exists, every free center the merge leaves out of
+    `reshaped` must score the same before and after it.
+    """
     upkeep = state.view_upkeep()
-    before = {v: dict(reps) for v, reps in upkeep.view.items()}
-    free_before = free_nodes(inst, state)
-    marked = set(upkeep.changed)
+    before = None if upkeep.comets is None else comet_keys(inst, state)
     result = merge()
     assert state.view_upkeep() is upkeep
-    after = upkeep.view
-    assert after == reference_view(inst, state)
-    moved = {v for v in before.keys() | after.keys() if before.get(v) != after.get(v)}
-    assert upkeep.changed == marked | moved | (free_before - free_nodes(inst, state))
+    assert upkeep.view == reference_view(inst, state)
+    if before is not None:
+        after = comet_keys(inst, state)
+        kept = free_nodes(inst, state) - upkeep.reshaped
+        assert not {c for c in kept if after.get(c) != before.get(c)}
     return result
 
 
@@ -120,39 +134,34 @@ def test_cached_best_comet_matches_enumeration_and_cold_search(monkeypatch):
     assert steps > 1033
 
 
-def comet_keys(inst, state):
-    """Cost index and terminal count of the best comet at every free center."""
-    view = terminal_view(inst, state)
-    keys = {}
-    for center in free_nodes(inst, state):
-        comet = _comet_at(inst, view, center)
-        if comet is not None:
-            keys[center] = (comet.cost_index, -comet.terminal_count)
-    return keys
+def closed_neighbourhoods(inst, nodes):
+    return {u for v in nodes for u in (v, *inst.neighbors(v))}
 
 
 def test_comet_cache_matches_a_fresh_scoring_at_every_step(monkeypatch):
-    # Every kept key must equal a fresh scoring, and every kept comet the
-    # fresh comet; a renamed center keeps its key and drops its comet.
-    steps = 0
-    renamed = {True: 0, False: 0}
+    # Every kept key must equal a fresh scoring.  Around the entries that
+    # changed since the last call, many centers must keep their key object:
+    # they were only renamed, so they are not scored again.
+    steps = kept_around_changes = 0
+    last = {"state": None, "view": None}
 
     def checked_best_comet(inst, state):
-        nonlocal steps
+        nonlocal steps, kept_around_changes
         upkeep = state.view_upkeep()
-        if upkeep.comets is not None:
-            keys = comet_keys(inst, state)
-            for center in upkeep.renamed - upkeep.reshaped:
-                kept = upkeep.comets.get(center)
-                assert (kept and kept[:2]) == keys.get(center)
-                renamed[kept is not None] += 1
+        kept = dict(upkeep.comets or {})
+        around = set()
+        if last["state"] is state:
+            old, view = last["view"], upkeep.view
+            moved = {v for v in old.keys() | view.keys() if old.get(v) != view.get(v)}
+            around = closed_neighbourhoods(inst, moved)
         got = best_comet(inst, state)
-        view = terminal_view(inst, state)
-        assert {c: kept[:2] for c, kept in upkeep.comets.items()} == comet_keys(inst, state)
-        for center, kept in upkeep.comets.items():
-            assert kept[2:4] == (center, 1)
-            assert kept[4] is None or kept[4] == _comet_at(inst, view, center)
-        assert not (upkeep.changed or upkeep.renamed or upkeep.reshaped)
+        assert {c: key[:2] for c, key in upkeep.comets.items()} == comet_keys(inst, state)
+        assert all(key[2:] == (c, 1) for c, key in upkeep.comets.items())
+        assert not upkeep.reshaped
+        kept_around_changes += sum(
+            1 for c in around if c in kept and upkeep.comets.get(c) is kept[c]
+        )
+        last["state"], last["view"] = state, {v: dict(r) for v, r in upkeep.view.items()}
         steps += 1
         return got
 
@@ -165,7 +174,7 @@ def test_comet_cache_matches_a_fresh_scoring_at_every_step(monkeypatch):
     for inst, pack3 in corpus_and_gnp() + [(inst, "greedy") for inst in larger]:
         six_phase(inst, pack3=pack3)
     assert steps > 1033
-    assert renamed[True] > 100 and renamed[False] > 500
+    assert kept_around_changes > 100
 
 
 def test_merge_sorts_renamed_and_reshaped_nodes():
@@ -179,18 +188,18 @@ def test_merge_sorts_renamed_and_reshaped_nodes():
     assert before.center == 6 and before.forks[0].leaves == (4, 8)
     upkeep = state.view_upkeep()
 
+    kept = upkeep.comets[6]
     assert checked_merge(inst, state, lambda: state.union(0, 4))
-    assert upkeep.changed == {1, 3, 5}
     # 5 and 6 only see 4 renamed to 0; 1 held both roots, and the
     # neighbourhoods of 2 and 3 held one each.
-    assert upkeep.renamed == {5, 6, 8}
     assert upkeep.reshaped == {0, 1, 2, 3, 4}
     after = best_comet(inst, state)
     assert after.forks[0].leaves == (0, 8)
     cold = PartitionState(inst)
     cold.union(0, 4)
     assert after == best_comet(inst, cold)
-    assert upkeep.comets[6][:4] == (before.cost_index, -3, 6, 1)
+    assert upkeep.comets[6] is kept
+    assert kept == (before.cost_index, -3, 6, 1)
 
     # A node 9 joining the center to 0 makes it see two merged roots.
     inst = Instance.from_edges(10, edges + [(6, 9), (9, 0)], [0, 4, 7, 8])
@@ -204,12 +213,13 @@ def test_views_read_without_comets_sort_nothing():
     inst = gnp_instances()[0]
     state = PartitionState(inst)
     terminal_view(inst, state)
+    merges = 0
     for u, v in inst.edges():
         if state.is_terminal_component(u) != state.is_terminal_component(v):
-            state.union(u, v)
+            merges += state.union(u, v)
     upkeep = state.view_upkeep()
-    assert upkeep.changed
-    assert not (upkeep.renamed or upkeep.reshaped or upkeep.closed)
+    assert merges > 10
+    assert not (upkeep.reshaped or upkeep.closed)
 
 
 def test_random_unions_and_collapses_keep_the_view():
@@ -244,22 +254,26 @@ def test_random_unions_and_collapses_keep_the_view():
 
 
 def test_direct_union_updates_a_read_view():
-    # path 0-1-2-3-4 with 1-5; terminals 0 and 4
-    inst = Instance.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5)], [0, 4])
+    # path 0-1-2-3-4 with 1-5 and 2-6; terminals 0 and 4.  Node 6 becomes
+    # a comet center once 2 touches two terminal components.
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (2, 6)]
+    inst = Instance.from_edges(7, edges, [0, 4])
     state = PartitionState(inst)
     view = terminal_view(inst, state)
     assert view == {1: {0: (0, 1)}, 3: {4: (3, 4)}}
-    state.view_upkeep().changed.clear()
+    assert best_comet(inst, state) is None
 
     assert checked_merge(inst, state, lambda: state.union(1, 0))
     assert view == {2: {0: (1, 2)}, 3: {4: (3, 4)}, 5: {0: (1, 5)}}
-    assert state.view_upkeep().changed == {1, 2, 5}
 
     # two free nodes, then both into a terminal component
     assert checked_merge(inst, state, lambda: state.union(5, 3))
     assert view == {2: {0: (1, 2)}, 3: {4: (3, 4)}, 5: {0: (1, 5)}}
+    best_comet(inst, state)
     assert checked_merge(inst, state, lambda: state.union(3, 4))
     assert view == {2: {0: (1, 2), 3: (2, 3)}}
+    # around the absorbed 3 and 5, and around 2, which gained a root
+    assert state.view_upkeep().reshaped == {1, 2, 3, 4, 5, 6}
     assert not checked_merge(inst, state, lambda: state.union(5, 4))
 
 
@@ -289,9 +303,15 @@ def test_heaps_match_a_linear_scan_at_every_step(monkeypatch):
         candidates = list(upkeep.comets.values())
         star = linear_star(upkeep.view)
         if star is not None and star.s >= 2:
-            candidates.append((star_cost_index(star.s), -star.s, star.center, 0, star))
-        want = min(candidates, key=lambda item: item[:4]) if candidates else None
-        assert got == (want and want[4])
+            candidates.append((star_cost_index(star.s), -star.s, star.center, 0))
+        want = min(candidates, default=None)
+        if want is None:
+            assert got is None
+        elif want[3] == 0:
+            assert got == star
+        else:
+            assert got == _comet_at(inst, upkeep.view, want[2])
+            assert (got.cost_index, -got.terminal_count) == want[:2]
         comets += 1
         return got
 
@@ -335,10 +355,9 @@ def test_kept_root_visits_only_what_the_merge_changes():
 
     checked_merge(inst, state, lambda: state.merge([0, 1, 6]))
     assert upkeep.view == {2: {0: (0, 2), 7: (2, 7)}, 3: {0: (1, 3)}, 4: {0: (0, 4)}}
-    assert upkeep.changed == {1, 3, 4}
     assert upkeep.touching[0] is kept and kept == {2, 3, 4}
     assert 6 not in upkeep.touching
-    assert {3, 4} <= upkeep.reshaped and 2 not in upkeep.renamed | upkeep.reshaped
+    assert {3, 4} <= upkeep.reshaped and 2 not in upkeep.reshaped
     assert find_max_star(inst, state).center == 2
 
 
@@ -358,6 +377,7 @@ def test_merge_under_a_free_name_rekeys_every_set():
 
     checked_merge(inst, state, lambda: state.merge([0, 3, 5]))
     assert upkeep.view == {1: {0: (1, 3)}, 2: {0: (2, 5), 6: (2, 6)}, 4: {0: (3, 4)}}
-    assert upkeep.changed == {0, 1, 2, 4}
+    # 0 was absorbed and 4 held both merged roots; 1 and 2 held one each.
+    assert upkeep.reshaped == {0, 3, 4, 5}
     assert upkeep.touching == {0: {1, 2, 4}, 6: {2}}
     assert find_max_star(inst, state).center == 2
