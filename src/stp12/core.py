@@ -360,7 +360,7 @@ def _absorb(
         if dropped != 1:
             heapq.heappush(sizes, (-len(reps), v))
             marked.add(v)
-        elif before != edge:
+        elif before is None:   # renamed; an entry that only moved its edge keeps its shape
             marked.add(v)
     if upkeep.comets is not None:
         _sort_neighbourhoods(instance, upkeep, root, big, small, absorbed_set, affected, marked)

@@ -243,14 +243,17 @@ def best_comet(instance: Instance, state: PartitionState) -> Star | Comet | None
     upkeep = state.view_upkeep()
     view, keys = upkeep.view, upkeep.comet_keys
     if upkeep.comets is None:
+        # A comet needs a fork: a neighbour of the center whose entry holds
+        # two or more roots.  Any free node next to one is a possible center,
+        # also one with no direct terminal component: a (3,0)-comet has cost
+        # index 4/5.
         upkeep.comets = {}
-        centers = range(instance.node_count)
+        centers = {c for f, reps in view.items() if len(reps) >= 2
+                   for c in instance.neighbors(f)}
     else:
         centers = set(upkeep.reshaped)
     upkeep.reshaped.clear()
     comets = upkeep.comets
-    # Every free node is a possible center, also one with no direct terminal
-    # component: a (3,0)-comet has cost index 4/5.
     for center in centers:
         comets.pop(center, None)
         if state.is_terminal_component(center):

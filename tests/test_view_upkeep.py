@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 from types import MappingProxyType
 
-from stp12 import heuristics, sixphase
+from stp12 import core, heuristics, sixphase
 from stp12.core import Instance, PartitionState, collapse, connection
 from stp12.harness import exhaustive_min_cost_index, full_corpus
 from stp12.heuristics import rayward_smith, terminal_view
@@ -91,6 +91,14 @@ def gnp_instances():
     ]
 
 
+def larger_gnp_instances():
+    # Larger instances re-root big components, which renames many roots.
+    return [
+        generate(GeneratorSpec("random-gnp", {"n": n, "p": Fraction(4, n), "r": n // 4}, seed))
+        for n, seed in ((600, 4), (800, 5))
+    ]
+
+
 def corpus_and_gnp():
     return [(inst, "exact") for _, inst in full_corpus(seed=0)] + [
         (inst, "greedy") for inst in gnp_instances()
@@ -166,15 +174,45 @@ def test_comet_cache_matches_a_fresh_scoring_at_every_step(monkeypatch):
         return got
 
     monkeypatch.setattr(sixphase, "best_comet", checked_best_comet)
-    # Larger instances re-root big components, which renames many roots.
-    larger = [
-        generate(GeneratorSpec("random-gnp", {"n": n, "p": Fraction(4, n), "r": n // 4}, seed))
-        for n, seed in ((600, 4), (800, 5))
-    ]
-    for inst, pack3 in corpus_and_gnp() + [(inst, "greedy") for inst in larger]:
+    for inst, pack3 in corpus_and_gnp() + [(inst, "greedy") for inst in larger_gnp_instances()]:
         six_phase(inst, pack3=pack3)
     assert steps > 1033
     assert kept_around_changes > 100
+
+
+def test_first_comet_scoring_skips_only_centers_without_a_fork(monkeypatch):
+    # A comet needs a fork: a neighbour whose entry holds two or more roots.
+    # The first call scores exactly the free centers next to one, and every
+    # free center it skips has no comet.
+    free = skipped = 0
+    scored = set()
+
+    def recorded_comet_at(inst, view, center):
+        scored.add(center)
+        return _comet_at(inst, view, center)
+
+    def checked_best_comet(inst, state):
+        nonlocal free, skipped
+        upkeep = state.view_upkeep()
+        if upkeep.comets is not None:
+            return best_comet(inst, state)
+        view = upkeep.view
+        centers = free_nodes(inst, state)
+        forked = {c for c in centers if any(len(view.get(f, ())) >= 2 for f in inst.neighbors(c))}
+        for center in centers - forked:
+            assert _comet_at(inst, view, center) is None
+        free += len(centers)
+        skipped += len(centers - forked)
+        scored.clear()
+        got = best_comet(inst, state)
+        assert scored == forked
+        return got
+
+    monkeypatch.setattr(sixphase, "_comet_at", recorded_comet_at)
+    monkeypatch.setattr(sixphase, "best_comet", checked_best_comet)
+    for inst, pack3 in corpus_and_gnp() + [(inst, "greedy") for inst in larger_gnp_instances()]:
+        six_phase(inst, pack3=pack3)
+    assert skipped > free // 2
 
 
 def test_merge_sorts_renamed_and_reshaped_nodes():
@@ -207,6 +245,33 @@ def test_merge_sorts_renamed_and_reshaped_nodes():
     best_comet(inst, state)
     state.union(0, 4)
     assert 6 in state.view_upkeep().reshaped
+
+
+def test_an_entry_that_only_moves_its_edge_is_not_marked(monkeypatch):
+    # {0, 5} keeps its name when the star at 1 joins it to terminal 6.  Node
+    # 3 reached {0, 5} through 5 and now through the smaller absorbed 1: its
+    # entry keeps its one key and only moves its edge.  The centers around 1
+    # are reshaped; node 3 is not handed on as changed, so its neighbour 8,
+    # which sees no absorbed node, is not even examined.
+    edges = [(0, 1), (1, 6), (3, 5), (1, 3), (0, 5), (3, 8)]
+    inst = Instance.from_edges(9, edges, [0, 5, 6])
+    state = PartitionState(inst)
+    state.union(0, 5)
+    best_comet(inst, state)
+    upkeep = state.view_upkeep()
+    assert upkeep.view == {1: {0: (0, 1), 6: (1, 6)}, 3: {0: (3, 5)}}
+    handed = []
+    core_sort = core._sort_neighbourhoods
+
+    def recorded(instance, upkeep, root, big, small, absorbed, affected, marked):
+        handed.append(set(marked))
+        core_sort(instance, upkeep, root, big, small, absorbed, affected, marked)
+
+    monkeypatch.setattr(core, "_sort_neighbourhoods", recorded)
+    checked_merge(inst, state, lambda: state.merge([0, 1, 6]))
+    assert upkeep.view == {3: {0: (1, 3)}}
+    assert handed == [{1}]
+    assert upkeep.reshaped == {0, 1, 3, 6}
 
 
 def test_views_read_without_comets_sort_nothing():
