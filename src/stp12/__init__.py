@@ -2,7 +2,6 @@
 
 from stp12.core import (
     CapExceeded,
-    ComponentGraph,
     Connection,
     ContractViolation,
     InputError,
@@ -20,7 +19,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapExceeded",
-    "ComponentGraph",
     "Connection",
     "ContractViolation",
     "InputError",

@@ -19,11 +19,11 @@ from pathlib import Path
 
 from stp12 import harness
 from stp12 import io as stpio
-from stp12.audit import ReferenceSolution, decompose, normalize
+from stp12.audit import NORMALIZE_MODES, ReferenceSolution, decompose, normalize
 from stp12.core import CapExceeded, InputError, Instance
 from stp12.exact import brute_force_opt, dreyfus_wagner
-from stp12.heuristics import rayward_smith
-from stp12.sixphase import six_phase
+from stp12.heuristics import FINISHING_MODES, rayward_smith
+from stp12.sixphase import PACK3_STRATEGIES, six_phase
 
 ALGORITHMS = ("rs", "six-phase", "exact", "all")
 
@@ -38,9 +38,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="run an algorithm on instance files")
     solve.add_argument("inputs", nargs="+", help=".stp instance files")
     solve.add_argument("--alg", choices=ALGORITHMS, default="all")
-    solve.add_argument("--finishing", choices=("strict-paper", "cheapest"),
-                       default="cheapest")
-    solve.add_argument("--pack3", choices=("exact", "greedy"), default="exact")
+    solve.add_argument("--finishing", choices=FINISHING_MODES, default="cheapest")
+    solve.add_argument("--pack3", choices=PACK3_STRATEGIES, default="exact")
     solve.add_argument("--witness", action="store_true",
                        help="print the connection set as well")
     solve.add_argument("--out", type=Path, default=None)
@@ -53,14 +52,13 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--count", type=int, default=1,
                          help="instances to generate (seed, seed+1, ...)")
     compare.add_argument("--seed", type=int, default=0)
-    compare.add_argument("--finishing", choices=("strict-paper", "cheapest"),
-                         default="cheapest")
-    compare.add_argument("--pack3", choices=("exact", "greedy"), default="exact")
+    compare.add_argument("--finishing", choices=FINISHING_MODES, default="cheapest")
+    compare.add_argument("--pack3", choices=PACK3_STRATEGIES, default="exact")
     compare.add_argument("--out", type=Path, default=None)
 
     audit = sub.add_parser("audit", help="normalize an optimal reference")
     audit.add_argument("inputs", nargs="+", help=".stp instance files")
-    audit.add_argument("--mode", choices=("s3", "s4"), default="s3")
+    audit.add_argument("--mode", choices=NORMALIZE_MODES, default="s3")
     audit.add_argument("--out", type=Path, default=None)
 
     gen = sub.add_parser("gen", help="write a generated instance")

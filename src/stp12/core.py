@@ -92,9 +92,6 @@ class Instance:
                 yield u, u + low.bit_length()
                 mask ^= low
 
-    def is_terminal(self, v: int) -> bool:
-        return v in self.terminals
-
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self.adjacency) // 2
 
@@ -214,31 +211,27 @@ class ViewUpkeep:
 class PartitionState(DisjointSets):
     """Union-find over nodes with terminal flags and the accumulated solution.
 
-    The terminal view is built on its first read and from then on updated by
-    every merge, whether it comes from `collapse` or a direct `union`.
+    It is the one handle on a partition: every function that reads or grows
+    one takes the state and reads the instance off it.  Every merge joins at
+    least one terminal component, so a component without a terminal is a
+    single free node.  The terminal view is built on its first read and from
+    then on updated by every merge, whether it comes from `collapse` or a
+    direct `union`.
     """
 
     def __init__(self, instance: Instance):
         super().__init__(instance.node_count)
         self.instance = instance
         self._terminal_flag = [v in instance.terminals for v in range(instance.node_count)]
-        # members of the free components that are not singletons
-        self._free_members: dict[int, list[int]] = {}
         self._upkeep: ViewUpkeep | None = None
         self.connections: list[Connection] = []
         self.cost = 0
-
-    def components(self) -> list[int]:
-        return sorted({self.find(v) for v in range(self.instance.node_count)})
-
-    def component_count(self) -> int:
-        return len({self.find(v) for v in range(self.instance.node_count)})
 
     def is_terminal_component(self, root: int) -> bool:
         return self._terminal_flag[self.find(root)]
 
     def terminal_components(self) -> list[int]:
-        return [r for r in self.components() if self._terminal_flag[r]]
+        return sorted({self.find(t) for t in self.instance.terminals})
 
     def union(self, a: int, b: int) -> bool:
         ra, rb = self.find(a), self.find(b)
@@ -248,25 +241,23 @@ class PartitionState(DisjointSets):
         return True
 
     def merge(self, roots: Iterable[int]) -> None:
-        """Merge distinct current component roots into one component."""
+        """Merge distinct current component roots into one terminal component.
+
+        At least one of the roots must be a terminal component; the others
+        are free nodes, which the merged component absorbs.
+        """
         roots = list(roots)
-        root = min(roots)
         flags = self._terminal_flag
-        terminal = any(flags[r] for r in roots)
-        if terminal:
-            absorbed = [m for r in roots if not flags[r]
-                        for m in self._free_members.pop(r, (r,))]
-            if self._upkeep is not None:
-                _absorb(self, self._upkeep, [r for r in roots if flags[r]], absorbed, root)
-        else:
-            # No terminal component changes, so neither does the view.
-            members = []
-            for r in roots:
-                members.extend(self._free_members.pop(r, (r,)))
-            self._free_members[root] = members
+        terminal_roots = [r for r in roots if flags[r]]
+        if not terminal_roots:
+            raise ContractViolation(f"merge of {sorted(roots)} joins no terminal component")
+        root = min(roots)
+        if self._upkeep is not None:
+            absorbed = [r for r in roots if not flags[r]]
+            _absorb(self, self._upkeep, terminal_roots, absorbed, root)
         for r in roots:
             self._parent[r] = root
-        flags[root] = terminal
+        flags[root] = True
 
     def view_upkeep(self) -> ViewUpkeep:
         """The kept terminal view, built from the partition on first read."""
@@ -429,30 +420,19 @@ def _sort_neighbourhoods(
         upkeep.reshaped.add(c)
 
 
-@dataclass(frozen=True)
-class ComponentGraph:
-    """The graph induced on components, with one representative pair per edge."""
-
-    edges: dict[tuple[int, int], Connection]
-
-
-def induced_graph(instance: Instance, state: PartitionState) -> ComponentGraph:
-    """Component graph of the current partition.
+def induced_graph(state: PartitionState) -> dict[tuple[int, int], Connection]:
+    """Component graph of the current partition: (root, root) -> representative.
 
     Two components are adjacent iff some instance edge crosses them; the
-    stored representative is the lexicographically smallest such pair.
+    stored representative is the lexicographically smallest such pair, which
+    is the first one seen since the edges come in lexicographic order.
     """
     edges: dict[tuple[int, int], Connection] = {}
-    for u, v in instance.edges():
+    for u, v in state.instance.edges():
         ru, rv = state.find(u), state.find(v)
-        if ru == rv:
-            continue
-        key = (ru, rv) if ru < rv else (rv, ru)
-        rep = (u, v)
-        old = edges.get(key)
-        if old is None or rep < old:
-            edges[key] = rep
-    return ComponentGraph(edges)
+        if ru != rv:
+            edges.setdefault((ru, rv) if ru < rv else (rv, ru), (u, v))
+    return edges
 
 
 def collapse(

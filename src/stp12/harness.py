@@ -21,7 +21,7 @@ from stp12.core import (
     cost,
     is_valid_solution,
 )
-from stp12.exact import brute_force_opt, dreyfus_wagner
+from stp12.exact import DREYFUS_WAGNER_TERMINAL_CAP, brute_force_opt, dreyfus_wagner
 from stp12.heuristics import finishing, preprocess_terminal_edges, rayward_smith
 from stp12.matching import AuxGraph, max_matching
 from stp12.sixphase import best_comet, cost_index, six_phase, structure_cost_index
@@ -63,13 +63,14 @@ def brute_force_matching_size(vertex_count: int, edges: list[tuple[int, int]]) -
     return best((1 << vertex_count) - 1)
 
 
-def exhaustive_min_cost_index(instance: Instance, state: PartitionState) -> Fraction | None:
+def exhaustive_min_cost_index(state: PartitionState) -> Fraction | None:
     """Minimum cost index over every star and comet, by direct enumeration.
 
     Independent of the polynomial comet search: walks all fork sets (disjoint
     terminal pairs with distinct fork nodes) and all direct-attachment counts,
     deriving each cost index from raw terminal and edge counts.
     """
+    instance = state.instance
     best: Fraction | None = None
 
     def consider(t: int, c: int) -> None:
@@ -83,12 +84,12 @@ def exhaustive_min_cost_index(instance: Instance, state: PartitionState) -> Frac
         v for v in range(instance.node_count) if not state.is_terminal_component(v)
     ]
     for center in free:
-        directs = sorted(_adjacent_terminal_components(instance, state, center))
+        directs = sorted(_adjacent_terminal_components(state, center))
         fork_candidates: list[tuple[int, tuple[int, int]]] = []
         for f in instance.neighbors(center):
             if state.is_terminal_component(f):
                 continue
-            leaves = sorted(_adjacent_terminal_components(instance, state, f))
+            leaves = sorted(_adjacent_terminal_components(state, f))
             for pair in combinations(leaves, 2):
                 fork_candidates.append((f, pair))
         fork_candidates.sort()
@@ -108,12 +109,10 @@ def exhaustive_min_cost_index(instance: Instance, state: PartitionState) -> Frac
     return best
 
 
-def _adjacent_terminal_components(
-    instance: Instance, state: PartitionState, node: int
-) -> set[int]:
+def _adjacent_terminal_components(state: PartitionState, node: int) -> set[int]:
     return {
         state.find(v)
-        for v in instance.neighbors(node)
+        for v in state.instance.neighbors(node)
         if state.is_terminal_component(v)
     }
 
@@ -122,7 +121,7 @@ def finishing_only_solver(instance: Instance, mode: str = "strict-paper") -> Sol
     """Deliberately weak baseline: skip every greedy phase.  Used as the
     negative control proving the ratio suites can fail."""
     state = PartitionState(instance)
-    return finishing(instance, state, mode)
+    return finishing(state, mode)
 
 
 def minimize_instance(
@@ -237,7 +236,7 @@ def suite_oracles(
     corpus = [
         (name, inst)
         for name, inst in random_corpus(count, seed) + gadget_corpus()
-        if len(inst.terminals) <= 12
+        if len(inst.terminals) <= DREYFUS_WAGNER_TERMINAL_CAP
     ]
     if not corpus:
         warnings.append("empty corpus: oracle agreement passes vacuously")
@@ -293,10 +292,10 @@ def suite_oracles(
         )
         inst = stpio.generate(spec)
         state = PartitionState(inst)
-        preprocess_terminal_edges(inst, state)
-        structure = best_comet(inst, state)
+        preprocess_terminal_edges(state)
+        structure = best_comet(state)
         got_ci = None if structure is None else structure_cost_index(structure)
-        want_ci = exhaustive_min_cost_index(inst, state)
+        want_ci = exhaustive_min_cost_index(state)
         if got_ci != want_ci:
             mismatches.append(
                 {

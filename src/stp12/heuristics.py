@@ -2,9 +2,10 @@
 
 Three steps: collapse terminal-terminal edges, repeatedly collapse a largest
 star (stop at s = 2), then connect whatever terminal components remain.  Star
-centers are always free non-terminals: a component that contains no terminal
-is necessarily an original singleton, since every collapse in these
-algorithms produces a terminal component.
+centers are always free non-terminals: `PartitionState.merge` refuses a merge
+that joins no terminal component, so a component that contains no terminal
+is an original singleton.  Each step takes the `PartitionState` alone and
+reads the instance off it.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from stp12.core import (
     Instance,
     PartitionState,
     Solution,
-    TerminalView,
-    ViewUpkeep,
     collapse,
     connection,
     induced_graph,
@@ -47,20 +46,13 @@ class Star:
         return self.edges
 
 
-def terminal_view(instance: Instance, state: PartitionState) -> TerminalView:
-    """The terminal components each free node touches, keyed by free node.
+def find_max_star(state: PartitionState) -> Star | None:
+    """Largest star in the current component graph, or None if there is none.
 
-    Every star and comet search reads this view: free node -> {terminal
-    component root: smallest edge joining them}.  Free nodes touching no
-    terminal component are left out.  The state builds it on the first read
-    and keeps it current through every later merge, so it must not be
-    changed by its readers; its centers are in no particular order.
+    Ties go to the smallest center.  The star is read off the state's kept
+    terminal view (`PartitionState.view_upkeep`).
     """
-    return state.view_upkeep().view
-
-
-def largest_star(upkeep: ViewUpkeep) -> Star | None:
-    """Largest star in the kept view; ties go to the smallest center."""
+    upkeep = state.view_upkeep()
     center = upkeep.largest()
     if center is None:
         return None
@@ -69,17 +61,13 @@ def largest_star(upkeep: ViewUpkeep) -> Star | None:
     return Star(center, leaves, tuple(reps[r] for r in leaves))
 
 
-def find_max_star(instance: Instance, state: PartitionState) -> Star | None:
-    """Largest star in the current component graph, or None if there is none."""
-    return largest_star(state.view_upkeep())
-
-
-def preprocess_terminal_edges(instance: Instance, state: PartitionState) -> PartitionState:
+def preprocess_terminal_edges(state: PartitionState) -> PartitionState:
     """Collapse every edge whose two endpoints are both terminal nodes.
 
     The terminal-terminal edges are visited once, in lexicographic order;
     after that every such edge lies inside one component.
     """
+    instance = state.instance
     terminal_mask = 0
     for t in instance.terminals:
         terminal_mask |= 1 << t
@@ -96,7 +84,7 @@ def preprocess_terminal_edges(instance: Instance, state: PartitionState) -> Part
     return state
 
 
-def finishing(instance: Instance, state: PartitionState, mode: str = "cheapest") -> Solution:
+def finishing(state: PartitionState, mode: str = "cheapest") -> Solution:
     """Connect the remaining terminal components and return the full solution.
 
     strict-paper chains the components with one connection per gap, chosen
@@ -106,12 +94,13 @@ def finishing(instance: Instance, state: PartitionState, mode: str = "cheapest")
     """
     if mode not in FINISHING_MODES:
         raise InputError(f"unknown finishing mode {mode!r}")
+    instance = state.instance
     roots = state.terminal_components()
     conns = list(state.connections)
     if len(roots) <= 1:
         return Solution.from_connections(instance, conns)
 
-    anchors = _smallest_terminal_per_component(instance, state, roots)
+    anchors = _smallest_terminal_per_component(state, roots)
     if mode == "strict-paper":
         for a, b in zip(roots, roots[1:]):
             conns.append(connection(anchors[a], anchors[b]))
@@ -122,8 +111,7 @@ def finishing(instance: Instance, state: PartitionState, mode: str = "cheapest")
     wanted = set(roots)
     group = DisjointSets(instance.node_count)
     merged = 0
-    cg = induced_graph(instance, state)
-    between = [(key, rep) for key, rep in cg.edges.items()
+    between = [(key, rep) for key, rep in induced_graph(state).items()
                if key[0] in wanted and key[1] in wanted]
     for (a, b), rep in sorted(between):
         if group.union(a, b):
@@ -136,12 +124,10 @@ def finishing(instance: Instance, state: PartitionState, mode: str = "cheapest")
     return Solution.from_connections(instance, conns)
 
 
-def _smallest_terminal_per_component(
-    instance: Instance, state: PartitionState, roots: list[int]
-) -> dict[int, int]:
+def _smallest_terminal_per_component(state: PartitionState, roots: list[int]) -> dict[int, int]:
     anchors: dict[int, int] = {}
     wanted = set(roots)
-    for t in sorted(instance.terminals):
+    for t in sorted(state.instance.terminals):
         root = state.find(t)
         if root in wanted and root not in anchors:
             anchors[root] = t
@@ -155,17 +141,17 @@ def rayward_smith(
     if not instance.terminals:
         raise InputError("rayward_smith needs at least one terminal")
     state = PartitionState(instance)
-    preprocess_terminal_edges(instance, state)
+    preprocess_terminal_edges(state)
     if log is not None:
         log.append(f"preprocessing: cost {state.cost}")
     while True:
-        star = find_max_star(instance, state)
+        star = find_max_star(state)
         if star is None or star.s <= 2:
             break
         collapse(state, star.touched_components(), star.connections())
         if log is not None:
             log.append(f"collapse {star.s}-star at {star.center}: cost {state.cost}")
-    solution = finishing(instance, state, mode)
+    solution = finishing(state, mode)
     if log is not None:
         log.append(f"finishing ({mode}): cost {solution.cost}")
     return solution

@@ -40,18 +40,11 @@ from stp12.core import (
     Instance,
     PartitionState,
     Solution,
+    TerminalView,
     collapse,
     connection,
 )
-from stp12.heuristics import (
-    Star,
-    TerminalView,
-    find_max_star,
-    finishing,
-    largest_star,
-    preprocess_terminal_edges,
-    terminal_view,
-)
+from stp12.heuristics import Star, find_max_star, finishing, preprocess_terminal_edges
 
 PACK3_STRATEGIES = ("exact", "greedy")
 DEFAULT_PACK3_CAP = 512
@@ -221,7 +214,7 @@ def _max_fork_set(
     return best
 
 
-def best_comet(instance: Instance, state: PartitionState) -> Star | Comet | None:
+def best_comet(state: PartitionState) -> Star | Comet | None:
     """Structure with the minimum cost index among all stars and comets.
 
     The largest star covers every center with three or more direct terminal
@@ -240,6 +233,7 @@ def best_comet(instance: Instance, state: PartitionState) -> Star | Comet | None
     the keys, the largest star off the view's own heap, and only the winning
     comet is built.
     """
+    instance = state.instance
     upkeep = state.view_upkeep()
     view, keys = upkeep.view, upkeep.comet_keys
     if upkeep.comets is None:
@@ -267,7 +261,7 @@ def best_comet(instance: Instance, state: PartitionState) -> Star | Comet | None
     while keys and comets.get(keys[0][2]) is not keys[0]:
         heapq.heappop(keys)
     best = keys[0] if keys else None
-    star = largest_star(upkeep)
+    star = find_max_star(state)
     if star is not None and star.s >= 2:
         key = (star_cost_index(star.s), -star.s, star.center, 0)
         if best is None or key < best:
@@ -311,11 +305,7 @@ def _comet_at(instance: Instance, view: TerminalView, center: int) -> Comet | No
     )
 
 
-def max_3star_set(
-    instance: Instance,
-    state: PartitionState,
-    strategy: str = "exact",
-) -> tuple[Star, ...]:
+def max_3star_set(state: PartitionState, strategy: str = "exact") -> tuple[Star, ...]:
     """Maximum-size set of 3-stars disjoint on centers and terminal components.
 
     The packing problem is solved exactly by branch and bound up to
@@ -325,7 +315,7 @@ def max_3star_set(
     if strategy not in PACK3_STRATEGIES:
         raise InputError(f"unknown 3-star strategy {strategy!r}")
     candidates: list[tuple[int, tuple[int, ...], dict[int, Connection]]] = []
-    view = terminal_view(instance, state)
+    view = state.view_upkeep().view
     # The view keeps no center order; both packings depend on this one.
     for center in sorted(view):
         reps = view[center]
@@ -383,9 +373,7 @@ def max_3star_set(
 
 
 def upgrade_to_comets(
-    instance: Instance,
-    state: PartitionState,
-    selected: tuple[Star, ...],
+    state: PartitionState, selected: tuple[Star, ...]
 ) -> tuple[Star | Comet, ...]:
     """Replace selected 3-stars by (1,3)-comets wherever a free fork exists.
 
@@ -398,10 +386,10 @@ def upgrade_to_comets(
     for star in ordered:
         used_comps.update(star.leaves)
     blocked_nodes = {star.center for star in ordered}
-    view = terminal_view(instance, state)
+    view = state.view_upkeep().view
     result: list[Star | Comet] = []
     for star in ordered:
-        fork = _find_free_fork(instance, view, star.center, used_comps, blocked_nodes)
+        fork = _find_free_fork(state.instance, view, star.center, used_comps, blocked_nodes)
         if fork is None:
             result.append(star)
             continue
@@ -447,48 +435,50 @@ def six_phase(
     pack3: str = "exact",
     log: list[str] | None = None,
 ) -> Solution:
-    """Run all six phases and return a valid solution."""
+    """Run all six phases and return a valid solution.
+
+    Log lines are only built when a `log` is passed.
+    """
     if not instance.terminals:
         raise InputError("six_phase needs at least one terminal")
 
-    def note(message: str) -> None:
-        if log is not None:
-            log.append(message)
-
     state = PartitionState(instance)
-    preprocess_terminal_edges(instance, state)
-    note(f"phase 1 terminal edges: cost {state.cost}")
+    preprocess_terminal_edges(state)
+    if log is not None:
+        log.append(f"phase 1 terminal edges: cost {state.cost}")
 
     phase = 2
     while True:
-        star = find_max_star(instance, state)
+        star = find_max_star(state)
         if star is None or star.s < 4:
             break
         if star.s == 4:
             phase = 3
         collapse(state, star.touched_components(), star.connections())
-        note(f"phase {phase} collapse {star.s}-star at {star.center}: cost {state.cost}")
+        if log is not None:
+            log.append(f"phase {phase} collapse {star.s}-star at {star.center}: cost {state.cost}")
 
-    selected = max_3star_set(instance, state, pack3)
-    note(f"phase 4 packed {len(selected)} disjoint 3-stars ({pack3})")
+    selected = max_3star_set(state, pack3)
+    if log is not None:
+        log.append(f"phase 4 packed {len(selected)} disjoint 3-stars ({pack3})")
 
-    upgraded = upgrade_to_comets(instance, state, selected)
+    upgraded = upgrade_to_comets(state, selected)
     for structure in upgraded:
         collapse(state, structure.touched_components(), structure.connections())
-    comet_count = sum(1 for s in upgraded if isinstance(s, Comet))
-    note(f"phase 5 upgraded {comet_count} to (1,3)-comets: cost {state.cost}")
+    if log is not None:
+        comet_count = sum(1 for s in upgraded if isinstance(s, Comet))
+        log.append(f"phase 5 upgraded {comet_count} to (1,3)-comets: cost {state.cost}")
 
-    while True:
-        structure = best_comet(instance, state)
-        if structure is None or structure_cost_index(structure) >= 1:
+    while (structure := best_comet(state)) is not None:
+        ci = structure_cost_index(structure)
+        if ci >= 1:
             break
         collapse(state, structure.touched_components(), structure.connections())
-        kind = "star" if isinstance(structure, Star) else "comet"
-        note(
-            f"phase 6 collapse {kind} ci={structure_cost_index(structure)}: "
-            f"cost {state.cost}"
-        )
+        if log is not None:
+            kind = "star" if isinstance(structure, Star) else "comet"
+            log.append(f"phase 6 collapse {kind} ci={ci}: cost {state.cost}")
 
-    solution = finishing(instance, state, mode)
-    note(f"finishing ({mode}): cost {solution.cost}")
+    solution = finishing(state, mode)
+    if log is not None:
+        log.append(f"finishing ({mode}): cost {solution.cost}")
     return solution

@@ -123,10 +123,10 @@ def test_criterion_4_comet_search_correctness():
                              seed=rng.getrandbits(32))
         inst = generate(spec)
         state = PartitionState(inst)
-        preprocess_terminal_edges(inst, state)
-        structure = best_comet(inst, state)
+        preprocess_terminal_edges(state)
+        structure = best_comet(state)
         got = None if structure is None else structure_cost_index(structure)
-        want = exhaustive_min_cost_index(inst, state)
+        want = exhaustive_min_cost_index(state)
         assert got == want, spec.instance_id()
         count += 1
     report("criterion 4 (comet search correctness)", count >= 300, f"{count} instances")

@@ -81,9 +81,9 @@ def test_validity_single_terminal():
 def test_induced_graph_identity_partition():
     inst = Instance.from_edges(5, [(0, 1), (1, 2), (3, 4)], [0])
     state = PartitionState(inst)
-    cg = induced_graph(inst, state)
-    assert set(cg.edges) == {(0, 1), (1, 2), (3, 4)}
-    assert all(cg.edges[key] == key for key in cg.edges)
+    cg = induced_graph(state)
+    assert set(cg) == {(0, 1), (1, 2), (3, 4)}
+    assert all(cg[key] == key for key in cg)
 
 
 def test_induced_graph_single_component_is_empty():
@@ -91,15 +91,14 @@ def test_induced_graph_single_component_is_empty():
     state = PartitionState(inst)
     collapse(state, [0, 1], [(0, 1)])
     collapse(state, [0, 2], [(1, 2)])
-    assert induced_graph(inst, state).edges == {}
+    assert induced_graph(state) == {}
 
 
 def test_induced_graph_after_merge_has_representative():
     inst = path3()
     state = PartitionState(inst)
     collapse(state, [0, 1], [(0, 1)])
-    cg = induced_graph(inst, state)
-    assert cg.edges == {(0, 2): (1, 2)}
+    assert induced_graph(state) == {(0, 2): (1, 2)}
 
 
 def test_collapse_two_components_edge_cost():
@@ -116,7 +115,7 @@ def test_collapse_three_star():
     state = PartitionState(inst)
     collapse(state, [0, 1, 2, 3], [(0, 1), (0, 2), (0, 3)])
     assert state.cost == 3
-    assert state.component_count() == 1
+    assert {state.find(v) for v in range(4)} == {0}
     assert state.is_terminal_component(0)
 
 
@@ -151,13 +150,34 @@ def test_collapse_rejects_foreign_edge():
 def test_terminal_flag_is_or_of_merged():
     inst = Instance.from_edges(4, [(0, 1), (1, 2), (2, 3)], [3])
     state = PartitionState(inst)
-    collapse(state, [0, 1], [(0, 1)])
-    assert not state.is_terminal_component(0)
+    assert not state.is_terminal_component(2)
     collapse(state, [2, 3], [(2, 3)])
     assert state.is_terminal_component(2)
-    collapse(state, [0, 2], [(1, 2)])
+    assert not state.is_terminal_component(1)
+    collapse(state, [1, 2], [(1, 2)])
+    collapse(state, [0, 1], [(0, 1)])
     assert state.is_terminal_component(0)
     assert state.terminal_components() == [0]
+
+
+def test_merges_that_join_no_terminal_component_are_refused():
+    # Free components stay single free nodes: a union or collapse of free
+    # nodes alone raises and leaves the partition, cost and view as they were.
+    inst = Instance.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)], [0, 4])
+    state = PartitionState(inst)
+    collapse(state, [0, 1], [(0, 1)])
+    view = state.view_upkeep().view
+    assert view == {2: {0: (1, 2)}, 3: {4: (3, 4)}}
+    before = (list(state.connections), state.cost, {v: dict(r) for v, r in view.items()})
+    with pytest.raises(ContractViolation):
+        state.union(2, 3)
+    with pytest.raises(ContractViolation):
+        collapse(state, [2, 3], [(2, 3)])
+    with pytest.raises(ContractViolation):
+        state.merge([2, 3])
+    assert (state.connections, state.cost, view) == before
+    assert [state.find(v) for v in range(5)] == [0, 0, 2, 3, 4]
+    assert state.view_upkeep().view is view
 
 
 def test_cost_subadditive_and_exact_on_disjoint_union():
@@ -182,10 +202,12 @@ def test_accumulated_cost_matches_recomputation():
         inst = Instance.from_edges(n, edges, rng.sample(range(n), rng.randint(1, n)))
         state = PartitionState(inst)
         for _ in range(rng.randint(1, 6)):
-            roots = state.components()
+            # every collapse joins a terminal component
+            roots = sorted({state.find(v) for v in range(n)})
             if len(roots) < 2:
                 break
-            a, b = rng.sample(roots, 2)
+            a = rng.choice(state.terminal_components())
+            b = rng.choice([r for r in roots if r != a])
             u = rng.choice([x for x in range(n) if state.find(x) == a])
             v = rng.choice([x for x in range(n) if state.find(x) == b])
             collapse(state, [a, b], [(u, v)])

@@ -136,5 +136,5 @@ def test_matching_oracle_agrees_on_petersen():
 def test_exhaustive_ci_none_when_no_structures():
     inst = Instance.from_edges(3, [], [0, 1, 2])
     state = PartitionState(inst)
-    preprocess_terminal_edges(inst, state)
-    assert exhaustive_min_cost_index(inst, state) is None
+    preprocess_terminal_edges(state)
+    assert exhaustive_min_cost_index(state) is None

@@ -15,7 +15,6 @@ from stp12.heuristics import (
     finishing,
     preprocess_terminal_edges,
     rayward_smith,
-    terminal_view,
 )
 from stp12.io import GeneratorSpec, generate
 
@@ -35,7 +34,7 @@ def random_instance(rng, max_nodes=12, max_terminals=6):
 
 def test_find_max_star_full_fan():
     inst = big_star(5)
-    star = find_max_star(inst, PartitionState(inst))
+    star = find_max_star(PartitionState(inst))
     assert star is not None
     assert star.center == 0 and star.s == 5
     assert star.edges == tuple((0, i) for i in range(1, 6))
@@ -45,7 +44,7 @@ def test_find_max_star_prefers_larger():
     # center 0 reaches three terminals, center 1 reaches four
     edges = [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (1, 5)]
     inst = Instance.from_edges(6, edges, [2, 3, 4, 5])
-    star = find_max_star(inst, PartitionState(inst))
+    star = find_max_star(PartitionState(inst))
     assert star.center == 1 and star.s == 4
 
 
@@ -53,10 +52,10 @@ def test_residual_star_shrinks_after_collapse():
     edges = [(0, 2), (0, 3), (0, 4), (0, 5), (1, 4), (1, 5)]
     inst = Instance.from_edges(6, edges, [2, 3, 4, 5])
     state = PartitionState(inst)
-    star = find_max_star(inst, state)
+    star = find_max_star(state)
     assert star.center == 0 and star.s == 4
     collapse(state, star.touched_components(), star.connections())
-    residual = find_max_star(inst, state)
+    residual = find_max_star(state)
     assert residual is not None and residual.s == 1
 
 
@@ -66,14 +65,14 @@ def two_edge_component():
     # free nodes 2 and 4 touch no terminal
     edges = [(0, 6), (0, 7), (5, 6), (5, 7), (1, 5), (3, 5), (2, 4)]
     inst = Instance.from_edges(8, edges, [0, 1, 3, 6, 7])
-    state = preprocess_terminal_edges(inst, PartitionState(inst))
+    state = preprocess_terminal_edges(PartitionState(inst))
     return inst, state
 
 
 def test_find_max_star_uses_smallest_edge_into_component():
     inst, state = two_edge_component()
-    assert terminal_view(inst, state) == {5: {0: (5, 6), 1: (1, 5), 3: (3, 5)}}
-    star = find_max_star(inst, state)
+    assert state.view_upkeep().view == {5: {0: (5, 6), 1: (1, 5), 3: (3, 5)}}
+    star = find_max_star(state)
     assert star.center == 5 and star.leaves == (0, 1, 3)
     assert star.edges == ((5, 6), (1, 5), (3, 5))
 
@@ -82,31 +81,31 @@ def test_find_max_star_tie_goes_to_smallest_center():
     # centers 1 and 5 both touch three terminals; 5's leaves sort first
     edges = [(1, 2), (1, 3), (1, 4), (0, 5), (2, 5), (3, 5)]
     inst = Instance.from_edges(6, edges, [0, 2, 3, 4])
-    star = find_max_star(inst, PartitionState(inst))
+    star = find_max_star(PartitionState(inst))
     assert star.center == 1 and star.leaves == (2, 3, 4)
 
 
 def test_no_star_when_no_free_center():
     inst = Instance.from_edges(2, [(0, 1)], [0, 1])
-    assert find_max_star(inst, PartitionState(inst)) is None
+    assert find_max_star(PartitionState(inst)) is None
 
 
 def test_preprocess_collapses_adjacent_terminals():
     inst = Instance.from_edges(2, [(0, 1)], [0, 1])
-    state = preprocess_terminal_edges(inst, PartitionState(inst))
-    assert state.component_count() == 1 and state.cost == 1
+    state = preprocess_terminal_edges(PartitionState(inst))
+    assert {state.find(v) for v in range(2)} == {0} and state.cost == 1
 
 
 def test_preprocess_terminal_path():
     inst = Instance.from_edges(3, [(0, 1), (1, 2)], [0, 1, 2])
-    state = preprocess_terminal_edges(inst, PartitionState(inst))
+    state = preprocess_terminal_edges(PartitionState(inst))
     assert state.cost == 2
-    assert state.component_count() == 1
+    assert {state.find(v) for v in range(3)} == {0}
 
 
 def test_preprocess_fixed_point_when_nothing_to_do():
     inst = Instance.from_edges(4, [(0, 1)], [2, 3])
-    state = preprocess_terminal_edges(inst, PartitionState(inst))
+    state = preprocess_terminal_edges(PartitionState(inst))
     assert state.cost == 0 and state.connections == []
 
 
@@ -132,7 +131,7 @@ def test_preprocess_matches_the_two_pass_loop():
     ]
     for inst in cases:
         want = two_pass_preprocess(inst, PartitionState(inst))
-        got = preprocess_terminal_edges(inst, PartitionState(inst))
+        got = preprocess_terminal_edges(PartitionState(inst))
         assert got.connections == want.connections
         assert got.cost == want.cost
 
@@ -140,14 +139,14 @@ def test_preprocess_matches_the_two_pass_loop():
 def test_finishing_strict_with_no_edges():
     inst = Instance.from_edges(3, [], [0, 1, 2])
     state = PartitionState(inst)
-    assert finishing(inst, state, "strict-paper").cost == 4
-    assert finishing(inst, state, "cheapest").cost == 4
+    assert finishing(state, "strict-paper").cost == 4
+    assert finishing(state, "cheapest").cost == 4
 
 
 def test_finishing_single_component():
     inst = Instance.from_edges(2, [(0, 1)], [0, 1])
-    state = preprocess_terminal_edges(inst, PartitionState(inst))
-    assert finishing(inst, state, "strict-paper").cost == 1
+    state = preprocess_terminal_edges(PartitionState(inst))
+    assert finishing(state, "strict-paper").cost == 1
 
 
 def test_finishing_cheapest_uses_representative_edge():
@@ -156,8 +155,8 @@ def test_finishing_cheapest_uses_representative_edge():
     state = PartitionState(inst)
     collapse(state, [0, 1], [(0, 1)])
     collapse(state, [2, 3], [(2, 3)])
-    assert finishing(inst, state, "cheapest").cost - state.cost == 1
-    assert finishing(inst, state, "strict-paper").cost - state.cost == 2
+    assert finishing(state, "cheapest").cost - state.cost == 1
+    assert finishing(state, "strict-paper").cost - state.cost == 2
 
 
 def test_full_star_instance_is_solved_exactly():

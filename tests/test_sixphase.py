@@ -13,7 +13,8 @@ from stp12.core import (
 )
 from stp12.exact import brute_force_opt
 from stp12.harness import exhaustive_min_cost_index
-from stp12.heuristics import Star, preprocess_terminal_edges, terminal_view
+from stp12.heuristics import Star, preprocess_terminal_edges, rayward_smith
+from stp12.io import GeneratorSpec, generate
 from stp12.sixphase import (
     Comet,
     Fork,
@@ -29,7 +30,7 @@ from stp12.sixphase import (
 
 def fresh_state(inst):
     state = PartitionState(inst)
-    preprocess_terminal_edges(inst, state)
+    preprocess_terminal_edges(state)
     return state
 
 
@@ -79,11 +80,11 @@ def test_comet_rejects_shared_components():
 def test_best_comet_finds_1_2_comet():
     inst = comet_gadget_1_2()
     state = fresh_state(inst)
-    structure = best_comet(inst, state)
+    structure = best_comet(state)
     assert isinstance(structure, Comet)
     assert (structure.a, structure.b) == (1, 2)
     assert structure_cost_index(structure) == Fraction(2, 3)
-    assert exhaustive_min_cost_index(inst, state) == Fraction(2, 3)
+    assert exhaustive_min_cost_index(state) == Fraction(2, 3)
 
 
 def test_best_comet_fork_uses_smallest_edge_into_component():
@@ -91,7 +92,7 @@ def test_best_comet_fork_uses_smallest_edge_into_component():
     # component {5, 6, 7}, through (1, 6) and (1, 7)
     edges = [(0, 2), (0, 3), (0, 1), (1, 4), (1, 6), (1, 7), (5, 6), (5, 7)]
     inst = Instance.from_edges(8, edges, [2, 3, 4, 5, 6, 7])
-    structure = best_comet(inst, fresh_state(inst))
+    structure = best_comet(fresh_state(inst))
     assert isinstance(structure, Comet) and structure.center == 0
     assert structure.forks == (Fork(node=1, leaves=(4, 5), edges=((0, 1), (1, 4), (1, 6))),)
 
@@ -101,10 +102,10 @@ def test_best_comet_finds_3_0_comet_at_terminal_free_center():
     edges = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 6), (2, 7), (3, 8), (3, 9)]
     inst = Instance.from_edges(10, edges, range(4, 10))
     state = fresh_state(inst)
-    structure = best_comet(inst, state)
+    structure = best_comet(state)
     assert isinstance(structure, Comet) and structure.center == 0
     assert (structure.a, structure.b) == (3, 0)
-    assert structure.cost_index == Fraction(4, 5) == exhaustive_min_cost_index(inst, state)
+    assert structure.cost_index == Fraction(4, 5) == exhaustive_min_cost_index(state)
 
 
 def test_best_comet_prefers_large_star():
@@ -112,7 +113,7 @@ def test_best_comet_prefers_large_star():
     edges = [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (5, 6), (5, 7)]
     inst = Instance.from_edges(8, edges, [1, 2, 3, 4, 6, 7])
     state = fresh_state(inst)
-    structure = best_comet(inst, state)
+    structure = best_comet(state)
     assert isinstance(structure, Star)
     assert structure.s == 4
     assert structure_cost_index(structure) == Fraction(1, 3)
@@ -120,7 +121,7 @@ def test_best_comet_prefers_large_star():
 
 def test_best_comet_absent_without_structures():
     inst = Instance.from_edges(3, [], [0, 1, 2])
-    assert best_comet(inst, PartitionState(inst)) is None
+    assert best_comet(PartitionState(inst)) is None
 
 
 def test_best_comet_fork_exclusivity_fallback():
@@ -129,8 +130,8 @@ def test_best_comet_fork_exclusivity_fallback():
     edges = [(0, 1), (1, 2), (1, 3), (1, 4), (1, 5), (0, 6), (0, 7)]
     inst = Instance.from_edges(8, edges, [2, 3, 4, 5, 6, 7])
     state = fresh_state(inst)
-    structure = best_comet(inst, state)
-    want = exhaustive_min_cost_index(inst, state)
+    structure = best_comet(state)
+    want = exhaustive_min_cost_index(state)
     assert structure is not None
     assert structure_cost_index(structure) == want
     if isinstance(structure, Comet):
@@ -142,15 +143,15 @@ def test_best_comet_matches_enumeration_randomized():
     for _ in range(120):
         inst = random_instance(rng)
         state = fresh_state(inst)
-        structure = best_comet(inst, state)
+        structure = best_comet(state)
         got = None if structure is None else structure_cost_index(structure)
-        assert got == exhaustive_min_cost_index(inst, state)
+        assert got == exhaustive_min_cost_index(state)
 
 
 def test_max_3star_set_two_disjoint():
     edges = [(0, 1), (0, 2), (0, 3), (4, 5), (4, 6), (4, 7)]
     inst = Instance.from_edges(8, edges, [1, 2, 3, 5, 6, 7])
-    stars = max_3star_set(inst, PartitionState(inst))
+    stars = max_3star_set(PartitionState(inst))
     assert len(stars) == 2
 
 
@@ -158,7 +159,7 @@ def test_max_3star_set_overlap_allows_one():
     # both centers need terminal 3
     edges = [(0, 2), (0, 3), (0, 4), (1, 3), (1, 5), (1, 6)]
     inst = Instance.from_edges(7, edges, [2, 3, 4, 5, 6])
-    stars = max_3star_set(inst, PartitionState(inst))
+    stars = max_3star_set(PartitionState(inst))
     assert len(stars) == 1
 
 
@@ -172,8 +173,8 @@ def test_max_3star_set_exact_beats_greedy_trap():
     )
     inst = Instance.from_edges(9, edges, [3, 4, 5, 6, 7, 8])
     state = PartitionState(inst)
-    exact = max_3star_set(inst, state, "exact")
-    greedy = max_3star_set(inst, state, "greedy")
+    exact = max_3star_set(state, "exact")
+    greedy = max_3star_set(state, "greedy")
     assert len(exact) == 2
     assert len(greedy) == 1
     assert len(exact) == _exhaustive_packing_size(inst, state)
@@ -208,7 +209,7 @@ def test_max_3star_set_uses_smallest_edge_into_component():
     # free node 5 reaches the terminal component {0, 6, 7} by (5, 6) and (5, 7)
     edges = [(0, 6), (0, 7), (5, 6), (5, 7), (1, 5), (3, 5)]
     inst = Instance.from_edges(8, edges, [0, 1, 3, 6, 7])
-    stars = max_3star_set(inst, fresh_state(inst))
+    stars = max_3star_set(fresh_state(inst))
     assert stars == (Star(5, (0, 1, 3), ((5, 6), (1, 5), (3, 5))),)
 
 
@@ -222,15 +223,15 @@ def test_max_3star_set_ignores_view_insertion_order():
     instances += [random_instance(rng, max_nodes=14, max_terminals=9) for _ in range(150)]
     for inst in instances:
         for strategy in ("exact", "greedy"):
-            want = max_3star_set(inst, PartitionState(inst), strategy)
+            want = max_3star_set(PartitionState(inst), strategy)
             for shuffle in (list.reverse, rng.shuffle):
                 state = PartitionState(inst)
-                view = terminal_view(inst, state)
+                view = state.view_upkeep().view
                 items = list(view.items())
                 shuffle(items)
                 view.clear()
                 view.update(items)
-                assert max_3star_set(inst, state, strategy) == want
+                assert max_3star_set(state, strategy) == want
 
 
 def test_max_3star_set_cap_refusal():
@@ -238,24 +239,24 @@ def test_max_3star_set_cap_refusal():
     edges = [(0, i) for i in range(1, 17)]
     inst = Instance.from_edges(17, edges, range(1, 17))
     with pytest.raises(CapExceeded):
-        max_3star_set(inst, PartitionState(inst), "exact")
-    stars = max_3star_set(inst, PartitionState(inst), "greedy")
+        max_3star_set(PartitionState(inst), "exact")
+    stars = max_3star_set(PartitionState(inst), "greedy")
     assert len(stars) == 1
 
 
 def test_upgrade_unchanged_without_fork():
     inst = Instance.from_edges(4, [(0, 1), (0, 2), (0, 3)], [1, 2, 3])
     state = PartitionState(inst)
-    stars = max_3star_set(inst, state)
-    assert upgrade_to_comets(inst, state, stars) == stars
+    stars = max_3star_set(state)
+    assert upgrade_to_comets(state, stars) == stars
 
 
 def test_upgrade_builds_1_3_comet():
     inst = comet_gadget_1_3()
     state = fresh_state(inst)
-    stars = max_3star_set(inst, state)
+    stars = max_3star_set(state)
     assert len(stars) == 1
-    upgraded = upgrade_to_comets(inst, state, stars)
+    upgraded = upgrade_to_comets(state, stars)
     assert isinstance(upgraded[0], Comet)
     assert (upgraded[0].a, upgraded[0].b) == (1, 3)
 
@@ -269,9 +270,9 @@ def test_upgrade_competing_stars_share_one_fork():
     )
     inst = Instance.from_edges(11, edges, [3, 4, 5, 6, 7, 8, 9, 10])
     state = PartitionState(inst)
-    stars = max_3star_set(inst, state)
+    stars = max_3star_set(state)
     assert len(stars) == 2
-    upgraded = upgrade_to_comets(inst, state, stars)
+    upgraded = upgrade_to_comets(state, stars)
     kinds = [type(s).__name__ for s in sorted(upgraded, key=lambda s: s.center)]
     assert kinds == ["Comet", "Star"]
 
@@ -303,6 +304,67 @@ def test_six_phase_phase6_collapses_only_below_one():
     sol = six_phase(inst, log=log)
     assert any("phase 6" in line and "2/3" in line for line in log)
     assert sol.cost == brute_force_opt(inst).cost == 5
+
+
+# Complete logs, which `compare` reports carry: (family, params) -> (six-phase, RS)
+PINNED_LOGS = {
+    ("star-cluster", (("k", 5), ("m", 2))): (
+        [
+            "phase 1 terminal edges: cost 1",
+            "phase 2 collapse 5-star at 0: cost 6",
+            "phase 2 collapse 5-star at 6: cost 11",
+            "phase 4 packed 0 disjoint 3-stars (exact)",
+            "phase 5 upgraded 0 to (1,3)-comets: cost 11",
+            "finishing (cheapest): cost 11",
+        ],
+        [
+            "preprocessing: cost 1",
+            "collapse 5-star at 0: cost 6",
+            "collapse 5-star at 6: cost 11",
+            "finishing (cheapest): cost 11",
+        ],
+    ),
+    ("star-cluster", (("k", 4), ("m", 2))): (
+        [
+            "phase 1 terminal edges: cost 1",
+            "phase 3 collapse 4-star at 0: cost 5",
+            "phase 3 collapse 4-star at 5: cost 9",
+            "phase 4 packed 0 disjoint 3-stars (exact)",
+            "phase 5 upgraded 0 to (1,3)-comets: cost 9",
+            "finishing (cheapest): cost 9",
+        ],
+        [
+            "preprocessing: cost 1",
+            "collapse 4-star at 0: cost 5",
+            "collapse 4-star at 5: cost 9",
+            "finishing (cheapest): cost 9",
+        ],
+    ),
+    ("comet-chain", (("a", 2), ("b", 2), ("count", 2))): (
+        [
+            "phase 1 terminal edges: cost 0",
+            "phase 4 packed 0 disjoint 3-stars (exact)",
+            "phase 5 upgraded 0 to (1,3)-comets: cost 0",
+            "phase 6 collapse comet ci=3/5: cost 8",
+            "phase 6 collapse comet ci=3/5: cost 16",
+            "finishing (cheapest): cost 18",
+        ],
+        [
+            "preprocessing: cost 0",
+            "finishing (cheapest): cost 22",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("family, params", list(PINNED_LOGS))
+def test_logs_are_pinned_and_change_no_solution(family, params):
+    inst = generate(GeneratorSpec(family, dict(params)))
+    for solve, want in zip((six_phase, rayward_smith), PINNED_LOGS[family, params]):
+        log: list[str] = []
+        got = solve(inst, log=log)
+        assert log == want
+        assert got == solve(inst)
 
 
 def test_six_phase_valid_and_bounded_random():

@@ -1,9 +1,9 @@
 """Random merges against the kept terminal view and the phase-6 key cache.
 
 Hypothesis draws instances with at most 14 nodes, reads the comet cache,
-then joins random components by direct unions or collapses.  After each
-merge the kept view must equal a rebuild, and every free center the merge
-does not report reshaped must keep its comet sort key.
+then joins a terminal component to random components by direct unions or
+collapses.  After each merge the kept view must equal a rebuild, and every
+free center the merge does not report reshaped must keep its comet sort key.
 """
 
 import pytest
@@ -13,7 +13,7 @@ st = hypothesis.strategies
 
 from stp12.core import Instance, PartitionState, collapse  # noqa: E402
 from stp12.sixphase import best_comet  # noqa: E402
-from test_view_upkeep import checked_merge, comet_keys  # noqa: E402
+from test_view_upkeep import checked_merge, comet_keys, component_roots  # noqa: E402
 
 
 @st.composite
@@ -29,17 +29,20 @@ def instances(draw):
 @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @hypothesis.given(instances(), st.data())
 def test_random_merges_keep_the_view_and_the_unreshaped_keys(inst, data):
-    # Each step joins two or three components along a path, by direct
-    # unions or by one collapse.
+    # Each step joins a terminal component and one or two more components
+    # along a path that starts at it, by direct unions or by one collapse.
+    # So every union touches a terminal component.
     state = PartitionState(inst)
-    best_comet(inst, state)
+    best_comet(state)
     for _ in range(data.draw(st.integers(1, 8))):
-        roots = state.components()
+        roots = component_roots(state)
         if len(roots) < 2:
             break
-        size = data.draw(st.integers(2, min(3, len(roots))))
-        picked = data.draw(
-            st.lists(st.sampled_from(roots), min_size=size, max_size=size, unique=True)
+        first = data.draw(st.sampled_from(state.terminal_components()))
+        others = [r for r in roots if r != first]
+        size = data.draw(st.integers(1, min(2, len(others))))
+        picked = [first] + data.draw(
+            st.lists(st.sampled_from(others), min_size=size, max_size=size, unique=True)
         )
         members = {r: [x for x in range(inst.node_count) if state.find(x) == r] for r in picked}
         path = [
@@ -51,6 +54,6 @@ def test_random_merges_keep_the_view_and_the_unreshaped_keys(inst, data):
         else:
             checked_merge(inst, state, lambda: collapse(state, picked, path))
         if data.draw(st.booleans()):
-            best_comet(inst, state)
+            best_comet(state)
             kept = state.view_upkeep().comets
             assert {c: key[:2] for c, key in kept.items()} == comet_keys(inst, state)

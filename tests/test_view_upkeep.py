@@ -15,7 +15,7 @@ from types import MappingProxyType
 from stp12 import core, heuristics, sixphase
 from stp12.core import Instance, PartitionState, collapse, connection
 from stp12.harness import exhaustive_min_cost_index, full_corpus
-from stp12.heuristics import rayward_smith, terminal_view
+from stp12.heuristics import rayward_smith
 from stp12.io import GeneratorSpec, generate
 from stp12.heuristics import Star, find_max_star
 from stp12.sixphase import (
@@ -49,7 +49,7 @@ def free_nodes(inst, state):
 
 def comet_keys(inst, state):
     """Cost index and terminal count of the best comet at every free center."""
-    view = terminal_view(inst, state)
+    view = state.view_upkeep().view
     keys = {}
     for center in free_nodes(inst, state):
         comet = _comet_at(inst, view, center)
@@ -77,11 +77,28 @@ def checked_merge(inst, state, merge):
 
 
 def replayed(state):
-    """A state with the same partition whose view and comet cache are cold."""
+    """A state with the same partition whose view and comet cache are cold.
+
+    Each union must touch a terminal component, so a connection between two
+    free nodes waits until one of them has joined one; the partition and
+    its roots do not depend on the order of the unions.
+    """
     fresh = PartitionState(state.instance)
-    for u, v in state.connections:
-        fresh.union(u, v)
+    pending = list(state.connections)
+    while pending:
+        waiting = []
+        for u, v in pending:
+            if fresh.is_terminal_component(u) or fresh.is_terminal_component(v):
+                fresh.union(u, v)
+            else:
+                waiting.append((u, v))
+        assert len(waiting) < len(pending)
+        pending = waiting
     return fresh
+
+
+def component_roots(state):
+    return sorted({state.find(v) for v in range(state.instance.node_count)})
 
 
 def gnp_instances():
@@ -111,7 +128,7 @@ def test_kept_view_matches_rebuild_after_every_collapse(monkeypatch):
 
     def checked_collapse(state, components, tree_edges):
         # Reading the view first makes it exist from phase 1 on.
-        terminal_view(state.instance, state)
+        state.view_upkeep()
         return checked_merge(
             state.instance, state, lambda: collapse(state, components, tree_edges)
         )
@@ -126,12 +143,12 @@ def test_kept_view_matches_rebuild_after_every_collapse(monkeypatch):
 def test_cached_best_comet_matches_enumeration_and_cold_search(monkeypatch):
     steps = 0
 
-    def checked_best_comet(inst, state):
+    def checked_best_comet(state):
         nonlocal steps
-        got = best_comet(inst, state)
+        got = best_comet(state)
         assert state.view_upkeep().comets is not None
-        assert got == best_comet(inst, replayed(state))
-        want = exhaustive_min_cost_index(inst, state)
+        assert got == best_comet(replayed(state))
+        want = exhaustive_min_cost_index(state)
         assert (None if got is None else structure_cost_index(got)) == want
         steps += 1
         return got
@@ -153,8 +170,9 @@ def test_comet_cache_matches_a_fresh_scoring_at_every_step(monkeypatch):
     steps = kept_around_changes = 0
     last = {"state": None, "view": None}
 
-    def checked_best_comet(inst, state):
+    def checked_best_comet(state):
         nonlocal steps, kept_around_changes
+        inst = state.instance
         upkeep = state.view_upkeep()
         kept = dict(upkeep.comets or {})
         around = set()
@@ -162,7 +180,7 @@ def test_comet_cache_matches_a_fresh_scoring_at_every_step(monkeypatch):
             old, view = last["view"], upkeep.view
             moved = {v for v in old.keys() | view.keys() if old.get(v) != view.get(v)}
             around = closed_neighbourhoods(inst, moved)
-        got = best_comet(inst, state)
+        got = best_comet(state)
         assert {c: key[:2] for c, key in upkeep.comets.items()} == comet_keys(inst, state)
         assert all(key[2:] == (c, 1) for c, key in upkeep.comets.items())
         assert not upkeep.reshaped
@@ -191,11 +209,12 @@ def test_first_comet_scoring_skips_only_centers_without_a_fork(monkeypatch):
         scored.add(center)
         return _comet_at(inst, view, center)
 
-    def checked_best_comet(inst, state):
+    def checked_best_comet(state):
         nonlocal free, skipped
+        inst = state.instance
         upkeep = state.view_upkeep()
         if upkeep.comets is not None:
-            return best_comet(inst, state)
+            return best_comet(state)
         view = upkeep.view
         centers = free_nodes(inst, state)
         forked = {c for c in centers if any(len(view.get(f, ())) >= 2 for f in inst.neighbors(c))}
@@ -204,7 +223,7 @@ def test_first_comet_scoring_skips_only_centers_without_a_fork(monkeypatch):
         free += len(centers)
         skipped += len(centers - forked)
         scored.clear()
-        got = best_comet(inst, state)
+        got = best_comet(state)
         assert scored == forked
         return got
 
@@ -222,7 +241,7 @@ def test_merge_sorts_renamed_and_reshaped_nodes():
     edges = [(0, 1), (1, 4), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 8)]
     inst = Instance.from_edges(9, edges, [0, 4, 7, 8])
     state = PartitionState(inst)
-    before = best_comet(inst, state)
+    before = best_comet(state)
     assert before.center == 6 and before.forks[0].leaves == (4, 8)
     upkeep = state.view_upkeep()
 
@@ -231,18 +250,18 @@ def test_merge_sorts_renamed_and_reshaped_nodes():
     # 5 and 6 only see 4 renamed to 0; 1 held both roots, and the
     # neighbourhoods of 2 and 3 held one each.
     assert upkeep.reshaped == {0, 1, 2, 3, 4}
-    after = best_comet(inst, state)
+    after = best_comet(state)
     assert after.forks[0].leaves == (0, 8)
     cold = PartitionState(inst)
     cold.union(0, 4)
-    assert after == best_comet(inst, cold)
+    assert after == best_comet(cold)
     assert upkeep.comets[6] is kept
     assert kept == (before.cost_index, -3, 6, 1)
 
     # A node 9 joining the center to 0 makes it see two merged roots.
     inst = Instance.from_edges(10, edges + [(6, 9), (9, 0)], [0, 4, 7, 8])
     state = PartitionState(inst)
-    best_comet(inst, state)
+    best_comet(state)
     state.union(0, 4)
     assert 6 in state.view_upkeep().reshaped
 
@@ -257,7 +276,7 @@ def test_an_entry_that_only_moves_its_edge_is_not_marked(monkeypatch):
     inst = Instance.from_edges(9, edges, [0, 5, 6])
     state = PartitionState(inst)
     state.union(0, 5)
-    best_comet(inst, state)
+    best_comet(state)
     upkeep = state.view_upkeep()
     assert upkeep.view == {1: {0: (0, 1), 6: (1, 6)}, 3: {0: (3, 5)}}
     handed = []
@@ -277,7 +296,7 @@ def test_an_entry_that_only_moves_its_edge_is_not_marked(monkeypatch):
 def test_views_read_without_comets_sort_nothing():
     inst = gnp_instances()[0]
     state = PartitionState(inst)
-    terminal_view(inst, state)
+    state.view_upkeep()
     merges = 0
     for u, v in inst.edges():
         if state.is_terminal_component(u) != state.is_terminal_component(v):
@@ -288,8 +307,8 @@ def test_views_read_without_comets_sort_nothing():
 
 
 def test_random_unions_and_collapses_keep_the_view():
-    # Merges of free components (never made by the algorithms) must work
-    # too, also when the view is first read after them.
+    # Each merge joins a terminal component to any other component, also
+    # before the view is first read.
     rng = random.Random(29)
     for _ in range(300):
         n = rng.randint(2, 14)
@@ -300,11 +319,14 @@ def test_random_unions_and_collapses_keep_the_view():
         read_at = rng.randint(0, 4)
         for step in range(rng.randint(1, 8)):
             if step == read_at:
-                assert terminal_view(inst, state) == reference_view(inst, state)
-            roots = state.components()
+                assert state.view_upkeep().view == reference_view(inst, state)
+            roots = component_roots(state)
             if len(roots) < 2:
                 break
-            a, b = rng.sample(roots, 2)
+            a = rng.choice(state.terminal_components())
+            b = rng.choice([r for r in roots if r != a])
+            if rng.random() < 0.5:
+                a, b = b, a
             u = rng.choice([x for x in range(n) if state.find(x) == a])
             v = rng.choice([x for x in range(n) if state.find(x) == b])
             if rng.random() < 0.5:
@@ -315,7 +337,7 @@ def test_random_unions_and_collapses_keep_the_view():
                 checked_merge(inst, state, merge)
             else:
                 merge()
-        assert terminal_view(inst, state) == reference_view(inst, state)
+        assert state.view_upkeep().view == reference_view(inst, state)
 
 
 def test_direct_union_updates_a_read_view():
@@ -324,18 +346,18 @@ def test_direct_union_updates_a_read_view():
     edges = [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (2, 6)]
     inst = Instance.from_edges(7, edges, [0, 4])
     state = PartitionState(inst)
-    view = terminal_view(inst, state)
+    view = state.view_upkeep().view
     assert view == {1: {0: (0, 1)}, 3: {4: (3, 4)}}
-    assert best_comet(inst, state) is None
+    assert best_comet(state) is None
 
     assert checked_merge(inst, state, lambda: state.union(1, 0))
     assert view == {2: {0: (1, 2)}, 3: {4: (3, 4)}, 5: {0: (1, 5)}}
 
-    # two free nodes, then both into a terminal component
-    assert checked_merge(inst, state, lambda: state.union(5, 3))
-    assert view == {2: {0: (1, 2)}, 3: {4: (3, 4)}, 5: {0: (1, 5)}}
-    best_comet(inst, state)
+    # a free node into a terminal component, then one into the merged one
+    best_comet(state)
     assert checked_merge(inst, state, lambda: state.union(3, 4))
+    assert view == {2: {0: (1, 2), 3: (2, 3)}, 5: {0: (1, 5)}}
+    assert checked_merge(inst, state, lambda: state.union(5, 3))
     assert view == {2: {0: (1, 2), 3: (2, 3)}}
     # around the absorbed 3 and 5, and around 2, which gained a root
     assert state.view_upkeep().reshaped == {1, 2, 3, 4, 5, 6}
@@ -354,16 +376,16 @@ def linear_star(view):
 def test_heaps_match_a_linear_scan_at_every_step(monkeypatch):
     stars = comets = 0
 
-    def checked_find_max_star(inst, state):
+    def checked_find_max_star(state):
         nonlocal stars
-        got = find_max_star(inst, state)
-        assert got == linear_star(terminal_view(inst, state))
+        got = find_max_star(state)
+        assert got == linear_star(state.view_upkeep().view)
         stars += 1
         return got
 
-    def checked_best_comet(inst, state):
+    def checked_best_comet(state):
         nonlocal comets
-        got = best_comet(inst, state)
+        got = best_comet(state)
         upkeep = state.view_upkeep()
         candidates = list(upkeep.comets.values())
         star = linear_star(upkeep.view)
@@ -375,7 +397,7 @@ def test_heaps_match_a_linear_scan_at_every_step(monkeypatch):
         elif want[3] == 0:
             assert got == star
         else:
-            assert got == _comet_at(inst, upkeep.view, want[2])
+            assert got == _comet_at(state.instance, upkeep.view, want[2])
             assert (got.cost_index, -got.terminal_count) == want[:2]
         comets += 1
         return got
@@ -407,7 +429,7 @@ def test_kept_root_visits_only_what_the_merge_changes():
     inst = Instance.from_edges(8, edges, [0, 5, 6, 7])
     state = PartitionState(inst)
     state.union(0, 5)
-    best_comet(inst, state)
+    best_comet(state)
     upkeep = state.view_upkeep()
     assert upkeep.view == {
         1: {0: (0, 1), 6: (1, 6)},
@@ -423,7 +445,7 @@ def test_kept_root_visits_only_what_the_merge_changes():
     assert upkeep.touching[0] is kept and kept == {2, 3, 4}
     assert 6 not in upkeep.touching
     assert {3, 4} <= upkeep.reshaped and 2 not in upkeep.reshaped
-    assert find_max_star(inst, state).center == 2
+    assert find_max_star(state).center == 2
 
 
 def test_merge_under_a_free_name_rekeys_every_set():
@@ -431,7 +453,7 @@ def test_merge_under_a_free_name_rekeys_every_set():
     edges = [(0, 3), (0, 5), (1, 3), (2, 5), (3, 4), (4, 5), (2, 6)]
     inst = Instance.from_edges(7, edges, [3, 5, 6])
     state = PartitionState(inst)
-    best_comet(inst, state)
+    best_comet(state)
     upkeep = state.view_upkeep()
     assert upkeep.view == {
         0: {3: (0, 3), 5: (0, 5)},
@@ -445,4 +467,4 @@ def test_merge_under_a_free_name_rekeys_every_set():
     # 0 was absorbed and 4 held both merged roots; 1 and 2 held one each.
     assert upkeep.reshaped == {0, 3, 4, 5}
     assert upkeep.touching == {0: {1, 2, 4}, 6: {2}}
-    assert find_max_star(inst, state).center == 2
+    assert find_max_star(state).center == 2
