@@ -107,7 +107,10 @@ def _parse_params(pairs: list[str]) -> dict:
         try:
             params[key] = int(value)
         except ValueError:
-            params[key] = Fraction(value)
+            try:
+                params[key] = Fraction(value)
+            except (ValueError, ZeroDivisionError):
+                raise InputError(f"--param {key} needs a number, got {value!r}") from None
     return params
 
 
@@ -150,6 +153,8 @@ def _cmd_solve(args) -> int:
 def _cmd_compare(args) -> int:
     instances = _read_instances(args.inputs)
     if args.family is not None:
+        if args.count < 1:
+            raise InputError(f"--count must be at least 1, got {args.count}")
         params = _parse_params(args.param)
         for i in range(args.count):
             spec = stpio.GeneratorSpec(args.family, params, seed=args.seed + i)

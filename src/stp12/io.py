@@ -195,6 +195,8 @@ def _param(spec: GeneratorSpec, key: str, kind=int, minimum=None):
         raise InputError(f"{spec.family} needs parameter {key!r}")
     try:
         value = kind(spec.params[key])
+        if value != spec.params[key]:  # int() truncates a Fraction
+            raise ValueError
     except (TypeError, ValueError):
         raise InputError(f"parameter {key!r} must be {kind.__name__}") from None
     if minimum is not None and value < minimum:

@@ -32,6 +32,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from stp12.core import (
     CapExceeded,
@@ -45,6 +46,7 @@ from stp12.core import (
     connection,
 )
 from stp12.heuristics import Star, find_max_star, finishing, preprocess_terminal_edges
+from stp12.matching import AuxGraph, max_matching
 
 PACK3_STRATEGIES = ("exact", "greedy")
 DEFAULT_PACK3_CAP = 512
@@ -183,32 +185,37 @@ def _assign_forks(
     return [(pairs[i], chosen[i]) for i in range(len(pairs))]
 
 
-def _max_fork_set(
-    pair_forks: dict[tuple[int, int], list[int]],
-) -> list[tuple[tuple[int, int], int]]:
-    """Exact maximum set of component-disjoint pairs with distinct fork nodes.
+def _first_max_packing(candidates: list[tuple[int, tuple[int, ...]]]) -> list[int]:
+    """Indices of the first maximum packing among `(owner, components)` candidates.
 
-    Fallback for the rare case where the vertex matching cannot be realized
-    because too few physical fork nodes exist; exhaustive at desk scale.
+    A packing takes each owner and each component at most once.  The search
+    takes a candidate before it skips it and keeps a packing only when it is
+    strictly larger than the best so far, so it returns the maximum packing
+    whose index list is lexicographically smallest.  It prunes a subtree when
+    the distinct owners left in it cannot beat the best packing; since only a
+    subtree that cannot beat the best is cut, any valid bound returns the
+    same packing.  Exhaustive: callers keep the candidate lists small.
     """
-    candidates = sorted(
-        (pair, f) for pair, forks in pair_forks.items() for f in forks
-    )
-    best: list[tuple[tuple[int, int], int]] = []
+    owners_left = [0] * (len(candidates) + 1)
+    seen_owners: set[int] = set()
+    for i in range(len(candidates) - 1, -1, -1):
+        seen_owners.add(candidates[i][0])
+        owners_left[i] = len(seen_owners)
+    best: list[int] = []
 
-    def search(i: int, used_comps: set[int], used_forks: set[int],
-               picked: list[tuple[tuple[int, int], int]]) -> None:
+    def search(i: int, used_comps: set[int], used_owners: set[int],
+               picked: list[int]) -> None:
         nonlocal best
         if len(picked) > len(best):
             best = list(picked)
-        if i == len(candidates) or len(picked) + (len(candidates) - i) <= len(best):
+        if len(picked) + owners_left[i] <= len(best):
             return
-        pair, f = candidates[i]
-        if f not in used_forks and pair[0] not in used_comps and pair[1] not in used_comps:
-            picked.append((pair, f))
-            search(i + 1, used_comps | set(pair), used_forks | {f}, picked)
+        owner, comps = candidates[i]
+        if owner not in used_owners and used_comps.isdisjoint(comps):
+            picked.append(i)
+            search(i + 1, used_comps.union(comps), used_owners | {owner}, picked)
             picked.pop()
-        search(i + 1, used_comps, used_forks, picked)
+        search(i + 1, used_comps, used_owners, picked)
 
     search(0, set(), set(), [])
     return best
@@ -273,8 +280,6 @@ def best_comet(state: PartitionState) -> Star | Comet | None:
 
 def _comet_at(instance: Instance, view: TerminalView, center: int) -> Comet | None:
     """Comet with the most forks at a free center with at most two directs."""
-    from stp12.matching import AuxGraph, max_matching
-
     direct_reps = view.get(center, {})
     if len(direct_reps) > 2:
         return None
@@ -283,9 +288,13 @@ def _comet_at(instance: Instance, view: TerminalView, center: int) -> Comet | No
         return None
     aux = AuxGraph.build(pair_forks)
     matched = sorted(max_matching(aux).pairs)
-    assignment = _assign_forks(pair_forks, matched) if matched else None
+    assignment = _assign_forks(pair_forks, matched)
     if assignment is None:
-        assignment = _max_fork_set(pair_forks)
+        # Too few physical fork nodes for the matching: each fork node owns
+        # at most one of its pairs.
+        candidates = sorted((pair, f) for pair, forks in pair_forks.items() for f in forks)
+        packing = _first_max_packing([(f, pair) for pair, f in candidates])
+        assignment = [candidates[i] for i in packing]
     if not assignment:
         return None
     forks = tuple(
@@ -308,68 +317,42 @@ def _comet_at(instance: Instance, view: TerminalView, center: int) -> Comet | No
 def max_3star_set(state: PartitionState, strategy: str = "exact") -> tuple[Star, ...]:
     """Maximum-size set of 3-stars disjoint on centers and terminal components.
 
-    The packing problem is solved exactly by branch and bound up to
-    DEFAULT_PACK3_CAP candidate 3-stars; beyond that the exact strategy
-    refuses and the caller should fall back to the deterministic greedy.
+    The exact strategy searches every candidate 3-star with
+    `_first_max_packing`, up to DEFAULT_PACK3_CAP candidates; beyond that it
+    refuses before building any, and the caller should fall back to the
+    greedy.  The greedy gives each center, in ascending order, its three
+    smallest components not yet packed.
     """
     if strategy not in PACK3_STRATEGIES:
         raise InputError(f"unknown 3-star strategy {strategy!r}")
-    candidates: list[tuple[int, tuple[int, ...], dict[int, Connection]]] = []
     view = state.view_upkeep().view
     # The view keeps no center order; both packings depend on this one.
-    for center in sorted(view):
-        reps = view[center]
-        if len(reps) < 3:
-            continue
-        for combo in combinations(sorted(reps), 3):
-            candidates.append((center, combo, reps))
+    centers = sorted(center for center, reps in view.items() if len(reps) >= 3)
+    if not centers:
+        return ()
 
-    if strategy == "exact" and len(candidates) > DEFAULT_PACK3_CAP:
-        raise CapExceeded(
-            f"3-star packing has {len(candidates)} candidates > cap {DEFAULT_PACK3_CAP}; "
-            "use the greedy strategy"
-        )
+    def build(center: int, combo: tuple[int, ...]) -> Star:
+        return Star(center, combo, tuple(view[center][r] for r in combo))
 
-    def build(center: int, combo: tuple[int, ...], reps: dict[int, Connection]) -> Star:
-        return Star(center, combo, tuple(reps[r] for r in combo))
-
-    if strategy == "greedy" or not candidates:
+    if strategy == "greedy":
         picked: list[Star] = []
         used_comps: set[int] = set()
-        used_centers: set[int] = set()
-        for center, combo, reps in candidates:
-            if center in used_centers or used_comps.intersection(combo):
-                continue
-            picked.append(build(center, combo, reps))
-            used_centers.add(center)
-            used_comps.update(combo)
+        for center in centers:
+            free = sorted(r for r in view[center] if r not in used_comps)[:3]
+            if len(free) == 3:
+                picked.append(build(center, tuple(free)))
+                used_comps.update(free)
         return tuple(picked)
 
-    # Exact branch and bound.  The bound counts distinct centers remaining,
-    # since a packing takes at most one 3-star per center.
-    suffix_centers = [0] * (len(candidates) + 1)
-    seen_centers: set[int] = set()
-    for i in range(len(candidates) - 1, -1, -1):
-        seen_centers.add(candidates[i][0])
-        suffix_centers[i] = len(seen_centers)
-    best: list[int] = []
-
-    def search(i: int, used_comps: set[int], used_centers: set[int],
-               picked: list[int]) -> None:
-        nonlocal best
-        if len(picked) > len(best):
-            best = list(picked)
-        if i == len(candidates) or len(picked) + suffix_centers[i] <= len(best):
-            return
-        center, combo, _ = candidates[i]
-        if center not in used_centers and not used_comps.intersection(combo):
-            picked.append(i)
-            search(i + 1, used_comps | set(combo), used_centers | {center}, picked)
-            picked.pop()
-        search(i + 1, used_comps, used_centers, picked)
-
-    search(0, set(), set(), [])
-    return tuple(build(*candidates[i]) for i in best)
+    count = sum(comb(len(view[center]), 3) for center in centers)
+    if count > DEFAULT_PACK3_CAP:
+        raise CapExceeded(
+            f"3-star packing has {count} candidates > cap {DEFAULT_PACK3_CAP}; "
+            "use the greedy strategy"
+        )
+    candidates = [(center, combo) for center in centers
+                  for combo in combinations(sorted(view[center]), 3)]
+    return tuple(build(*candidates[i]) for i in _first_max_packing(candidates))
 
 
 def upgrade_to_comets(

@@ -105,6 +105,21 @@ def test_gen_rejects_bad_params(tmp_path, capsys):
                  "--param", "p=3/2", "--param", "r=1", "--out", str(out)]) == 2
 
 
+@pytest.mark.parametrize("value", ["n=abc", "n=1/0", "n=15/2", "r=5/2"])
+def test_gen_malformed_param_exits_two(tmp_path, capsys, value):
+    # A value that is no number, or not a whole number where one is needed,
+    # is an input error, never a traceback or a silently truncated size.
+    params = {"n": "n=9", "p": "p=1/2", "r": "r=2"}
+    params[value.split("=")[0]] = value
+    out = tmp_path / "x.stp"
+    args = ["gen", "--family", "random-gnp", "--out", str(out)]
+    for pair in params.values():
+        args += ["--param", pair]
+    assert main(args) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_refuses_too_many_nodes(tmp_path, capsys):
     # Just above the limit, so that a missing cap fails fast instead of
     # drawing or allocating without bound.
@@ -204,6 +219,12 @@ def test_compare_skips_over_cap_instances(tmp_path):
     assert code == 3
     payload = json.loads(out_path.read_text())
     assert payload["reports"][0]["skipped"]
+
+
+def test_compare_refuses_a_count_below_one(capsys):
+    assert main(["compare", "--family", "star-cluster", "--param", "k=4",
+                 "--param", "m=1", "--count", "-2"]) == 2
+    assert "--count" in capsys.readouterr().err
 
 
 def test_compare_with_one_instance_in_cap_exits_zero(p3_file, tmp_path):

@@ -181,6 +181,11 @@ def test_generator_validates_parameters():
         generate(GeneratorSpec("random-gnp", {"n": 5, "p": Fraction(1, 2), "r": 9}))
     with pytest.raises(InputError):
         generate(GeneratorSpec("star-cluster", {"k": 1, "m": 2}))
+    # A whole-number parameter refuses a fraction instead of truncating it.
+    with pytest.raises(InputError):
+        generate(GeneratorSpec("random-gnp", {"n": Fraction(15, 2), "p": Fraction(1, 2), "r": 1}))
+    with pytest.raises(InputError):
+        generate(GeneratorSpec("star-cluster", {"k": 4, "m": Fraction(5, 2)}))
     with pytest.raises(InputError):
         generate(GeneratorSpec("nonsense", {}))
 

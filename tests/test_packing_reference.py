@@ -1,0 +1,257 @@
+"""The shared packing search against verbatim copies of the two it replaced.
+
+`max_fork_set` below is the exhaustive fork-set fallback that `_comet_at`
+used when the pair matching could not be given distinct fork nodes, and
+`max_3star_set` is phase 4 as it was: it built every candidate 3-star,
+then ran the exact strategy's branch and bound or the greedy's first fit
+over them.  They are the reference: `sixphase._first_max_packing` and the
+current `max_3star_set` must return the same forks and the same stars, in
+the same order, and refuse with the same message.
+"""
+
+import random
+from fractions import Fraction
+from itertools import combinations
+
+from stp12 import sixphase
+from stp12.core import CapExceeded, Connection, InputError, Instance, PartitionState
+from stp12.heuristics import Star, preprocess_terminal_edges
+from stp12.io import GeneratorSpec, generate
+from stp12.sixphase import DEFAULT_PACK3_CAP, PACK3_STRATEGIES, build_fork_candidates
+
+
+def max_fork_set(
+    pair_forks: dict[tuple[int, int], list[int]],
+) -> list[tuple[tuple[int, int], int]]:
+    """Exact maximum set of component-disjoint pairs with distinct fork nodes.
+
+    Fallback for the rare case where the vertex matching cannot be realized
+    because too few physical fork nodes exist; exhaustive at desk scale.
+    """
+    candidates = sorted(
+        (pair, f) for pair, forks in pair_forks.items() for f in forks
+    )
+    best: list[tuple[tuple[int, int], int]] = []
+
+    def search(i: int, used_comps: set[int], used_forks: set[int],
+               picked: list[tuple[tuple[int, int], int]]) -> None:
+        nonlocal best
+        if len(picked) > len(best):
+            best = list(picked)
+        if i == len(candidates) or len(picked) + (len(candidates) - i) <= len(best):
+            return
+        pair, f = candidates[i]
+        if f not in used_forks and pair[0] not in used_comps and pair[1] not in used_comps:
+            picked.append((pair, f))
+            search(i + 1, used_comps | set(pair), used_forks | {f}, picked)
+            picked.pop()
+        search(i + 1, used_comps, used_forks, picked)
+
+    search(0, set(), set(), [])
+    return best
+
+
+def max_3star_set(state: PartitionState, strategy: str = "exact") -> tuple[Star, ...]:
+    """Maximum-size set of 3-stars disjoint on centers and terminal components.
+
+    The packing problem is solved exactly by branch and bound up to
+    DEFAULT_PACK3_CAP candidate 3-stars; beyond that the exact strategy
+    refuses and the caller should fall back to the deterministic greedy.
+    """
+    if strategy not in PACK3_STRATEGIES:
+        raise InputError(f"unknown 3-star strategy {strategy!r}")
+    candidates: list[tuple[int, tuple[int, ...], dict[int, Connection]]] = []
+    view = state.view_upkeep().view
+    # The view keeps no center order; both packings depend on this one.
+    for center in sorted(view):
+        reps = view[center]
+        if len(reps) < 3:
+            continue
+        for combo in combinations(sorted(reps), 3):
+            candidates.append((center, combo, reps))
+
+    if strategy == "exact" and len(candidates) > DEFAULT_PACK3_CAP:
+        raise CapExceeded(
+            f"3-star packing has {len(candidates)} candidates > cap {DEFAULT_PACK3_CAP}; "
+            "use the greedy strategy"
+        )
+
+    def build(center: int, combo: tuple[int, ...], reps: dict[int, Connection]) -> Star:
+        return Star(center, combo, tuple(reps[r] for r in combo))
+
+    if strategy == "greedy" or not candidates:
+        picked: list[Star] = []
+        used_comps: set[int] = set()
+        used_centers: set[int] = set()
+        for center, combo, reps in candidates:
+            if center in used_centers or used_comps.intersection(combo):
+                continue
+            picked.append(build(center, combo, reps))
+            used_centers.add(center)
+            used_comps.update(combo)
+        return tuple(picked)
+
+    # Exact branch and bound.  The bound counts distinct centers remaining,
+    # since a packing takes at most one 3-star per center.
+    suffix_centers = [0] * (len(candidates) + 1)
+    seen_centers: set[int] = set()
+    for i in range(len(candidates) - 1, -1, -1):
+        seen_centers.add(candidates[i][0])
+        suffix_centers[i] = len(seen_centers)
+    best: list[int] = []
+
+    def search(i: int, used_comps: set[int], used_centers: set[int],
+               picked: list[int]) -> None:
+        nonlocal best
+        if len(picked) > len(best):
+            best = list(picked)
+        if i == len(candidates) or len(picked) + suffix_centers[i] <= len(best):
+            return
+        center, combo, _ = candidates[i]
+        if center not in used_centers and not used_comps.intersection(combo):
+            picked.append(i)
+            search(i + 1, used_comps | set(combo), used_centers | {center}, picked)
+            picked.pop()
+        search(i + 1, used_comps, used_centers, picked)
+
+    search(0, set(), set(), [])
+    return tuple(build(*candidates[i]) for i in best)
+
+
+def first_max_by_enumeration(candidates):
+    """Lexicographically smallest index tuple among the maximum packings."""
+    for size in range(len(candidates), 0, -1):
+        for chosen in combinations(range(len(candidates)), size):
+            owners = [candidates[i][0] for i in chosen]
+            comps = [c for i in chosen for c in candidates[i][1]]
+            if len(set(owners)) == len(owners) and len(set(comps)) == len(comps):
+                return list(chosen)
+    return []
+
+
+def random_pair_forks(rng):
+    """Pairs of 8 components, each served by some of 5 fork nodes."""
+    pair_forks: dict[tuple[int, int], list[int]] = {}
+    for _ in range(rng.randint(1, 12)):
+        pair = tuple(sorted(rng.sample(range(8), 2)))
+        forks = pair_forks.setdefault(pair, [])
+        f = rng.randrange(20, 25)
+        if f not in forks:
+            forks.append(f)
+    return pair_forks
+
+
+def fork_fallback(pair_forks):
+    """The fork assignment `_comet_at` makes when the matching cannot be realized."""
+    candidates = sorted((pair, f) for pair, forks in pair_forks.items() for f in forks)
+    packing = sixphase._first_max_packing([(f, pair) for pair, f in candidates])
+    return [candidates[i] for i in packing]
+
+
+def test_shared_search_matches_the_fork_set_search_on_random_pair_forks():
+    rng = random.Random(2)
+    for _ in range(400):
+        pair_forks = random_pair_forks(rng)
+        assert fork_fallback(pair_forks) == max_fork_set(pair_forks)
+
+
+def test_shared_search_returns_the_first_maximum_of_random_candidate_lists():
+    # Owners shared by several candidates, components of one to three roots,
+    # in no particular order.
+    rng = random.Random(5)
+    for _ in range(300):
+        candidates = [
+            (rng.randrange(4), tuple(rng.sample(range(9), rng.randint(1, 3))))
+            for _ in range(rng.randint(0, 11))
+        ]
+        assert sixphase._first_max_packing(candidates) == first_max_by_enumeration(candidates)
+
+
+def outcome(pack, state, strategy):
+    try:
+        return pack(state, strategy)
+    except CapExceeded as exc:
+        return str(exc)
+
+
+def phase_one_states():
+    """States after phase 1 whose view entries hold three to six roots."""
+    specs = [GeneratorSpec("star-cluster", {"k": k, "m": m}) for k in (3, 4, 5, 6)
+             for m in (1, 2, 3)]
+    specs += [GeneratorSpec("random-gnp", {"n": n, "p": Fraction(2, 5), "r": n // 2}, seed)
+              for n in (10, 12, 14, 16) for seed in range(30)]
+    specs += [GeneratorSpec("random-gnp", {"n": 24, "p": Fraction(1, 3), "r": 14}, seed)
+              for seed in range(3)]
+    specs.append(GeneratorSpec("star-cluster", {"k": 16, "m": 1}))
+    trap = [(0, 3), (0, 5), (0, 7), (1, 3), (1, 4), (1, 5), (2, 6), (2, 7), (2, 8)]
+    instances = [Instance.from_edges(9, trap, [3, 4, 5, 6, 7, 8])]
+    instances += [generate(spec) for spec in specs]
+    states = []
+    for inst in instances:
+        state = PartitionState(inst)
+        preprocess_terminal_edges(state)
+        states.append(state)
+    return states
+
+
+def test_max_3star_set_matches_reference():
+    states = phase_one_states()
+    sizes = {len(reps) for state in states for reps in state.view_upkeep().view.values()}
+    assert {3, 4, 5, 6} <= sizes
+    refused = differ = 0
+    for state in states:
+        for strategy in PACK3_STRATEGIES:
+            want = outcome(max_3star_set, state, strategy)
+            assert outcome(sixphase.max_3star_set, state, strategy) == want
+        exact, greedy = (outcome(max_3star_set, state, s) for s in PACK3_STRATEGIES)
+        refused += isinstance(exact, str)
+        differ += not isinstance(exact, str) and exact != greedy
+    # Both the cap and the exact-only packings are reached.
+    assert refused and differ
+
+
+def fork_gadget(rng):
+    """Center 0 with one to three fork nodes over four to eight terminals.
+
+    Few fork nodes that each reach several terminals often cannot give every
+    matched pair its own fork, so the fallback runs.
+    """
+    fork_count, terminal_count = rng.randint(1, 3), rng.randint(4, 8)
+    n = 1 + fork_count + terminal_count
+    terminals = range(1 + fork_count, n)
+    edges = {(0, f) for f in range(1, 1 + fork_count)}
+    for f in range(1, 1 + fork_count):
+        reach = rng.randint(2, min(5, terminal_count))
+        edges.update((f, t) for t in rng.sample(terminals, reach))
+    edges.update((0, t) for t in rng.sample(terminals, rng.randint(0, 2)))
+    return Instance.from_edges(n, sorted(edges), terminals)
+
+
+def test_fork_fallback_matches_reference(monkeypatch):
+    # Fork node 1 alone serves every pair of terminals 2..5: the matching
+    # pairs (2, 3) with (4, 5), which cannot both have fork 1.
+    single = Instance.from_edges(
+        6, [(0, 1), (1, 2), (1, 3), (1, 4), (1, 5)], [2, 3, 4, 5]
+    )
+    rng = random.Random(11)
+    instances = [single] + [fork_gadget(rng) for _ in range(80)]
+    calls = []
+    search = sixphase._first_max_packing
+    monkeypatch.setattr(sixphase, "_first_max_packing",
+                        lambda candidates: calls.append(1) or search(candidates))
+    fallbacks = 0
+    for inst in instances:
+        state = PartitionState(inst)
+        preprocess_terminal_edges(state)
+        view = state.view_upkeep().view
+        for center in range(inst.node_count):
+            if state.is_terminal_component(center):
+                continue
+            calls.clear()
+            comet = sixphase._comet_at(inst, view, center)
+            if not calls:
+                continue
+            fallbacks += 1
+            want = max_fork_set(build_fork_candidates(inst, view, center))
+            assert [(fork.leaves, fork.node) for fork in comet.forks] == want
+    assert fallbacks >= 10

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from stp12 import sixphase
 from stp12.core import (
     CapExceeded,
     InputError,
@@ -234,14 +235,31 @@ def test_max_3star_set_ignores_view_insertion_order():
                 assert max_3star_set(state, strategy) == want
 
 
-def test_max_3star_set_cap_refusal():
-    # C(16, 3) = 560 candidate 3-stars, above the cap of 512
-    edges = [(0, i) for i in range(1, 17)]
-    inst = Instance.from_edges(17, edges, range(1, 17))
-    with pytest.raises(CapExceeded):
-        max_3star_set(PartitionState(inst), "exact")
+def star_instance(leaves):
+    edges = [(0, i) for i in range(1, leaves + 1)]
+    return Instance.from_edges(leaves + 1, edges, range(1, leaves + 1))
+
+
+def no_combinations(*args):
+    raise AssertionError("max_3star_set enumerated candidate 3-stars")
+
+
+def test_max_3star_set_cap_refusal(monkeypatch):
+    # C(16, 3) = 560 candidate 3-stars, above the cap of 512: refused from
+    # the count, before any candidate is built.
+    monkeypatch.setattr(sixphase, "combinations", no_combinations)
+    inst = star_instance(16)
     stars = max_3star_set(PartitionState(inst), "greedy")
     assert len(stars) == 1
+    with pytest.raises(CapExceeded, match="560 candidates > cap 512"):
+        max_3star_set(PartitionState(inst), "exact")
+
+
+def test_max_3star_set_greedy_builds_no_candidates(monkeypatch):
+    # C(40, 3) = 9880 candidates; the greedy takes the three smallest roots.
+    monkeypatch.setattr(sixphase, "combinations", no_combinations)
+    stars = max_3star_set(PartitionState(star_instance(40)), "greedy")
+    assert stars == (Star(0, (1, 2, 3), ((0, 1), (0, 2), (0, 3))),)
 
 
 def test_upgrade_unchanged_without_fork():
