@@ -10,8 +10,13 @@ Two independent oracles, used as ground truth for every ratio claim:
   subset that can match or beat the best tree so far is spanned.
 * dreyfus_wagner is the classic dynamic program over terminal subsets,
   running on the metric closure (which here is simply: 1 for edges, 2 for
-  everything else, so one relaxation step per mask suffices, read off the
-  neighbour lists).
+  everything else, so one relaxation step per mask suffices).  Since every
+  distance is 1 or 2, each row lies within 2 of its own minimum, and three
+  levels store it exactly: the minimum, the bitmask of nodes at it, and the
+  bitmask of nodes at most one above it.  Splits merge by ANDs and ORs of
+  n-bit ints, O(3^k ceil(n/w)) word operations for k terminals and w-bit
+  words, and each row's relaxation ORs one adjacency mask per minimal
+  node; memory is O(2^k n) bits.
 
 Both refuse inputs beyond their caps rather than grind.
 """
@@ -20,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from operator import add
 
 from stp12.core import (
     CapExceeded,
@@ -151,12 +155,24 @@ def _mst_over(
 def dreyfus_wagner(instance: Instance) -> OptResult:
     """Steiner DP over terminal subsets on the 1/2 metric closure.
 
-    O(3^k n + 2^k (n + m)) time and O(2^k n) space for k terminals: each
-    mask's row is the element-wise minimum over its splits, then one
-    relaxation, min(merged[v], min(merged) + 2, merged[u] + 1 for each
-    neighbour u of v).  Only the values are kept; `_rebuild` recovers the
-    witness along its own path.  Agrees with brute_force_opt wherever both
-    run; used as the second route in oracle cross-checks.
+    Row S gives, for every node v, the cost of a cheapest tree spanning the
+    terminals in S together with v.  Every pair of nodes is at distance 1 or
+    2, so no value lies more than 2 above the row's minimum low[S]: grow the
+    minimal tree by one connection of cost at most 2.  A row is therefore
+    stored exactly as three values (see `_rows`): low[S], the bitmask of
+    nodes at low[S], and the bitmask of nodes at most low[S] + 1; every
+    other node sits at low[S] + 2.  `_merge` takes the element-wise minimum
+    over the splits of S with a few ANDs and ORs of n-bit ints, and the
+    relaxation ORs the neighbour masks of the minimal nodes into the next
+    level.  Only the rows are kept; `_rebuild` recovers the witness along
+    its own path.
+
+    With w-bit machine words, each split costs O(ceil(n/w)) word operations,
+    so all merges cost O(3^k ceil(n/w)) for k terminals.  A relaxation ORs
+    one adjacency mask per minimal node, O(n ceil(n/w)) per row at worst and
+    a few masks in practice.  Memory is O(2^k n) bits.  Agrees with
+    brute_force_opt wherever both run; used as the second route in oracle
+    cross-checks.
     """
     terms = sorted(instance.terminals)
     k = len(terms)
@@ -169,37 +185,53 @@ def dreyfus_wagner(instance: Instance) -> OptResult:
     if k == 1:
         return OptResult(0, frozenset())
 
-    n = instance.node_count
-    neighbours = [tuple(instance.neighbors(v)) for v in range(n)]
+    rows = _rows(instance.adjacency, terms)
     full = (1 << k) - 1
-    dp: list[list[int]] = [[] for _ in range(full + 1)]
-    for i, t in enumerate(terms):
-        row = [2] * n
-        for u in neighbours[t]:
-            row[u] = 1
-        row[t] = 0
-        dp[1 << i] = row
-
-    for mask in range(3, full + 1):
-        if mask & (mask - 1):
-            merged = _merged(dp, mask)
-            # Every value lies within 2 of the row's minimum, so only the
-            # neighbours of minimal nodes can be reached for less than that.
-            low = min(merged)
-            row = [value if value <= low + 1 else low + 2 for value in merged]
-            for u, value in enumerate(merged):
-                if value == low:
-                    for v in neighbours[u]:
-                        if row[v] > low + 1:
-                            row[v] = low + 1
-            dp[mask] = row
-
     conns: set[Connection] = set()
-    _rebuild(dp, terms, neighbours, full, terms[0], conns)
+    _rebuild(rows, terms, instance.adjacency, full, terms[0], conns)
     result = frozenset(conns)
     total = cost(instance, result)
-    assert total == dp[full][terms[0]], "witness cost must match the DP optimum"
+    assert total == _value(rows, full, terms[0]), "witness cost must match the DP optimum"
     return OptResult(total, result)
+
+
+Rows = tuple[list[int], list[int], list[int]]
+
+
+def _rows(adjacency: tuple[int, ...], terms: list[int]) -> Rows:
+    """Every DP row as (low, at_low, at_next), indexed by terminal subset.
+
+    Node v's value in row S is low[S], low[S] + 1 or low[S] + 2, as v is in
+    at_low[S], only in at_next[S], or in neither (see `_value`).  A
+    singleton row is 0 at its terminal, 1 at the terminal's neighbours and 2
+    elsewhere.  Any other row is its merged minimum clipped at low + 2, with
+    the neighbours of its minimal nodes lowered to low + 1.
+    """
+    full = (1 << len(terms)) - 1
+    low = [0] * (full + 1)
+    at_low = [0] * (full + 1)
+    at_next = [0] * (full + 1)
+    for i, t in enumerate(terms):
+        at_low[1 << i] = 1 << t
+        at_next[1 << i] = 1 << t | adjacency[t]
+    rows = (low, at_low, at_next)
+    for mask in range(3, full + 1):
+        if mask & (mask - 1):
+            best, level0, level1 = _merge(rows, mask)
+            rest = level0
+            while rest:
+                bit = rest & -rest
+                level1 |= adjacency[bit.bit_length() - 1]
+                rest ^= bit
+            low[mask] = best
+            at_low[mask] = level0
+            at_next[mask] = level1
+    return rows
+
+
+def _value(rows: Rows, mask: int, v: int) -> int:
+    low, at_low, at_next = rows
+    return low[mask] + 2 - (at_low[mask] >> v & 1) - (at_next[mask] >> v & 1)
 
 
 def _splits(mask: int) -> list[int]:
@@ -215,44 +247,118 @@ def _splits(mask: int) -> list[int]:
         sub = (sub - 1) & rest
 
 
-def _merged(dp: list[list[int]], mask: int) -> list[int]:
-    """Element-wise minimum of dp[sub] + dp[mask ^ sub] over mask's splits."""
-    sums = [map(add, dp[sub], dp[mask ^ sub]) for sub in _splits(mask)]
-    return list(map(min, *sums)) if len(sums) > 1 else list(sums[0])
+def _merge(rows: Rows, mask: int) -> tuple[int, int, int]:
+    """Minimum over mask's splits of the summed rows, as (best, level0, level1).
+
+    best is the minimum of the merged row; level0 and level1 are the masks
+    of nodes whose merged value is at most best and at most best + 1.  A
+    split (A, B) with base s = low[A] + low[B] has its sum at most s on
+    a0 & b0, at most s + 1 on a0 & b1 | a1 & b0, at most s + 2 on
+    a0 | b0 | a1 & b1 and at most s + 3 on a1 | b1 (a0, a1 being at_low[A],
+    at_next[A], and b0, b1 those of B); the split's own minimum is s, s + 1
+    or s + 2, whichever of the first three is the first non-empty level.
+    The running levels are re-based when a split lowers best.  Merged
+    values above best + 1 (up to best + 4) are not kept: the row clips them
+    to best + 2, and `_split_at` recomputes one where the witness needs it.
+
+    Three steps are kept although no instance tried needs them: the level
+    at the old best is carried into level1 when best drops by exactly 1,
+    splits are skipped only when s > best + 1 (not s > best), and a split
+    with s = best + 1 still adds a0 & b0 to level1.  Each is what the exact
+    minimum requires; dropping one would need a proof that it never
+    changes a row, not a passing test.
+    """
+    low, at_low, at_next = rows
+    best = 1 << 30
+    level0 = level1 = 0
+    lowest = mask & -mask
+    others = mask ^ lowest
+    part = others
+    while part:
+        # The splits, as in `_splits`: sub holds mask's lowest bit.
+        part = (part - 1) & others
+        sub = part | lowest
+        rest = mask ^ sub
+        s = low[sub] + low[rest]
+        if s > best + 1:
+            continue
+        a0 = at_low[sub]
+        b0 = at_low[rest]
+        if s > best:
+            level1 |= a0 & b0
+            continue
+        a1 = at_next[sub]
+        b1 = at_next[rest]
+        # The split's minimum m and its levels at m and m + 1.
+        m = s
+        new0 = a0 & b0
+        new1 = a0 & b1 | a1 & b0
+        if not new0:
+            m += 1
+            new0 = new1
+            new1 = a0 | b0 | a1 & b1
+            if not new0:
+                m += 1
+                new0 = new1
+                new1 = a1 | b1
+        if m < best:
+            if m + 1 == best:
+                new1 |= level0
+            best, level0, level1 = m, new0, new1
+        elif m == best:
+            level0 |= new0
+            level1 |= new1
+        elif m == best + 1:
+            level1 |= new0
+    return best, level0, level1
+
+
+def _split_at(rows: Rows, mask: int, v: int) -> tuple[int, int]:
+    """v's merged value, unclipped, and the first split in `_splits` order that attains it."""
+    value, _, sub = min(
+        (_value(rows, sub, v) + _value(rows, mask ^ sub, v), i, sub)
+        for i, sub in enumerate(_splits(mask))
+    )
+    return value, sub
 
 
 def _rebuild(
-    dp: list[list[int]],
+    rows: Rows,
     terms: list[int],
-    neighbours: list[tuple[int, ...]],
+    adjacency: tuple[int, ...],
     mask: int,
     v: int,
     conns: set[Connection],
 ) -> None:
-    """Add the connections of an optimal tree for dp[mask][v].
+    """Add the connections of an optimal tree for row mask at v.
 
     The tie-breaking is that of a scan keeping the first strict improvement:
     v is reached from itself when its merged value is optimal, else from the
-    smallest u that attains the optimum, and the split at u is the first in
-    `_splits` order that attains merged[u].
+    smallest u whose merged value plus its distance to v attains the
+    optimum, and the split at u is the first in `_splits` order that attains
+    u's merged value.  Merged values are recomputed per node, unclipped,
+    because the row holds best + 2 for anything above best + 1.
     """
     if mask & (mask - 1) == 0:
         t = terms[mask.bit_length() - 1]
         if t != v:
             conns.add(connection(t, v))
         return
-    merged = _merged(dp, mask)
-    target = dp[mask][v]
+    target = _value(rows, mask, v)
+    merged, sub = _split_at(rows, mask, v)
     u = v
-    if merged[v] != target:
-        around = neighbours[v]
-        u = next(
-            u for u in range(len(merged))
-            if u != v and merged[u] + (1 if u in around else 2) == target
-        )
+    if merged != target:
+        # target is best + 1 (v neighbours level0) or best + 2 (it does not):
+        # u attains it from level0 at distance 1, or from level0 at distance
+        # 2 and from level1 at distance 1.
+        best, level0, level1 = _merge(rows, mask)
+        around = adjacency[v]
+        if target == best + 1:
+            candidates = level0 & around
+        else:
+            candidates = level0 | level1 & around
+        u = (candidates & -candidates).bit_length() - 1
         conns.add(connection(u, v))
-    sub = next(
-        sub for sub in _splits(mask) if dp[sub][u] + dp[mask ^ sub][u] == merged[u]
-    )
-    _rebuild(dp, terms, neighbours, sub, u, conns)
-    _rebuild(dp, terms, neighbours, mask ^ sub, u, conns)
+        sub = _split_at(rows, mask, u)[1]
+    _rebuild(rows, terms, adjacency, sub, u, conns)
+    _rebuild(rows, terms, adjacency, mask ^ sub, u, conns)

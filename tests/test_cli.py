@@ -1,12 +1,13 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
 from stp12 import cli, harness
 from stp12.cli import main
-from stp12.core import Solution
-from stp12.exact import brute_force_opt
+from stp12.core import Solution, cost, is_valid_solution
+from stp12.exact import brute_force_opt, dreyfus_wagner
 from stp12.io import parse_stp
 
 P3_TEXT = """\
@@ -291,3 +292,29 @@ def test_audit_beyond_subset_oracle_cap(tmp_path):
     assert main(["audit", str(gen_path), "--mode", "s4", "--out", str(out_path)]) == 0
     entry = json.loads(out_path.read_text())["audit"][0]
     assert entry["reference_cost"] > 0
+
+
+def test_audit_refuses_beyond_the_dreyfus_wagner_terminal_cap(tmp_path, capsys):
+    gen_path = tmp_path / "gnp.stp"
+    assert main(["gen", "--family", "random-gnp", "--param", "n=20",
+                 "--param", "p=1/5", "--param", "r=13", "--out", str(gen_path)]) == 0
+    capsys.readouterr()
+    assert main(["audit", str(gen_path)]) == 3
+    assert "refused: dreyfus_wagner refuses |R|=13 > cap 12" in capsys.readouterr().err
+
+
+def test_audit_reaches_two_thousand_nodes_with_ten_terminals(tmp_path):
+    # The reference is the Dreyfus-Wagner optimum: 2^10 bitmask rows over
+    # n = 2000 nodes take a few hundredths of a second.
+    gen_path = tmp_path / "gnp.stp"
+    assert main(["gen", "--family", "random-gnp", "--param", "n=2000",
+                 "--param", "p=4/1999", "--param", "r=10", "--out", str(gen_path)]) == 0
+    out_path = tmp_path / "audit.json"
+    start = time.perf_counter()
+    assert main(["audit", str(gen_path), "--out", str(out_path)]) == 0
+    assert time.perf_counter() - start < 1.0
+    entry = json.loads(out_path.read_text())["audit"][0]
+    inst = parse_stp(gen_path.read_text())
+    witness = dreyfus_wagner(inst).connections
+    assert is_valid_solution(inst, witness)
+    assert entry["reference_cost"] == cost(inst, witness)

@@ -97,3 +97,38 @@ def test_deterministic_witness():
     inst = random_instance(rng)
     assert brute_force_opt(inst) == brute_force_opt(inst)
     assert dreyfus_wagner(inst) == dreyfus_wagner(inst)
+
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # hypothesis is in the optional `test` extra
+    given = settings = None
+
+if given is not None:
+    @st.composite
+    def graphs(draw, max_nodes, max_terminals):
+        """Random graphs on up to max_nodes nodes with 1 to max_terminals terminals."""
+        n = draw(st.integers(1, max_nodes))
+        density = draw(st.sampled_from([15, 30, 50, 80]))
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if draw(st.integers(0, 99)) < density]
+        terminals = draw(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=max_terminals, unique=True)
+        )
+        return Instance.from_edges(n, edges, terminals)
+
+    # Well inside both oracles' caps.
+    within_caps = graphs(max_nodes=14, max_terminals=8)
+    oracle_settings = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+
+    @oracle_settings
+    @given(within_caps)
+    def test_dreyfus_wagner_cost_equals_subset_oracle_cost(inst):
+        assert dreyfus_wagner(inst).cost == brute_force_opt(inst).cost
+
+    @oracle_settings
+    @given(within_caps)
+    def test_isolated_non_terminal_changes_neither_oracle(inst):
+        padded = Instance.from_edges(inst.node_count + 1, inst.edges(), inst.terminals)
+        assert dreyfus_wagner(padded).cost == dreyfus_wagner(inst).cost
+        assert brute_force_opt(padded).cost == brute_force_opt(inst).cost

@@ -1,15 +1,25 @@
 """The exact oracles against verbatim copies of their former implementations.
 
-`brute_force_opt`, `_mst_over` and `dreyfus_wagner` below are the oracles as
-they were before the subset search priced subsets by component count and
-the DP kept only its value rows: Kruskal over every subset, and a DP that
-relaxes with n^2 distance lookups and keeps attach/split tables.  They are
-the reference: the current oracles must return the same `OptResult`, cost
-and connections, including every tie-break.
+Two references live here.
+
+* The witness reference: `brute_force_opt`, `_mst_over` and
+  `dreyfus_wagner` below are the oracles as they were before the subset
+  search priced subsets by component count and the DP kept only its value
+  rows: Kruskal over every subset, and a DP that relaxes with n^2 distance
+  lookups and keeps attach/split tables.  The current oracles must return
+  the same `OptResult`, cost and connections, including every tie-break.
+* The row reference: `value_rows`, `_splits` and `_merged` below are the
+  values-only DP as it was before each row became three bitmask levels:
+  one list of n ints per terminal subset, merged with one `map` per split
+  and relaxed over the neighbour lists, clipped at the row's minimum plus
+  2.  Every row of `exact._rows`, the table `dreyfus_wagner` builds, must
+  equal it node by node.  A row can differ while every witness agrees, so
+  this checks what the witness comparison cannot.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from operator import add
 
 from stp12 import exact
 from stp12.core import (
@@ -24,6 +34,7 @@ from stp12.core import (
 from stp12.exact import BRUTE_FORCE_NODE_CAP, DREYFUS_WAGNER_TERMINAL_CAP, OptResult
 from stp12.harness import full_corpus
 from stp12.io import GeneratorSpec, generate
+from test_exact import given, settings  # None without hypothesis
 
 _INF = 1 << 30
 
@@ -191,6 +202,70 @@ def dreyfus_wagner(instance: Instance) -> OptResult:
     return OptResult(total, result)
 
 
+def value_rows(instance: Instance) -> list[list[int]]:
+    """Every DP row of the values-only Dreyfus-Wagner, indexed by terminal subset."""
+    terms = sorted(instance.terminals)
+    k = len(terms)
+    n = instance.node_count
+    neighbours = [tuple(instance.neighbors(v)) for v in range(n)]
+    full = (1 << k) - 1
+    dp: list[list[int]] = [[] for _ in range(full + 1)]
+    for i, t in enumerate(terms):
+        row = [2] * n
+        for u in neighbours[t]:
+            row[u] = 1
+        row[t] = 0
+        dp[1 << i] = row
+
+    for mask in range(3, full + 1):
+        if mask & (mask - 1):
+            merged = _merged(dp, mask)
+            # Every value lies within 2 of the row's minimum, so only the
+            # neighbours of minimal nodes can be reached for less than that.
+            low = min(merged)
+            row = [value if value <= low + 1 else low + 2 for value in merged]
+            for u, value in enumerate(merged):
+                if value == low:
+                    for v in neighbours[u]:
+                        if row[v] > low + 1:
+                            row[v] = low + 1
+            dp[mask] = row
+    return dp
+
+
+def _splits(mask: int) -> list[int]:
+    """Proper submasks of mask that hold its lowest bit, in descending order."""
+    low = mask & -mask
+    rest = mask ^ low
+    subs = []
+    sub = (rest - 1) & rest
+    while True:
+        subs.append(sub | low)
+        if not sub:
+            return subs
+        sub = (sub - 1) & rest
+
+
+def _merged(dp: list[list[int]], mask: int) -> list[int]:
+    """Element-wise minimum of dp[sub] + dp[mask ^ sub] over mask's splits."""
+    sums = [map(add, dp[sub], dp[mask ^ sub]) for sub in _splits(mask)]
+    return list(map(min, *sums)) if len(sums) > 1 else list(sums[0])
+
+
+def bitmask_rows(instance: Instance) -> list[list[int]]:
+    """The rows `dreyfus_wagner` builds, decoded to one int per node.
+
+    Node v sits at low[S] when in at_low[S], at low[S] + 1 when only in
+    at_next[S], and at low[S] + 2 otherwise.
+    """
+    low, at_low, at_next = exact._rows(instance.adjacency, sorted(instance.terminals))
+    nodes = range(instance.node_count)
+    return [[]] + [
+        [base + 2 - (zero >> v & 1) - (one >> v & 1) for v in nodes]
+        for base, zero, one in zip(low[1:], at_low[1:], at_next[1:])
+    ]
+
+
 def outcome(oracle, instance):
     try:
         return oracle(instance)
@@ -239,3 +314,29 @@ def test_a_subset_that_only_ties_the_best_cost_can_still_win():
     assert exact.brute_force_opt(inst) == OptResult(
         6, frozenset({(1, 3), (1, 5), (1, 8), (3, 9), (4, 5), (6, 9)})
     )
+
+
+def test_dp_rows_match_row_reference():
+    for inst in corpus() + gnp_sample():
+        if len(inst.terminals) <= DREYFUS_WAGNER_TERMINAL_CAP:
+            assert bitmask_rows(inst) == value_rows(inst)
+
+
+def test_rows_keep_the_level_two_above_a_splits_base():
+    # Five terminals, edges 1-3 and 1-4.  Rows {0, 1, 3, 4} and the full
+    # set take their nodes at best + 1 from splits whose minimum best is one
+    # above their base, so from those splits' level at base + 2
+    # (a0 | b0 | a1 & b1).  Leaving that level out raises node 0 in both
+    # rows, and node 2 in the full one, by one.
+    inst = Instance.from_edges(5, [(1, 3), (1, 4)], range(5))
+    assert bitmask_rows(inst) == value_rows(inst)
+    assert exact.dreyfus_wagner(inst) == dreyfus_wagner(inst)
+
+
+if given is not None:
+    from test_exact import graphs
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(graphs(max_nodes=11, max_terminals=6))
+    def test_dp_rows_match_row_reference_on_random_graphs(inst):
+        assert bitmask_rows(inst) == value_rows(inst)
