@@ -4,10 +4,13 @@ Two independent oracles, used as ground truth for every ratio claim:
 
 * brute_force_opt enumerates Steiner node subsets and takes the minimum
   spanning tree of the 1/2 metric on terminals plus subset.  In a metric
-  space this sweep is provably optimal.  In the 1/2 metric a spanning tree
-  over a node set S costs (|S| - 1) + (c(S) - 1), where c(S) counts the
-  components of G[S], so each subset is priced by a flood fill and only a
-  subset that can match or beat the best tree so far is spanned.
+  space this sweep is provably optimal.  Subsets in which some Steiner node
+  has fewer than 3 unit edges inside the set are cut off during the search,
+  so its work follows the subsets that can still qualify.  In the 1/2
+  metric a spanning tree over a node set S costs (|S| - 1) + (c(S) - 1),
+  where c(S) counts the components of G[S], so each subset is priced by a
+  flood fill and only a subset that can match or beat the best tree so far
+  is spanned.
 * dreyfus_wagner is the classic dynamic program over terminal subsets,
   running on the metric closure (which here is simply: 1 for edges, 2 for
   everything else, so one relaxation step per mask suffices).  Since every
@@ -24,7 +27,6 @@ Both refuse inputs beyond their caps rather than grind.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from stp12.core import (
     CapExceeded,
@@ -55,15 +57,16 @@ def brute_force_opt(instance: Instance, max_nodes: int = BRUTE_FORCE_NODE_CAP) -
     attachment can be re-routed at no extra cost), and a tree has at most
     (#leaves - 2) branching nodes.
 
-    Subsets are tried by size, then in `combinations` order.  The witness
-    is the least (cost, sorted connections) over all of them.  A subset
-    whose price (|S| - 1) + (c(S) - 1) exceeds the best cost so far cannot
-    win and is not spanned; sizes stop once |R| + size - 1 exceeds it.  A
-    subset that only ties the cost is still spanned, because its sorted
-    connections may be smaller.
+    Subsets are tried by size, then in `combinations` order, and only those
+    whose every Steiner node has 3 unit edges inside the set (see
+    `_steiner_sets`).  The witness is the least (cost, sorted connections)
+    over all of them.  A subset whose price (|S| - 1) + (c(S) - 1) exceeds
+    the best cost so far cannot win and is not spanned; sizes stop once
+    |R| + size - 1 exceeds it.  A subset that only ties the cost is still
+    spanned, because its sorted connections may be smaller.
 
-    Time: O(n^2 log n) to sort the pairs, then O(|S|) per subset tried plus
-    O(n^2) per subset spanned.
+    Time: O(n^2 log n) to sort the pairs, then O(|S|) per branch of the
+    subset search plus O(n^2) per subset spanned.
     """
     if instance.node_count > max_nodes:
         raise CapExceeded(
@@ -96,23 +99,61 @@ def brute_force_opt(instance: Instance, max_nodes: int = BRUTE_FORCE_NODE_CAP) -
     for size in range(max_extra + 1):
         if best is not None and len(terms) + size - 1 > best[0]:
             break
-        for extra in combinations(candidates, size):
-            node_mask = term_mask
-            for v in extra:
-                node_mask |= 1 << v
-            # Every chosen Steiner node needs 3 unit edges inside the set.
-            for v in extra:
-                if (adjacency[v] & node_mask).bit_count() < 3:
-                    break
-            else:
-                price = len(terms) + size - 2 + _component_count(adjacency, node_mask)
-                if best is not None and price > best[0]:
-                    continue
-                tree = _mst_over(node_mask, len(terms) + size, all_pairs)
-                if best is None or tree < best:
-                    best = tree
+        for node_mask in _steiner_sets(adjacency, candidates, term_mask, size):
+            price = len(terms) + size - 2 + _component_count(adjacency, node_mask)
+            if best is not None and price > best[0]:
+                continue
+            tree = _mst_over(node_mask, len(terms) + size, all_pairs)
+            if best is None or tree < best:
+                best = tree
     assert best is not None
     return OptResult(best[0], frozenset(best[1]))
+
+
+def _steiner_sets(
+    adjacency: tuple[int, ...], candidates: list[int], term_mask: int, size: int
+) -> list[int]:
+    """Node masks R | S for every S of `size` candidates, in `combinations`
+    order, in which each node of S has at least 3 neighbours in R | S.
+
+    A depth-first search picks candidates in list order.  A branch ends as
+    soon as some picked node cannot reach 3 neighbours even if every later
+    candidate were picked; that set only shrinks as the next pick moves
+    right, so the rest of the loop ends with it.  The sets kept are exactly
+    those a filter over all of `combinations(candidates, size)` keeps, at a
+    cost that follows the branches alive rather than C(c, size).
+    """
+    if size == 0:
+        return [term_mask]
+    found: list[int] = []
+    count = len(candidates)
+    # later[j]: the candidates from index j on.
+    later = [0] * (count + 1)
+    for j in range(count - 1, -1, -1):
+        later[j] = later[j + 1] | 1 << candidates[j]
+
+    def grow(start: int, mask: int, picked: tuple[int, ...], left: int) -> None:
+        for j in range(start, count - left + 1):
+            v = candidates[j]
+            chosen = mask | 1 << v
+            reach = chosen | later[j + 1]
+            if (adjacency[v] & reach).bit_count() < 3:
+                continue
+            for u in picked:
+                if (adjacency[u] & reach).bit_count() < 3:
+                    return
+            if left > 1:
+                grow(j + 1, chosen, picked + (v,), left - 1)
+                continue
+            for u in picked:
+                if (adjacency[u] & chosen).bit_count() < 3:
+                    break
+            else:
+                if (adjacency[v] & chosen).bit_count() >= 3:
+                    found.append(chosen)
+
+    grow(0, term_mask, (), size)
+    return found
 
 
 def _component_count(adjacency: tuple[int, ...], node_mask: int) -> int:

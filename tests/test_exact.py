@@ -1,9 +1,10 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from stp12.core import CapExceeded, Instance, cost, is_valid_solution
-from stp12.exact import brute_force_opt, dreyfus_wagner
+from stp12.exact import _steiner_sets, brute_force_opt, dreyfus_wagner
 
 
 def star_gadget():
@@ -98,6 +99,24 @@ def test_deterministic_witness():
     assert brute_force_opt(inst) == brute_force_opt(inst)
     assert dreyfus_wagner(inst) == dreyfus_wagner(inst)
 
+
+
+def test_steiner_sets_keep_exactly_the_filtered_combinations():
+    # Every non-terminal is offered, degree < 3 included, so the search
+    # must cut branches that a filter over all combinations would reject.
+    rng = random.Random(12)
+    for _ in range(300):
+        inst = random_instance(rng, max_nodes=11, max_terminals=6)
+        adjacency = inst.adjacency
+        term_mask = sum(1 << t for t in inst.terminals)
+        candidates = [v for v in range(inst.node_count) if v not in inst.terminals]
+        for size in range(len(candidates) + 1):
+            expected = []
+            for extra in combinations(candidates, size):
+                mask = term_mask | sum(1 << v for v in extra)
+                if all((adjacency[v] & mask).bit_count() >= 3 for v in extra):
+                    expected.append(mask)
+            assert _steiner_sets(adjacency, candidates, term_mask, size) == expected
 
 try:
     from hypothesis import given, settings, strategies as st
