@@ -26,6 +26,8 @@ from stp12.heuristics import FINISHING_MODES, rayward_smith
 from stp12.sixphase import PACK3_STRATEGIES, six_phase
 
 ALGORITHMS = ("rs", "six-phase", "exact", "all")
+# Version of the JSON document `compare` writes.
+REPORT_SCHEMA_VERSION = 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -164,53 +166,38 @@ def _cmd_compare(args) -> int:
 
     runs = (
         ("rs", harness.RS_BOUND,
-         lambda inst, log=None: rayward_smith(inst, args.finishing, log=log)),
+         lambda inst, log: rayward_smith(inst, args.finishing, log=log)),
         ("six-phase", harness.SIX_PHASE_BOUND,
-         lambda inst, log=None: six_phase(inst, args.finishing, args.pack3, log=log)),
+         lambda inst, log: six_phase(inst, args.finishing, args.pack3, log=log)),
     )
     out_dir = str(args.out.parent if args.out is not None else Path.cwd())
+    checks = harness.check_instances(instances, runs, out_dir)
     reports = []
     worst: dict[str, Fraction] = {}
     violations = []
-    for name, inst in instances:
-        try:
-            opt = brute_force_opt(inst).cost
-        except CapExceeded as exc:
-            reports.append(stpio.RatioReport(name, None, {}, {}, skipped=str(exc)))
-            continue
-        costs = {}
-        ratios = {}
-        traces = {}
-        for alg, bound, solve in runs:
-            log: list[str] = []
-            solution = solve(inst, log)
-            key = f"{alg}/{args.finishing}"
-            costs[key] = solution.cost
-            traces[key] = log
-            # The algorithm in the checked name keeps the counterexample
-            # files of two algorithms on one instance apart.
-            ratio, violation = harness.check_ratio(
-                f"{alg}-{name}", inst, solution, opt, solve, bound, out_dir
-            )
-            if ratio is not None:
-                ratios[key] = ratio
-            if violation is not None:
-                violations.append({**violation, "instance": name, "algorithm": alg})
-        reports.append(stpio.RatioReport(name, opt, costs, ratios, traces=traces))
+    for check in checks:
+        keyed = {f"{run}/{args.finishing}": result for run, result in check.runs.items()}
+        ratios = {k: r.ratio for k, r in keyed.items() if r.ratio is not None}
+        reports.append({
+            "instance": check.name,
+            "opt_cost": check.opt,
+            "algorithm_costs": {k: r.cost for k, r in keyed.items()},
+            "ratios": {k: harness.fraction_json(v) for k, v in ratios.items()},
+            "skipped": check.skipped,
+            "traces": {k: r.log for k, r in keyed.items()},
+        })
+        violations.extend(r.violation for r in keyed.values() if r.violation is not None)
+        worst.update({k: max(v, worst.get(k, v)) for k, v in ratios.items()})
 
-        for key, value in ratios.items():
-            if value > worst.get(key, Fraction(0)):
-                worst[key] = value
-
-    document = json.loads(stpio.write_report(reports))
-    document["max_ratios"] = {
-        k: {"num": v.numerator, "den": v.denominator} for k, v in sorted(worst.items())
-    }
-    document["violations"] = violations
-    _emit(document, args.out)
+    _emit({
+        "schema_version": REPORT_SCHEMA_VERSION,
+        "reports": reports,
+        "max_ratios": {k: harness.fraction_json(v) for k, v in sorted(worst.items())},
+        "violations": violations,
+    }, args.out)
     if violations:
         return 1
-    if all(report.skipped for report in reports):
+    if all(check.skipped for check in checks):
         print("refused: the oracle cap skipped every instance", file=sys.stderr)
         return 3
     return 0

@@ -26,14 +26,13 @@ Both refuse inputs beyond their caps rather than grind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from stp12.core import (
     CapExceeded,
     Connection,
     DisjointSets,
     InputError,
     Instance,
+    Solution,
     connection,
     cost,
 )
@@ -42,13 +41,7 @@ BRUTE_FORCE_NODE_CAP = 24
 DREYFUS_WAGNER_TERMINAL_CAP = 12
 
 
-@dataclass(frozen=True)
-class OptResult:
-    cost: int
-    connections: frozenset[Connection]
-
-
-def brute_force_opt(instance: Instance, max_nodes: int = BRUTE_FORCE_NODE_CAP) -> OptResult:
+def brute_force_opt(instance: Instance, max_nodes: int = BRUTE_FORCE_NODE_CAP) -> Solution:
     """Optimum by enumerating Steiner subsets and spanning them minimally.
 
     Only subsets of non-terminals with graph degree >= 3 are tried, and only
@@ -76,7 +69,7 @@ def brute_force_opt(instance: Instance, max_nodes: int = BRUTE_FORCE_NODE_CAP) -
     if not terms:
         raise InputError("brute_force_opt needs at least one terminal")
     if len(terms) == 1:
-        return OptResult(0, frozenset())
+        return Solution(frozenset(), 0)
 
     adjacency = instance.adjacency
     term_mask = 0
@@ -107,7 +100,7 @@ def brute_force_opt(instance: Instance, max_nodes: int = BRUTE_FORCE_NODE_CAP) -
             if best is None or tree < best:
                 best = tree
     assert best is not None
-    return OptResult(best[0], frozenset(best[1]))
+    return Solution(frozenset(best[1]), best[0])
 
 
 def _steiner_sets(
@@ -193,7 +186,7 @@ def _mst_over(
     return total, tuple(sorted(picked))
 
 
-def dreyfus_wagner(instance: Instance) -> OptResult:
+def dreyfus_wagner(instance: Instance) -> Solution:
     """Steiner DP over terminal subsets on the 1/2 metric closure.
 
     Row S gives, for every node v, the cost of a cheapest tree spanning the
@@ -224,7 +217,7 @@ def dreyfus_wagner(instance: Instance) -> OptResult:
             f"dreyfus_wagner refuses |R|={k} > cap {DREYFUS_WAGNER_TERMINAL_CAP}"
         )
     if k == 1:
-        return OptResult(0, frozenset())
+        return Solution(frozenset(), 0)
 
     rows = _rows(instance.adjacency, terms)
     full = (1 << k) - 1
@@ -233,7 +226,7 @@ def dreyfus_wagner(instance: Instance) -> OptResult:
     result = frozenset(conns)
     total = cost(instance, result)
     assert total == _value(rows, full, terms[0]), "witness cost must match the DP optimum"
-    return OptResult(total, result)
+    return Solution(result, total)
 
 
 Rows = tuple[list[int], list[int], list[int]]

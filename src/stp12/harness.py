@@ -1,20 +1,26 @@
 """Fixed-seed acceptance suites wiring oracles to algorithms.
 
 Each suite returns a plain summary dict (JSON-serializable) and is
-deterministic for a fixed seed.  Violations carry minimized instances so a
-reported finding can be reproduced from its dump alone.
+deterministic for a fixed seed.  `check_instances` is the one check of a
+solver against the exact optimum; the ratio suites and `compare` use it.
+Violations carry minimized instances so a reported finding can be
+reproduced from its dump alone.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import re
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable
+from typing import Callable, Sequence
 
 from stp12 import io as stpio
 from stp12.core import (
     CapExceeded,
+    InputError,
     Instance,
     PartitionState,
     Solution,
@@ -320,42 +326,122 @@ def suite_oracles(
     }
 
 
+@dataclass(frozen=True)
+class RunCheck:
+    """One run on one instance.  `cost` is recomputed from the connections
+    (None when they leave the instance); `ratio` is that cost over the
+    optimum, None when the optimum is 0 or the solution was rejected."""
+
+    cost: int | None
+    ratio: Fraction | None
+    log: list[str]
+    violation: dict | None
+
+
+@dataclass(frozen=True)
+class InstanceCheck:
+    name: str
+    opt: int | None        # None when the oracle skipped the instance
+    skipped: str | None    # the oracle's cap message
+    runs: dict[str, RunCheck]
+
+
+# A solver under check: it gets the instance and a list for its log lines.
+Solve = Callable[[Instance, list[str]], Solution]
+
+
+def check_instances(
+    instances: list[tuple[str, Instance]],
+    runs: Sequence[tuple[str, Fraction, Solve]],
+    out_dir: str | None,
+) -> list[InstanceCheck]:
+    """Check every named run on every instance against `brute_force_opt`.
+
+    An instance beyond the oracle's cap is recorded with the cap message
+    and no runs.  A run's solution is rejected as "invalid solution" when
+    its connections leave the instance or miss a terminal, and as "cost
+    mismatch" when its reported cost differs from the recomputed one.  A
+    valid solution violates when it costs less than the optimum, when it
+    costs anything on a zero optimum, or when its ratio exceeds the run's
+    bound; the last is minimized by re-running `solve` and dumped as
+    `counterexample-<run>-<instance>.stp` in `out_dir`.  Every violation
+    record carries the instance and run names.
+    """
+    checks = []
+    for name, inst in instances:
+        try:
+            opt = brute_force_opt(inst).cost
+        except CapExceeded as exc:
+            checks.append(InstanceCheck(name, None, str(exc), {}))
+            continue
+        results = {}
+        for run, bound, solve in runs:
+            log: list[str] = []
+            solution = solve(inst, log)
+            got, violation = _checked_cost(inst, solution, opt)
+            ratio = None
+            if violation is None and opt:
+                ratio = Fraction(got, opt)
+                if ratio > bound:
+                    violation = _violation_record(f"{run}-{name}", inst, solve, bound, out_dir)
+            if violation is not None:
+                violation = {"instance": name, **violation, "algorithm": run}
+            results[run] = RunCheck(got, ratio, log, violation)
+        checks.append(InstanceCheck(name, opt, None, results))
+    return checks
+
+
+def _checked_cost(
+    instance: Instance, solution: Solution, opt: int
+) -> tuple[int | None, dict | None]:
+    """The solution's recomputed cost, and any violation other than its bound."""
+    try:
+        valid = is_valid_solution(instance, solution.connections)
+        got = cost(instance, solution.connections)
+    except InputError:
+        valid, got = False, None
+    if not valid or got != solution.cost:
+        reason = "cost mismatch" if valid else "invalid solution"
+        return got, {"reason": reason, "reported_cost": solution.cost, "algorithm_cost": got}
+    if got < opt or (got and not opt):
+        reason = "cost below the optimum" if opt else "nonzero on trivial"
+        return got, {"reason": reason, "opt": opt, "algorithm_cost": got}
+    return got, None
+
+
+def fraction_json(value: Fraction) -> dict[str, int]:
+    return {"num": value.numerator, "den": value.denominator}
+
+
 def _ratio_suite(
     suite_name: str,
+    run: str,
     bound: Fraction,
     solver: Callable[[Instance, str], Solution],
     corpus: list[tuple[str, Instance]] | None,
     out_dir: str | None,
 ) -> dict:
     instances = full_corpus() if corpus is None else corpus
-    warnings: list[str] = []
-    if not instances:
-        warnings.append("empty corpus: ratio bound passes vacuously")
-    max_ratio = Fraction(0)
-    max_instance = None
+    warnings = [] if instances else ["empty corpus: ratio bound passes vacuously"]
+    max_ratio, max_instance = Fraction(0), None
     violations: list[dict] = []
     skipped: list[str] = []
-
-    def solve(candidate: Instance) -> Solution:
-        return solver(candidate, "cheapest")
-
-    for name, inst in instances:
-        try:
-            opt = brute_force_opt(inst).cost
-        except CapExceeded as exc:
-            skipped.append(f"{name}: {exc}")
+    runs = [(run, bound, lambda candidate, log: solver(candidate, "cheapest"))]
+    for check in check_instances(instances, runs, out_dir):
+        if check.skipped is not None:
+            skipped.append(f"{check.name}: {check.skipped}")
             continue
-        ratio, violation = check_ratio(name, inst, solve(inst), opt, solve, bound, out_dir)
-        if ratio is not None and ratio > max_ratio:
-            max_ratio, max_instance = ratio, name
-        if violation is not None:
-            violations.append(violation)
+        result = check.runs[run]
+        if result.ratio is not None and result.ratio > max_ratio:
+            max_ratio, max_instance = result.ratio, check.name
+        if result.violation is not None:
+            violations.append(result.violation)
     return {
         "suite": suite_name,
         "passed": not violations,
-        "bound": {"num": bound.numerator, "den": bound.denominator},
+        "bound": fraction_json(bound),
         "instances": len(instances),
-        "max_ratio": {"num": max_ratio.numerator, "den": max_ratio.denominator},
+        "max_ratio": fraction_json(max_ratio),
         "max_ratio_instance": max_instance,
         "violations": violations,
         "skipped": skipped,
@@ -363,53 +449,25 @@ def _ratio_suite(
     }
 
 
-def check_ratio(
-    name: str,
-    instance: Instance,
-    solution: Solution,
-    opt: int,
-    solve: Callable[[Instance], Solution],
-    bound: Fraction,
-    out_dir: str | None,
-) -> tuple[Fraction | None, dict | None]:
-    """Check one solution of `solve` against the instance's optimum cost.
-
-    Returns the exact ratio (None when the optimum is 0 or the solution is
-    invalid) and a violation record, or None when the solution is valid and
-    within the bound.  A ratio violation is minimized by re-running `solve`
-    and dumped by `_violation_record`.
-    """
-    if not is_valid_solution(instance, solution.connections):
-        return None, {"instance": name, "reason": "invalid solution"}
-    if opt == 0:
-        if solution.cost != 0:
-            return None, {"instance": name, "reason": "nonzero on trivial"}
-        return None, None
-    ratio = Fraction(solution.cost, opt)
-    if ratio > bound:
-        return ratio, _violation_record(name, instance, solve, bound, out_dir)
-    return ratio, None
-
-
 def _violation_record(
     name: str,
     instance: Instance,
-    solve: Callable[[Instance], Solution],
+    solve: Solve,
     bound: Fraction,
     out_dir: str | None,
 ) -> dict:
+    def opt_and_cost(candidate: Instance) -> tuple[int, int]:
+        return (brute_force_opt(candidate).cost,
+                cost(candidate, solve(candidate, []).connections))
+
     def still_violates(candidate: Instance) -> bool:
-        opt = brute_force_opt(candidate).cost
-        if opt == 0:
-            return False
-        return Fraction(solve(candidate).cost, opt) > bound
+        opt, got = opt_and_cost(candidate)
+        return opt != 0 and Fraction(got, opt) > bound
 
     minimized = minimize_instance(instance, still_violates)
-    opt = brute_force_opt(minimized).cost
-    got = solve(minimized).cost
+    opt, got = opt_and_cost(minimized)
     dump = stpio.serialize_stp(minimized, f"counterexample-{name}")
     record = {
-        "instance": name,
         "reason": "ratio above bound",
         "minimized_nodes": minimized.node_count,
         "opt": opt,
@@ -417,9 +475,6 @@ def _violation_record(
         "dump": dump,
     }
     if out_dir is not None:
-        import os
-        import re
-
         safe = re.sub(r"[^A-Za-z0-9_.-]", "_", name)
         path = os.path.join(out_dir, f"counterexample-{safe}.stp")
         with open(path, "w", encoding="utf-8") as handle:
@@ -435,7 +490,7 @@ def suite_ratio_rs(
 ) -> dict:
     """Greedy heuristic ratio bound 4/3, checked exactly in rationals."""
     run = solver or (lambda inst, mode: rayward_smith(inst, mode))
-    return _ratio_suite("ratio-rayward-smith", RS_BOUND, run, corpus, out_dir)
+    return _ratio_suite("ratio-rayward-smith", "rs", RS_BOUND, run, corpus, out_dir)
 
 
 def suite_ratio_sixphase(
@@ -445,7 +500,7 @@ def suite_ratio_sixphase(
 ) -> dict:
     """Six-phase ratio bound 5/4, checked exactly in rationals."""
     run = solver or (lambda inst, mode: six_phase(inst, mode))
-    return _ratio_suite("ratio-six-phase", SIX_PHASE_BOUND, run, corpus, out_dir)
+    return _ratio_suite("ratio-six-phase", "six-phase", SIX_PHASE_BOUND, run, corpus, out_dir)
 
 
 def summary_json(summary: dict) -> str:

@@ -100,38 +100,24 @@ def finishing(state: PartitionState, mode: str = "cheapest") -> Solution:
     if len(roots) <= 1:
         return Solution.from_connections(instance, conns)
 
-    anchors = _smallest_terminal_per_component(state, roots)
-    if mode == "strict-paper":
-        for a, b in zip(roots, roots[1:]):
-            conns.append(connection(anchors[a], anchors[b]))
-        return Solution.from_connections(instance, conns)
-
-    # cheapest: Kruskal on the component metric (1 with a representative
-    # edge, 2 otherwise), which is optimal for two-valued weights.
-    wanted = set(roots)
+    # Kruskal on the component metric (1 with a representative edge, 2
+    # otherwise), which is optimal for two-valued weights.  strict-paper
+    # takes no edge, so it chains every component.
     group = DisjointSets(instance.node_count)
-    merged = 0
-    between = [(key, rep) for key, rep in induced_graph(state).items()
-               if key[0] in wanted and key[1] in wanted]
-    for (a, b), rep in sorted(between):
-        if group.union(a, b):
-            conns.append(connection(*rep))
-            merged += 1
-    if merged < len(roots) - 1:
-        remaining = sorted({group.find(r) for r in roots})
-        for a, b in zip(remaining, remaining[1:]):
-            conns.append(connection(anchors[a], anchors[b]))
+    if mode == "cheapest":
+        wanted = set(roots)
+        between = [(key, rep) for key, rep in induced_graph(state).items()
+                   if key[0] in wanted and key[1] in wanted]
+        for (a, b), rep in sorted(between):
+            if group.union(a, b):
+                conns.append(connection(*rep))
+    anchors: dict[int, int] = {}    # each component's smallest terminal
+    for t in sorted(instance.terminals):
+        anchors.setdefault(state.find(t), t)
+    remaining = sorted({group.find(r) for r in roots})
+    for a, b in zip(remaining, remaining[1:]):
+        conns.append(connection(anchors[a], anchors[b]))
     return Solution.from_connections(instance, conns)
-
-
-def _smallest_terminal_per_component(state: PartitionState, roots: list[int]) -> dict[int, int]:
-    anchors: dict[int, int] = {}
-    wanted = set(roots)
-    for t in sorted(state.instance.terminals):
-        root = state.find(t)
-        if root in wanted and root not in anchors:
-            anchors[root] = t
-    return anchors
 
 
 def rayward_smith(

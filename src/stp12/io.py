@@ -1,4 +1,4 @@
-"""Instance files, instance generators, and report serialization.
+"""Instance files and instance generators.
 
 Instances travel in the community STP format: a Graph section with `E u v w`
 lines and a Terminals section with `T v` lines, 1-based ids.  Only weights 1
@@ -8,12 +8,11 @@ the metric already makes every absent pair cost 2.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Iterable
+from typing import Any
 
 from stp12.core import CapExceeded, InputError, Instance
 
@@ -22,8 +21,6 @@ STP_MAGIC = "33D32945 STP File, STP Format Version 1.0"
 GENERATOR_FAMILIES = (
     "random-gnp", "random-sparse", "star-cluster", "comet-chain", "bp-adversarial"
 )
-
-REPORT_SCHEMA_VERSION = 1
 
 # Largest node count parse_stp and generate accept; an Instance holds one
 # adjacency bitmask per node, allocated from the declared count.
@@ -45,11 +42,13 @@ def parse_stp(text: str) -> Instance:
 
     A declared Edges or Terminals count must equal the E or T lines present.
     A Nodes count above MAX_NODES is refused with CapExceeded on its line,
-    before anything is allocated for it.
+    before anything is allocated for it.  Every other malformed line raises
+    ParseError with its number, for example a line outside any SECTION, a
+    Nodes count below 1 or given twice, or a terminal listed twice.
     """
     node_count: int | None = None
     edges: list[tuple[int, int]] = []
-    terminals: list[int] = []
+    terminals: set[int] = set()
     edge_lines = 0
     # (declared count, line of the declaration) for Edges and Terminals
     declared: dict[str, tuple[int, int]] = {}
@@ -70,9 +69,15 @@ def parse_stp(text: str) -> Instance:
             continue
         if keyword == "EOF":
             break
+        if section is None:
+            raise ParseError(f"line outside any SECTION: {line!r}", lineno)
         if section == "graph":
             if keyword == "NODES":
+                if node_count is not None:
+                    raise ParseError("second Nodes line", lineno)
                 node_count = _int_field(tokens, 1, lineno, "Nodes")
+                if node_count < 1:
+                    raise ParseError(f"Nodes must be at least 1, got {node_count}", lineno)
                 if node_count > MAX_NODES:
                     raise CapExceeded(
                         f"line {lineno}: Nodes {node_count} above the limit {MAX_NODES}"
@@ -105,7 +110,9 @@ def parse_stp(text: str) -> Instance:
                 t = _int_field(tokens, 1, lineno, "T")
                 if node_count is None or not (1 <= t <= node_count):
                     raise ParseError("terminal out of range", lineno)
-                terminals.append(t - 1)
+                if t - 1 in terminals:
+                    raise ParseError(f"terminal {t} listed twice", lineno)
+                terminals.add(t - 1)
             else:
                 raise ParseError(f"unknown Terminals line {line!r}", lineno)
         # content of other sections (Comment, ...) is ignored
@@ -339,38 +346,3 @@ def _generate_bp_adversarial(spec: GeneratorSpec) -> Instance:
         if i + 1 < depth:
             edges.append((center, i + 1))
     return Instance.from_edges(3 * depth, edges, terminals)
-
-
-@dataclass(frozen=True)
-class RatioReport:
-    """Per-instance comparison of algorithm costs against the exact optimum."""
-
-    instance_id: str
-    opt_cost: int | None
-    algorithm_costs: dict[str, int]
-    ratios: dict[str, Fraction]
-    skipped: str | None = None
-    traces: dict[str, list[str]] = field(default_factory=dict)
-
-
-def write_report(reports: Iterable[RatioReport]) -> str:
-    """Serialize reports as a stable, versioned JSON document."""
-    payload = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "reports": [
-            {
-                "instance": r.instance_id,
-                "opt_cost": r.opt_cost,
-                "algorithm_costs": {k: r.algorithm_costs[k] for k in sorted(r.algorithm_costs)},
-                "ratios": {k: _fraction_json(r.ratios[k]) for k in sorted(r.ratios)},
-                "skipped": r.skipped,
-                "traces": {k: list(r.traces[k]) for k in sorted(r.traces)},
-            }
-            for r in reports
-        ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=False) + "\n"
-
-
-def _fraction_json(value: Fraction) -> dict[str, int]:
-    return {"num": value.numerator, "den": value.denominator}

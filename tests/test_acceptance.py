@@ -1,37 +1,33 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Every bound is checked exactly in rational arithmetic; the shared corpus is
-1000 fixed-seed random instances within the oracle caps plus the structured
-gadgets plus the adversarial sweep.  Run with `pytest tests/test_acceptance.py -s`
-to see the per-criterion lines.
+Criteria 2-6 are verdicts of the harness suites on their default fixed-seed
+corpora: `suite_oracles` for the oracle, matching and comet-search checks,
+and `suite_ratio_rs` and `suite_ratio_sixphase` for the ratio bounds, which
+they check exactly in rational arithmetic over 1000 random instances within
+the oracle caps plus the structured gadgets plus the adversarial sweep.  Run
+with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 """
 
-import random
 from fractions import Fraction
 
 import pytest
 
 from stp12.audit import ReferenceSolution, decompose, normalize
-from stp12.core import PartitionState, cost, is_valid_solution
-from stp12.exact import brute_force_opt, dreyfus_wagner
+from stp12.core import cost, is_valid_solution
+from stp12.exact import brute_force_opt
 from stp12.harness import (
-    DEFAULT_SEED,
     bp_sweep,
     brute_force_matching_size,
-    exhaustive_min_cost_index,
-    gadget_corpus,
+    full_corpus,
     random_corpus,
     suite_oracles,
     suite_ratio_rs,
+    suite_ratio_sixphase,
     summary_json,
 )
-from stp12.heuristics import preprocess_terminal_edges, rayward_smith
-from stp12.io import GeneratorSpec, generate, parse_stp, serialize_stp
+from stp12.heuristics import rayward_smith
 from stp12.matching import AuxGraph, max_matching
-from stp12.sixphase import best_comet, cost_index, six_phase, structure_cost_index
-
-RS_BOUND = Fraction(4, 3)
-SP_BOUND = Fraction(5, 4)
+from stp12.sixphase import cost_index, six_phase
 
 
 def report(criterion: str, passed: bool, detail: str = "") -> None:
@@ -42,24 +38,18 @@ def report(criterion: str, passed: bool, detail: str = "") -> None:
 
 
 @pytest.fixture(scope="module")
-def corpus():
-    return random_corpus(count=1000, seed=DEFAULT_SEED) + gadget_corpus()
+def corpus_with_opt():
+    return [(name, inst, brute_force_opt(inst).cost) for name, inst in full_corpus()]
 
 
 @pytest.fixture(scope="module")
-def corpus_with_opt(corpus):
-    out = []
-    for name, inst in corpus:
-        out.append((name, inst, brute_force_opt(inst, max_nodes=24).cost))
-    return out
+def oracles():
+    return suite_oracles()
 
 
-@pytest.fixture(scope="module")
-def sweep_with_opt():
-    return [
-        (name, inst, brute_force_opt(inst, max_nodes=24).cost)
-        for name, inst in bp_sweep(7)
-    ]
+def assert_no_mismatch(oracles: dict, check: str) -> None:
+    found = [m for m in oracles["mismatches"] if m["check"] == check]
+    assert not found, found[0]
 
 
 def test_criterion_1_cost_index_closed_forms():
@@ -74,119 +64,55 @@ def test_criterion_1_cost_index_closed_forms():
     report("criterion 1 (cost-index closed forms)", True, "s<=50, a,b<=20, exact")
 
 
-def test_criterion_2_oracle_agreement(corpus_with_opt):
-    checked = 0
-    for name, inst, opt in corpus_with_opt:
-        if len(inst.terminals) > 12:
-            continue
-        dw = dreyfus_wagner(inst)
-        assert dw.cost == opt, f"oracle mismatch on {name}: dw={dw.cost} bf={opt}"
-        assert is_valid_solution(inst, dw.connections)
-        assert cost(inst, dw.connections) == dw.cost
-        checked += 1
+def test_criterion_2_oracle_agreement(oracles):
+    checked = oracles["checked"]["steiner_instances"]
+    assert_no_mismatch(oracles, "dreyfus_wagner-vs-brute_force")
     report("criterion 2 (oracle agreement)", checked >= 1000, f"{checked} instances")
 
 
-def test_criterion_3_matching_correctness():
-    rng = random.Random(DEFAULT_SEED + 3)
-    cases = []
-    for _ in range(500):
-        n = rng.randint(1, 12)
-        p = rng.choice((0.15, 0.3, 0.6))
-        cases.append((n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                          if rng.random() < p]))
-    for k in (3, 5, 7, 9, 11):
-        cases.append((k, [(i, (i + 1) % k) for i in range(k)]))
+def test_criterion_3_matching_correctness(oracles):
+    assert_no_mismatch(oracles, "matching-vs-brute-force")
+    cycles = [(k, [(i, (i + 1) % k) for i in range(k)]) for k in (3, 5, 7, 9, 11)]
     petersen = (
         [(i, (i + 1) % 5) for i in range(5)]
         + [(i, i + 5) for i in range(5)]
         + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     )
-    cases.append((10, petersen))
-    for n, edges in cases:
-        aux = AuxGraph.build(edges)
-        got = len(max_matching(aux))
-        want = brute_force_matching_size(n, edges)
-        assert got == want, (n, edges)
-    assert len(max_matching(AuxGraph.build(petersen))) == 5
-    report("criterion 3 (matching correctness)", True, f"{len(cases)} graphs incl. Petersen")
+    for n, edges in cycles + [(10, petersen)]:
+        assert len(max_matching(AuxGraph.build(edges))) == n // 2, (n, edges)
+        assert brute_force_matching_size(n, edges) == n // 2, (n, edges)
+    graphs = oracles["checked"]["matching_graphs"] + len(cycles) + 1
+    report("criterion 3 (matching correctness)", graphs >= 500,
+           f"{graphs} graphs incl. Petersen")
 
 
-def test_criterion_4_comet_search_correctness():
-    rng = random.Random(DEFAULT_SEED + 4)
-    count = 0
-    for _ in range(300):
-        n = rng.randint(2, 12)
-        p = rng.choice((Fraction(1, 5), Fraction(7, 20), Fraction(1, 2)))
-        r = rng.randint(1, min(6, n))
-        spec = GeneratorSpec("random-gnp", {"n": n, "p": p, "r": r},
-                             seed=rng.getrandbits(32))
-        inst = generate(spec)
-        state = PartitionState(inst)
-        preprocess_terminal_edges(state)
-        structure = best_comet(state)
-        got = None if structure is None else structure_cost_index(structure)
-        want = exhaustive_min_cost_index(state)
-        assert got == want, spec.instance_id()
-        count += 1
+def test_criterion_4_comet_search_correctness(oracles):
+    count = oracles["checked"]["comet_instances"]
+    assert_no_mismatch(oracles, "best_comet-vs-enumeration")
     report("criterion 4 (comet search correctness)", count >= 300, f"{count} instances")
 
 
-def test_criterion_5_rayward_smith_ratio(corpus_with_opt, sweep_with_opt):
-    max_ratio = Fraction(0)
-    for name, inst, opt in corpus_with_opt + sweep_with_opt:
-        got = rayward_smith(inst).cost
-        if opt == 0:
-            assert got == 0, name
-            continue
-        ratio = Fraction(got, opt)
-        assert ratio <= RS_BOUND, f"{name}: ratio {ratio} > 4/3"
-        max_ratio = max(max_ratio, ratio)
-    sweep_max = max(
-        Fraction(rayward_smith(inst).cost, opt) for _, inst, opt in sweep_with_opt
-    )
-    assert sweep_max >= Fraction(13, 10), f"sweep only reached {sweep_max}"
-    report(
-        "criterion 5 (greedy ratio <= 4/3, sweep >= 1.30)",
-        True,
-        f"max={max_ratio}, sweep max={sweep_max}",
-    )
+def test_criterion_5_rayward_smith_ratio():
+    summary = suite_ratio_rs()
+    assert summary["instances"] == len(full_corpus()) and not summary["skipped"]
+    max_ratio = Fraction(summary["max_ratio"]["num"], summary["max_ratio"]["den"])
+    assert max_ratio == Fraction(13, 10)
+    assert summary["max_ratio_instance"] == "bp-adversarial(depth=7,seed=0)"
+    report("criterion 5 (greedy ratio <= 4/3, max 13/10 at depth 7)", summary["passed"],
+           f"max={max_ratio} at {summary['max_ratio_instance']}")
 
 
-def test_criterion_6_six_phase_ratio(corpus_with_opt, sweep_with_opt, tmp_path):
-    violations = []
-    max_ratio = Fraction(0)
-    for name, inst, opt in corpus_with_opt + sweep_with_opt:
-        got = six_phase(inst).cost
-        if opt == 0:
-            assert got == 0, name
-            continue
-        ratio = Fraction(got, opt)
-        max_ratio = max(max_ratio, ratio)
-        if ratio > SP_BOUND:
-            violations.append((name, inst, ratio))
-    for name, inst, ratio in violations:
-        from stp12.harness import minimize_instance
-
-        def still_violates(candidate):
-            opt = brute_force_opt(candidate, max_nodes=24).cost
-            return opt > 0 and Fraction(six_phase(candidate).cost, opt) > SP_BOUND
-
-        minimized = minimize_instance(inst, still_violates)
-        path = tmp_path / f"counterexample-sixphase-{len(violations)}.stp"
-        path.write_text(serialize_stp(minimized, name))
-        reloaded = parse_stp(path.read_text())
-        assert still_violates(reloaded), "dump must reproduce the violation"
-        print(f"six-phase violation on {name}: ratio {ratio}, dump {path}")
-    report(
-        "criterion 6 (six-phase ratio <= 5/4)",
-        not violations,
-        f"max={max_ratio}" if not violations else f"{len(violations)} violations dumped",
-    )
+def test_criterion_6_six_phase_ratio(tmp_path):
+    summary = suite_ratio_sixphase(out_dir=str(tmp_path))
+    assert summary["instances"] == len(full_corpus()) and not summary["skipped"]
+    max_ratio = Fraction(summary["max_ratio"]["num"], summary["max_ratio"]["den"])
+    detail = (f"max={max_ratio}" if summary["passed"] else
+              f"{len(summary['violations'])} violations dumped to {tmp_path}")
+    report("criterion 6 (six-phase ratio <= 5/4)", summary["passed"], detail)
 
 
-def test_criterion_7_dominance_sanity(corpus_with_opt, sweep_with_opt):
-    for name, inst, opt in corpus_with_opt + sweep_with_opt:
+def test_criterion_7_dominance_sanity(corpus_with_opt):
+    for name, inst, opt in corpus_with_opt:
         rs_cheap = rayward_smith(inst, "cheapest").cost
         rs_strict = rayward_smith(inst, "strict-paper").cost
         sp_cheap = six_phase(inst, "cheapest").cost

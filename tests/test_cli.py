@@ -9,6 +9,7 @@ from stp12.cli import main
 from stp12.core import Solution, cost, is_valid_solution
 from stp12.exact import brute_force_opt, dreyfus_wagner
 from stp12.io import parse_stp
+from test_harness import lying_solver
 
 P3_TEXT = """\
 SECTION Graph
@@ -156,6 +157,35 @@ def test_compare_reports_ratios_and_max(tmp_path):
     assert payload["violations"] == []
 
 
+def test_compare_document_format(p3_file, tmp_path):
+    out_path = tmp_path / "report.json"
+    assert main(["compare", str(p3_file), "--out", str(out_path)]) == 0
+    one = {"num": 1, "den": 1}
+    runs = ("rs/cheapest", "six-phase/cheapest")
+    expected = {
+        "schema_version": 1,
+        "reports": [{
+            "instance": "p3.stp",
+            "opt_cost": 2,
+            "algorithm_costs": dict.fromkeys(runs, 2),
+            "ratios": dict.fromkeys(runs, one),
+            "skipped": None,
+            "traces": {
+                "rs/cheapest": ["preprocessing: cost 0", "finishing (cheapest): cost 2"],
+                "six-phase/cheapest": [
+                    "phase 1 terminal edges: cost 0",
+                    "phase 4 packed 0 disjoint 3-stars (exact)",
+                    "phase 5 upgraded 0 to (1,3)-comets: cost 0",
+                    "finishing (cheapest): cost 2",
+                ],
+            },
+        }],
+        "max_ratios": dict.fromkeys(runs, one),
+        "violations": [],
+    }
+    assert out_path.read_text() == json.dumps(expected, indent=2) + "\n"
+
+
 def test_compare_checks_the_depth7_witness(tmp_path):
     # n = 21: the harness and compare share one oracle cap, so the paper's
     # 13/10 witness is checked here rather than skipped.
@@ -211,6 +241,36 @@ def test_compare_flags_an_invalid_solution(tmp_path, monkeypatch):
     assert violation["reason"] == "invalid solution"
 
 
+def test_compare_recomputes_a_lying_solvers_cost(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "rayward_smith", lying_solver)
+    out_path = tmp_path / "report.json"
+    code = main([
+        "compare", "--family", "star-cluster", "--param", "k=4", "--param", "m=1",
+        "--out", str(out_path),
+    ])
+    assert code == 1
+    payload = json.loads(out_path.read_text())
+    assert payload["reports"][0]["algorithm_costs"]["rs/cheapest"] == 6
+    [violation] = payload["violations"]
+    assert violation["algorithm"] == "rs"
+    assert violation["reason"] == "cost mismatch"
+
+
+def test_compare_reports_a_connection_outside_the_instance(tmp_path, monkeypatch):
+    def outside(inst, mode, pack3, log=None):
+        return Solution(frozenset({(0, inst.node_count)}), 2)
+
+    monkeypatch.setattr(cli, "six_phase", outside)
+    out_path = tmp_path / "report.json"
+    code = main([
+        "compare", "--family", "star-cluster", "--param", "k=4", "--param", "m=1",
+        "--out", str(out_path),
+    ])
+    assert code == 1
+    [violation] = json.loads(out_path.read_text())["violations"]
+    assert violation["reason"] == "invalid solution"
+
+
 def test_compare_skips_over_cap_instances(tmp_path):
     out_path = tmp_path / "report.json"
     code = main([
@@ -226,6 +286,11 @@ def test_compare_refuses_a_count_below_one(capsys):
     assert main(["compare", "--family", "star-cluster", "--param", "k=4",
                  "--param", "m=1", "--count", "-2"]) == 2
     assert "--count" in capsys.readouterr().err
+
+
+def test_compare_refuses_no_instances(capsys):
+    assert main(["compare"]) == 2
+    assert "compare needs input files or --family" in capsys.readouterr().err
 
 
 def test_compare_with_one_instance_in_cap_exits_zero(p3_file, tmp_path):

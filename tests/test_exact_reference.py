@@ -7,7 +7,9 @@ Two references live here.
   search priced subsets by component count and the DP kept only its value
   rows: Kruskal over every subset, and a DP that relaxes with n^2 distance
   lookups and keeps attach/split tables.  The current oracles must return
-  the same `OptResult`, cost and connections, including every tie-break.
+  the same `Solution`, cost and connections, including every tie-break.
+  The copies return `Solution` as the oracles now do; the result type
+  they returned before carried the same two fields.
 * The row reference: `value_rows`, `_splits` and `_merged` below are the
   values-only DP as it was before each row became three bitmask levels:
   one list of n ints per terminal subset, merged with one `map` per split
@@ -28,10 +30,11 @@ from stp12.core import (
     DisjointSets,
     InputError,
     Instance,
+    Solution,
     connection,
     cost,
 )
-from stp12.exact import BRUTE_FORCE_NODE_CAP, DREYFUS_WAGNER_TERMINAL_CAP, OptResult
+from stp12.exact import BRUTE_FORCE_NODE_CAP, DREYFUS_WAGNER_TERMINAL_CAP
 from stp12.harness import full_corpus
 from stp12.io import GeneratorSpec, generate
 from test_exact import given, settings  # None without hypothesis
@@ -39,7 +42,7 @@ from test_exact import given, settings  # None without hypothesis
 _INF = 1 << 30
 
 
-def brute_force_opt(instance: Instance, max_nodes: int = BRUTE_FORCE_NODE_CAP) -> OptResult:
+def brute_force_opt(instance: Instance, max_nodes: int = BRUTE_FORCE_NODE_CAP) -> Solution:
     """Optimum by enumerating Steiner subsets and spanning them minimally.
 
     Only subsets of non-terminals with graph degree >= 3 are tried, and only
@@ -56,7 +59,7 @@ def brute_force_opt(instance: Instance, max_nodes: int = BRUTE_FORCE_NODE_CAP) -
     if not terms:
         raise InputError("brute_force_opt needs at least one terminal")
     if len(terms) == 1:
-        return OptResult(0, frozenset())
+        return Solution(frozenset(), 0)
 
     term_mask = 0
     for t in terms:
@@ -87,7 +90,7 @@ def brute_force_opt(instance: Instance, max_nodes: int = BRUTE_FORCE_NODE_CAP) -
             if best is None or (tree[0], tree[1]) < best:
                 best = tree
     assert best is not None
-    return OptResult(best[0], frozenset(best[1]))
+    return Solution(frozenset(best[1]), best[0])
 
 
 def _mst_over(
@@ -111,7 +114,7 @@ def _mst_over(
     return total, tuple(sorted(picked))
 
 
-def dreyfus_wagner(instance: Instance) -> OptResult:
+def dreyfus_wagner(instance: Instance) -> Solution:
     """Steiner DP over terminal subsets on the 1/2 metric closure.
 
     O(3^k n + 2^k n^2) time for k terminals.  Agrees with brute_force_opt
@@ -126,7 +129,7 @@ def dreyfus_wagner(instance: Instance) -> OptResult:
             f"dreyfus_wagner refuses |R|={k} > cap {DREYFUS_WAGNER_TERMINAL_CAP}"
         )
     if k == 1:
-        return OptResult(0, frozenset())
+        return Solution(frozenset(), 0)
 
     n = instance.node_count
 
@@ -199,7 +202,7 @@ def dreyfus_wagner(instance: Instance) -> OptResult:
     result = frozenset(conns)
     total = cost(instance, result)
     assert total == dp[full][root], "witness cost must match the DP optimum"
-    return OptResult(total, result)
+    return Solution(result, total)
 
 
 def value_rows(instance: Instance) -> list[list[int]]:
@@ -311,8 +314,8 @@ def test_a_subset_that_only_ties_the_best_cost_can_still_win():
         (1 if inst.has_edge(u, v) else 2, u, v) for u in range(10) for v in range(u + 1, 10)
     ))
     assert terminals_only[0] == 6 and (1, 5) in terminals_only[1]
-    assert exact.brute_force_opt(inst) == OptResult(
-        6, frozenset({(1, 3), (1, 5), (1, 8), (3, 9), (4, 5), (6, 9)})
+    assert exact.brute_force_opt(inst) == Solution(
+        frozenset({(1, 3), (1, 5), (1, 8), (3, 9), (4, 5), (6, 9)}), 6
     )
 
 

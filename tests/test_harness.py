@@ -1,7 +1,7 @@
 from fractions import Fraction
 
-from stp12.core import Instance, PartitionState
-from stp12.exact import OptResult, dreyfus_wagner
+from stp12.core import Instance, PartitionState, Solution
+from stp12.exact import brute_force_opt, dreyfus_wagner
 from stp12.harness import (
     bp_sweep,
     brute_force_matching_size,
@@ -18,6 +18,14 @@ from stp12.harness import (
 )
 from stp12.heuristics import preprocess_terminal_edges
 from stp12.io import generate, GeneratorSpec
+
+FOUR_STAR = ("4-star", generate(GeneratorSpec("star-cluster", {"k": 4, "m": 1})))
+
+
+def lying_solver(inst, mode="cheapest", log=None):
+    """Negative control: finishing-only connections (6 on a 4-star whose
+    optimum is 4) reported at the optimum's cost."""
+    return Solution(finishing_only_solver(inst, mode).connections, brute_force_opt(inst).cost)
 
 
 def small_oracle_run(**overrides):
@@ -36,7 +44,7 @@ def test_suite_oracles_detects_mutated_dreyfus_wagner():
     def broken(instance):
         honest = dreyfus_wagner(instance)
         if honest.cost > 0:
-            return OptResult(honest.cost + 1, honest.connections)
+            return Solution(honest.connections, honest.cost + 1)
         return honest
 
     summary = small_oracle_run(dw_solver=broken)
@@ -55,9 +63,8 @@ def test_ratio_suite_passes_on_small_corpus(tmp_path):
 
 def test_ratio_suite_flags_weak_stub_and_dumps_counterexample(tmp_path):
     # the finishing-only stub exceeds 4/3 on a plain 4-star (6 vs 4)
-    corpus = [("4-star", generate(GeneratorSpec("star-cluster", {"k": 4, "m": 1})))]
     summary = suite_ratio_rs(
-        corpus,
+        [FOUR_STAR],
         solver=lambda inst, mode: finishing_only_solver(inst, mode),
         out_dir=str(tmp_path),
     )
@@ -69,11 +76,29 @@ def test_ratio_suite_flags_weak_stub_and_dumps_counterexample(tmp_path):
     assert dumped, "expected a counterexample artifact on disk"
     # the dump reproduces the violation
     from stp12.io import parse_stp
-    from stp12.exact import brute_force_opt
 
     reloaded = parse_stp(dumped[0].read_text())
     opt = brute_force_opt(reloaded).cost
     assert Fraction(finishing_only_solver(reloaded).cost, opt) > Fraction(4, 3)
+
+
+def test_ratio_suite_recomputes_a_lying_solvers_cost():
+    summary = suite_ratio_rs([FOUR_STAR], solver=lying_solver)
+    assert not summary["passed"]
+    [violation] = summary["violations"]
+    assert violation == {"instance": "4-star", "reason": "cost mismatch",
+                         "reported_cost": 4, "algorithm_cost": 6, "algorithm": "rs"}
+
+
+def test_ratio_suite_reports_a_connection_outside_the_instance():
+    def outside(inst, mode):
+        return Solution(frozenset({(0, inst.node_count)}), 2)
+
+    summary = suite_ratio_sixphase([FOUR_STAR], solver=outside)
+    assert not summary["passed"]
+    [violation] = summary["violations"]
+    assert violation["reason"] == "invalid solution"
+    assert violation["algorithm_cost"] is None
 
 
 def test_empty_corpus_is_vacuous_pass_with_warning():
@@ -114,7 +139,6 @@ def test_minimize_instance_shrinks_to_core():
         list(inst.edges()) + [(5, 6), (6, 7)],
         inst.terminals,
     )
-    from stp12.exact import brute_force_opt
 
     def violates(candidate):
         opt = brute_force_opt(candidate).cost

@@ -4,17 +4,16 @@ from fractions import Fraction
 import pytest
 
 from stp12 import io as stpio
-from stp12.core import CapExceeded, InputError
+from stp12.core import CapExceeded, InputError, Instance
 from stp12.exact import brute_force_opt
 from stp12.heuristics import rayward_smith
 from stp12.io import (
+    STP_MAGIC,
     GeneratorSpec,
     ParseError,
-    RatioReport,
     generate,
     parse_stp,
     serialize_stp,
-    write_report,
 )
 from stp12.sixphase import six_phase
 
@@ -96,6 +95,25 @@ def test_parse_rejects_mismatched_declared_counts(graph, terminals, line):
         f"SECTION Graph\nNodes 3\n{graph}END\n"
         f"SECTION Terminals\n{terminals}END\nEOF\n"
     )
+    with pytest.raises(ParseError) as err:
+        parse_stp(text)
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("SECTION Graph\nNodes 2\nEND\nSECTION Terminals\nTerminals 2\nT 1\nT 1\nEND\n", 7),
+        ("E 1 2 1\nSECTION Graph\nNodes 2\nEND\n", 1),
+        ("SECTION Graph\nNodes 2\nEND\nT 1\n", 4),
+        ("SECTION Graph\nNodes 0\nEND\n", 2),
+        ("SECTION Graph\nNodes -3\nEND\n", 2),
+        ("SECTION Graph\nNodes 2\nNodes 3\nEND\n", 3),
+    ],
+    ids=["terminal-twice", "edge-before-section", "terminal-after-end",
+         "zero-nodes", "negative-nodes", "second-nodes"],
+)
+def test_parse_rejects_malformed_lines_with_their_number(text, line):
     with pytest.raises(ParseError) as err:
         parse_stp(text)
     assert err.value.line == line
@@ -284,20 +302,48 @@ def test_sparse_densities_and_counts():
         sparse(5, Fraction(3, 2), 1)
 
 
-def test_write_report_schema():
-    report = RatioReport(
-        instance_id="demo",
-        opt_cost=4,
-        algorithm_costs={"rs/cheapest": 5},
-        ratios={"rs/cheapest": Fraction(5, 4)},
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # hypothesis is in the optional `test` extra
+    given = None
+
+if given is not None:
+    _number = st.one_of(st.integers(-1, 7), st.sampled_from(["x", "1/2", "9" * 30]))
+    _stp_line = st.one_of(
+        st.sampled_from(["SECTION Graph", "SECTION Terminals", "SECTION Comment",
+                         "SECTION", "END", "EOF", "", "# note", STP_MAGIC]),
+        st.tuples(st.sampled_from(["Nodes", "Edges", "Terminals", "T", "E", "Name"]),
+                  st.lists(_number, max_size=4))
+        .map(lambda parts: " ".join([parts[0], *map(str, parts[1])])),
+        st.text(max_size=12),
     )
-    text = write_report([report])
-    assert '"schema_version": 1' in text
-    assert '"num": 5' in text and '"den": 4' in text
 
+    @st.composite
+    def stp_texts(draw):
+        """An STP document with small ids, counts and weights, some of them
+        wrong, then up to three lines deleted or replaced by random ones."""
+        small = st.integers(0, 7)
+        ids = st.integers(1, 6)
+        edges = draw(st.lists(st.tuples(ids, ids, st.integers(1, 3)), max_size=6))
+        terminals = draw(st.lists(ids, max_size=4))
+        nodes = draw(st.integers(6, 7) | _number)
+        lines = [
+            STP_MAGIC, "SECTION Graph", f"Nodes {nodes}", f"Edges {len(edges)}",
+            *(f"E {u} {v} {w}" for u, v, w in edges), "END",
+            "SECTION Terminals", f"Terminals {len(terminals)}",
+            *(f"T {t}" for t in terminals), "END", "EOF",
+        ]
+        for at, line in draw(st.lists(st.tuples(small, st.none() | _stp_line), max_size=3)):
+            if line is None:
+                del lines[at % len(lines)]
+            else:
+                lines[at % len(lines)] = line
+        return "\n".join(lines)
 
-def test_write_report_empty_is_valid():
-    import json
-
-    payload = json.loads(write_report([]))
-    assert payload == {"schema_version": 1, "reports": []}
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(stp_texts())
+    def test_random_stp_text_parses_or_is_refused(text):
+        try:
+            assert isinstance(parse_stp(text), Instance)
+        except (ParseError, CapExceeded):
+            pass
