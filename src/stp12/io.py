@@ -44,12 +44,14 @@ def parse_stp(text: str) -> Instance:
     A Nodes count above MAX_NODES is refused with CapExceeded on its line,
     before anything is allocated for it.  Every other malformed line raises
     ParseError with its number, for example a line outside any SECTION, a
-    Nodes count below 1 or given twice, or a terminal listed twice.
+    Nodes count below 1 or given twice, a token after the value of a Nodes,
+    Edges, Terminals or T line, a terminal listed twice, or a node pair
+    listed twice at any weights.
     """
     node_count: int | None = None
     edges: list[tuple[int, int]] = []
+    pairs: set[tuple[int, int]] = set()   # every pair listed, at either weight
     terminals: set[int] = set()
-    edge_lines = 0
     # (declared count, line of the declaration) for Edges and Terminals
     declared: dict[str, tuple[int, int]] = {}
     section: str | None = None
@@ -75,7 +77,7 @@ def parse_stp(text: str) -> Instance:
             if keyword == "NODES":
                 if node_count is not None:
                     raise ParseError("second Nodes line", lineno)
-                node_count = _int_field(tokens, 1, lineno, "Nodes")
+                node_count = _int_field(tokens, lineno, "Nodes")
                 if node_count < 1:
                     raise ParseError(f"Nodes must be at least 1, got {node_count}", lineno)
                 if node_count > MAX_NODES:
@@ -83,9 +85,8 @@ def parse_stp(text: str) -> Instance:
                         f"line {lineno}: Nodes {node_count} above the limit {MAX_NODES}"
                     )
             elif keyword == "EDGES":
-                declared["Edges"] = (_int_field(tokens, 1, lineno, "Edges"), lineno)
+                declared["Edges"] = (_int_field(tokens, lineno, "Edges"), lineno)
             elif keyword == "E":
-                edge_lines += 1
                 if len(tokens) != 4:
                     raise ParseError(f"edge line needs 'E u v w', got {line!r}", lineno)
                 u, v, w = (_parse_int(t, lineno) for t in tokens[1:])
@@ -95,19 +96,21 @@ def parse_stp(text: str) -> Instance:
                     raise ParseError(f"edge endpoint out of range 1..{node_count}", lineno)
                 if u == v:
                     raise ParseError("self-loop edge", lineno)
+                if w not in (1, 2):
+                    raise ParseError(f"weight {w} outside the 1/2 metric", lineno)
+                pair = (min(u, v) - 1, max(u, v) - 1)
+                if pair in pairs:
+                    raise ParseError(f"edge {u} {v} listed twice", lineno)
+                pairs.add(pair)
                 if w == 1:
-                    edges.append((u - 1, v - 1))
-                elif w != 2:
-                    raise ParseError(
-                        f"weight {w} outside the 1/2 metric", lineno
-                    )
+                    edges.append(pair)
             else:
                 raise ParseError(f"unknown Graph line {line!r}", lineno)
         elif section == "terminals":
             if keyword == "TERMINALS":
-                declared["Terminals"] = (_int_field(tokens, 1, lineno, "Terminals"), lineno)
+                declared["Terminals"] = (_int_field(tokens, lineno, "Terminals"), lineno)
             elif keyword == "T":
-                t = _int_field(tokens, 1, lineno, "T")
+                t = _int_field(tokens, lineno, "T")
                 if node_count is None or not (1 <= t <= node_count):
                     raise ParseError("terminal out of range", lineno)
                 if t - 1 in terminals:
@@ -118,7 +121,7 @@ def parse_stp(text: str) -> Instance:
         # content of other sections (Comment, ...) is ignored
     if node_count is None:
         raise ParseError("missing SECTION Graph with a Nodes line", 1)
-    found = {"Edges": edge_lines, "Terminals": len(terminals)}
+    found = {"Edges": len(pairs), "Terminals": len(terminals)}
     for what, (count, lineno) in declared.items():
         if count != found[what]:
             raise ParseError(f"{what} declares {count}, found {found[what]}", lineno)
@@ -132,10 +135,13 @@ def _parse_int(token: str, lineno: int) -> int:
         raise ParseError(f"expected integer, got {token!r}", lineno) from None
 
 
-def _int_field(tokens: list[str], idx: int, lineno: int, what: str) -> int:
-    if len(tokens) <= idx:
+def _int_field(tokens: list[str], lineno: int, what: str) -> int:
+    """The one value of a `<what> <value>` line."""
+    if len(tokens) < 2:
         raise ParseError(f"{what} needs a value", lineno)
-    return _parse_int(tokens[idx], lineno)
+    if len(tokens) > 2:
+        raise ParseError(f"{what} takes one value, got {' '.join(tokens)!r}", lineno)
+    return _parse_int(tokens[1], lineno)
 
 
 def serialize_stp(instance: Instance, name: str = "instance") -> str:

@@ -146,43 +146,20 @@ def build_fork_candidates(
     """Map each servable terminal-component pair to the fork nodes realizing it.
 
     A fork node must be a free non-terminal adjacent to the center; pairs may
-    not touch components already attached directly to the center.
+    not touch components already attached directly to the center.  Returns
+    no pair at all (no comet) when a neighbour's entry holds more than 3
+    roots; see `_comet_at` for why that loses no comet that could win.
     """
     directs = view.get(center, {})
     pair_forks: dict[tuple[int, int], list[int]] = {}
     for f in instance.neighbors(center):
-        leaves = sorted(root for root in view.get(f, ()) if root not in directs)
+        reps = view.get(f, ())
+        if len(reps) > 3:
+            return {}
+        leaves = sorted(root for root in reps if root not in directs)
         for pair in combinations(leaves, 2):
             pair_forks.setdefault(pair, []).append(f)
     return pair_forks
-
-
-def _assign_forks(
-    pair_forks: dict[tuple[int, int], list[int]],
-    pairs: list[tuple[int, int]],
-) -> list[tuple[tuple[int, int], int]] | None:
-    """Give each matched pair its own fork node, or None if impossible.
-
-    Bipartite augmenting paths over pair -> fork candidates; one physical
-    fork node may appear in several auxiliary edges but serves at most one.
-    """
-    owner: dict[int, int] = {}
-
-    def try_assign(i: int, banned: set[int]) -> bool:
-        for f in pair_forks[pairs[i]]:
-            if f in banned:
-                continue
-            banned.add(f)
-            if f not in owner or try_assign(owner[f], banned):
-                owner[f] = i
-                return True
-        return False
-
-    for i in range(len(pairs)):
-        if not try_assign(i, set()):
-            return None
-    chosen = {i: f for f, i in owner.items()}
-    return [(pairs[i], chosen[i]) for i in range(len(pairs))]
 
 
 def _first_max_packing(candidates: list[tuple[int, tuple[int, ...]]]) -> list[int]:
@@ -194,7 +171,8 @@ def _first_max_packing(candidates: list[tuple[int, tuple[int, ...]]]) -> list[in
     whose index list is lexicographically smallest.  It prunes a subtree when
     the distinct owners left in it cannot beat the best packing; since only a
     subtree that cannot beat the best is cut, any valid bound returns the
-    same packing.  Exhaustive: callers keep the candidate lists small.
+    same packing.  Exhaustive: its one caller, the exact strategy of
+    `max_3star_set`, refuses more than DEFAULT_PACK3_CAP candidates.
     """
     owners_left = [0] * (len(candidates) + 1)
     seen_owners: set[int] = set()
@@ -279,38 +257,43 @@ def best_comet(state: PartitionState) -> Star | Comet | None:
 
 
 def _comet_at(instance: Instance, view: TerminalView, center: int) -> Comet | None:
-    """Comet with the most forks at a free center with at most two directs."""
+    """Comet with the most forks at a free center with at most two directs.
+
+    The forks are a maximum matching of the fork-servable pairs, each pair
+    served by its first fork node.  No center next to an entry of 4 or more
+    roots gets a comet, and this loses none that could win:
+
+    - While such a neighbour stands, its star beats every comet.  That star
+      has s >= 4 and cost index 1/(s-1) <= 1/3, while a comet with b <= 2
+      has (a+1)/(2a+b-1) > 1/2.
+    - The merge that shrinks or absorbs that entry reshapes this center: the
+      neighbour is in that merge's `shared` nodes or among its absorbed
+      ones.  So the center is scored again before any comet can win.
+    - With every entry at 3 roots or fewer, the pairs one fork node serves
+      share roots pairwise.  Matched pairs are disjoint, so each fork node
+      serves at most one of them, and every matched pair keeps its first
+      fork.
+
+    The decline reads only the entries' sizes, so a merge that only renames
+    roots around the center leaves the result as it was.
+    """
     direct_reps = view.get(center, {})
     if len(direct_reps) > 2:
         return None
     pair_forks = build_fork_candidates(instance, view, center)
     if not pair_forks:
         return None
-    aux = AuxGraph.build(pair_forks)
-    matched = sorted(max_matching(aux).pairs)
-    assignment = _assign_forks(pair_forks, matched)
-    if assignment is None:
-        # Too few physical fork nodes for the matching: each fork node owns
-        # at most one of its pairs.
-        candidates = sorted((pair, f) for pair, forks in pair_forks.items() for f in forks)
-        packing = _first_max_packing([(f, pair) for pair, f in candidates])
-        assignment = [candidates[i] for i in packing]
-    if not assignment:
-        return None
-    forks = tuple(
-        Fork(
-            node=f,
-            leaves=pair,
-            edges=(connection(center, f), view[f][pair[0]], view[f][pair[1]]),
-        )
-        for pair, f in sorted(assignment)
-    )
+    forks = []
+    for pair in sorted(max_matching(AuxGraph.build(pair_forks)).pairs):
+        f = pair_forks[pair][0]
+        edges = (connection(center, f), view[f][pair[0]], view[f][pair[1]])
+        forks.append(Fork(node=f, leaves=pair, edges=edges))
     directs = tuple(sorted(direct_reps))
     return Comet(
         center=center,
         directs=directs,
         direct_edges=tuple(direct_reps[r] for r in directs),
-        forks=forks,
+        forks=tuple(forks),
     )
 
 

@@ -109,9 +109,20 @@ def test_parse_rejects_mismatched_declared_counts(graph, terminals, line):
         ("SECTION Graph\nNodes 0\nEND\n", 2),
         ("SECTION Graph\nNodes -3\nEND\n", 2),
         ("SECTION Graph\nNodes 2\nNodes 3\nEND\n", 3),
+        ("SECTION Graph\nNodes 3\nE 1 2 1\nE 2 1 2\nEND\n", 4),
+        ("SECTION Graph\nNodes 3\nE 1 2 2\nE 2 3 1\nE 1 2 1\nEND\n", 5),
+        ("SECTION Graph\nNodes 3\nE 1 2 1\nE 1 2 1\nEND\n", 4),
+        ("SECTION Graph\nNodes 3\nE 2 3 2\nE 3 2 2\nEND\n", 4),
+        ("SECTION Graph\nNodes 3 x\nEND\n", 2),
+        ("SECTION Graph\nNodes 3\nEdges 1 1\nE 1 2 1\nEND\n", 3),
+        ("SECTION Graph\nNodes 3\nEND\nSECTION Terminals\nTerminals 1 2\nT 2\nEND\n", 5),
+        ("SECTION Graph\nNodes 9\nEND\nSECTION Terminals\nT 2 7\nEND\n", 5),
     ],
     ids=["terminal-twice", "edge-before-section", "terminal-after-end",
-         "zero-nodes", "negative-nodes", "second-nodes"],
+         "zero-nodes", "negative-nodes", "second-nodes",
+         "pair-at-both-weights", "pair-at-both-weights-apart", "same-edge-twice",
+         "weight-two-pair-twice", "token-after-nodes", "token-after-edges",
+         "token-after-terminals", "token-after-terminal"],
 )
 def test_parse_rejects_malformed_lines_with_their_number(text, line):
     with pytest.raises(ParseError) as err:

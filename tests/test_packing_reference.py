@@ -1,12 +1,14 @@
-"""The shared packing search against verbatim copies of the two it replaced.
+"""Exact packings and fork sets against verbatim copies of earlier searches.
 
-`max_fork_set` below is the exhaustive fork-set fallback that `_comet_at`
-used when the pair matching could not be given distinct fork nodes, and
-`max_3star_set` is phase 4 as it was: it built every candidate 3-star,
-then ran the exact strategy's branch and bound or the greedy's first fit
-over them.  They are the reference: `sixphase._first_max_packing` and the
-current `max_3star_set` must return the same forks and the same stars, in
-the same order, and refuse with the same message.
+`max_3star_set` below is phase 4 as it was: it built every candidate
+3-star, then ran the exact strategy's branch and bound or the greedy's
+first fit over them.  `sixphase.max_3star_set` and its search,
+`sixphase._first_max_packing`, must return the same stars in the same
+order and refuse with the same message.  `max_fork_set` is the exhaustive
+fork-set search `_comet_at` once fell back on when the pair matching could
+not give every matched pair its own fork node.  It stays the reference for
+the comet's fork count, and `_first_max_packing` must still find the same
+fork sets on random pair forks.
 """
 
 import random
@@ -15,7 +17,7 @@ from itertools import combinations
 
 from stp12 import sixphase
 from stp12.core import CapExceeded, Connection, InputError, Instance, PartitionState
-from stp12.heuristics import Star, preprocess_terminal_edges
+from stp12.heuristics import Star, find_max_star, preprocess_terminal_edges
 from stp12.io import GeneratorSpec, generate
 from stp12.sixphase import DEFAULT_PACK3_CAP, PACK3_STRATEGIES, build_fork_candidates
 
@@ -25,8 +27,7 @@ def max_fork_set(
 ) -> list[tuple[tuple[int, int], int]]:
     """Exact maximum set of component-disjoint pairs with distinct fork nodes.
 
-    Fallback for the rare case where the vertex matching cannot be realized
-    because too few physical fork nodes exist; exhaustive at desk scale.
+    Exhaustive at desk scale.
     """
     candidates = sorted(
         (pair, f) for pair, forks in pair_forks.items() for f in forks
@@ -141,8 +142,8 @@ def random_pair_forks(rng):
     return pair_forks
 
 
-def fork_fallback(pair_forks):
-    """The fork assignment `_comet_at` makes when the matching cannot be realized."""
+def shared_search_fork_set(pair_forks):
+    """The fork set `_first_max_packing` finds over every (pair, fork) candidate."""
     candidates = sorted((pair, f) for pair, forks in pair_forks.items() for f in forks)
     packing = sixphase._first_max_packing([(f, pair) for pair, f in candidates])
     return [candidates[i] for i in packing]
@@ -152,7 +153,7 @@ def test_shared_search_matches_the_fork_set_search_on_random_pair_forks():
     rng = random.Random(2)
     for _ in range(400):
         pair_forks = random_pair_forks(rng)
-        assert fork_fallback(pair_forks) == max_fork_set(pair_forks)
+        assert shared_search_fork_set(pair_forks) == max_fork_set(pair_forks)
 
 
 def test_shared_search_returns_the_first_maximum_of_random_candidate_lists():
@@ -213,8 +214,8 @@ def test_max_3star_set_matches_reference():
 def fork_gadget(rng):
     """Center 0 with one to three fork nodes over four to eight terminals.
 
-    Few fork nodes that each reach several terminals often cannot give every
-    matched pair its own fork, so the fallback runs.
+    A fork node reaching four or more terminals is a star of s >= 4, so the
+    comets next to it are declined.
     """
     fork_count, terminal_count = rng.randint(1, 3), rng.randint(4, 8)
     n = 1 + fork_count + terminal_count
@@ -227,31 +228,38 @@ def fork_gadget(rng):
     return Instance.from_edges(n, sorted(edges), terminals)
 
 
-def test_fork_fallback_matches_reference(monkeypatch):
+def test_comets_next_to_a_large_entry_are_declined_and_the_rest_have_the_most_forks():
     # Fork node 1 alone serves every pair of terminals 2..5: the matching
-    # pairs (2, 3) with (4, 5), which cannot both have fork 1.
+    # pairs (2, 3) with (4, 5), which cannot both have fork 1, but the
+    # 4-star at 1 beats any comet at 0.
     single = Instance.from_edges(
         6, [(0, 1), (1, 2), (1, 3), (1, 4), (1, 5)], [2, 3, 4, 5]
     )
     rng = random.Random(11)
-    instances = [single] + [fork_gadget(rng) for _ in range(80)]
-    calls = []
-    search = sixphase._first_max_packing
-    monkeypatch.setattr(sixphase, "_first_max_packing",
-                        lambda candidates: calls.append(1) or search(candidates))
-    fallbacks = 0
-    for inst in instances:
+    states = []
+    for inst in [single] + [fork_gadget(rng) for _ in range(80)]:
         state = PartitionState(inst)
         preprocess_terminal_edges(state)
+        states.append(state)
+    declined = multi_fork = 0
+    for state in states + phase_one_states():
+        inst = state.instance
         view = state.view_upkeep().view
+        star = find_max_star(state)
+        winner = sixphase.best_comet(state)
         for center in range(inst.node_count):
             if state.is_terminal_component(center):
                 continue
-            calls.clear()
             comet = sixphase._comet_at(inst, view, center)
-            if not calls:
-                continue
-            fallbacks += 1
-            want = max_fork_set(build_fork_candidates(inst, view, center))
-            assert [(fork.leaves, fork.node) for fork in comet.forks] == want
-    assert fallbacks >= 10
+            if any(len(view.get(f, ())) >= 4 for f in inst.neighbors(center)):
+                declined += 1
+                assert comet is None
+                assert star.s >= 4 and winner == star
+            elif len(view.get(center, ())) <= 2:
+                forks = () if comet is None else comet.forks
+                nodes = [fork.node for fork in forks]
+                assert len(set(nodes)) == len(nodes)
+                want = max_fork_set(build_fork_candidates(inst, view, center))
+                assert len(forks) == len(want)
+                multi_fork += len(forks) >= 2
+    assert declined >= 50 and multi_fork >= 5

@@ -127,7 +127,8 @@ def test_best_comet_absent_without_structures():
 
 def test_best_comet_fork_exclusivity_fallback():
     # one physical fork 1 serves every pair among terminals 2..5, so only a
-    # single fork can be realized even though the pair matching has size 2
+    # single fork can be realized even though the pair matching has size 2;
+    # fork 1 is a 4-star, which beats any comet at 0
     edges = [(0, 1), (1, 2), (1, 3), (1, 4), (1, 5), (0, 6), (0, 7)]
     inst = Instance.from_edges(8, edges, [2, 3, 4, 5, 6, 7])
     state = fresh_state(inst)
