@@ -148,7 +148,7 @@ def build_fork_candidates(
     A fork node must be a free non-terminal adjacent to the center; pairs may
     not touch components already attached directly to the center.  Returns
     no pair at all (no comet) when a neighbour's entry holds more than 3
-    roots; see `_comet_at` for why that loses no comet that could win.
+    roots, which `best_comet`'s calls never meet; see `_comet_at`.
     """
     directs = view.get(center, {})
     pair_forks: dict[tuple[int, int], list[int]] = {}
@@ -209,14 +209,38 @@ def best_comet(state: PartitionState) -> Star | Comet | None:
     terminals, then smaller center id.  Returns None when no structure
     touches two terminal components.
 
+    Comets are scored only when one can win.  A star with s >= 3 has cost
+    index 1/(s-1) <= 1/2, and every comet `_comet_at` returns has a >= 1
+    and b <= 2, so index (a+1)/(2a+b-1) > 1/2.  So while the largest star
+    has s >= 3 it is returned before any comet is scored.  Until the first
+    scoring no comet cache exists, so merges sort no neighbourhoods; after
+    it, the centers reshaped meanwhile wait in `reshaped` and are scored
+    together when a comet can next win.  A key depends only on the entries'
+    shape when it is scored, so scoring later gives the same keys.
+    """
+    star = find_max_star(state)
+    if star is not None and star.s >= 3:
+        return star
+    best = _best_comet_key(state)
+    if star is not None and star.s == 2:
+        key = (star_cost_index(star.s), -star.s, star.center, 0)
+        if best is None or key < best:
+            return star
+    if best is None:
+        return None
+    return _comet_at(state.instance, state.view_upkeep().view, best[2])
+
+
+def _best_comet_key(state: PartitionState) -> tuple | None:
+    """Sort key of the best comet, after scoring the centers that need it.
+
     A center's best comet depends only on the view entries of the center and
     its neighbours, and its sort key (cost index, terminal count) only on the
     shape of those entries.  So each center's key is kept with the view and
     scored again only when the view reports that neighbourhood reshaped or
     the center is no longer free; a merge that only renames roots there
     leaves the key as it is.  The best kept key is read off a lazy heap of
-    the keys, the largest star off the view's own heap, and only the winning
-    comet is built.
+    the keys.
     """
     instance = state.instance
     upkeep = state.view_upkeep()
@@ -245,37 +269,22 @@ def best_comet(state: PartitionState) -> Star | Comet | None:
     # A key that is not the one kept for its center was scored again or is gone.
     while keys and comets.get(keys[0][2]) is not keys[0]:
         heapq.heappop(keys)
-    best = keys[0] if keys else None
-    star = find_max_star(state)
-    if star is not None and star.s >= 2:
-        key = (star_cost_index(star.s), -star.s, star.center, 0)
-        if best is None or key < best:
-            return star
-    if best is None:
-        return None
-    return _comet_at(instance, view, best[2])
+    return keys[0] if keys else None
 
 
 def _comet_at(instance: Instance, view: TerminalView, center: int) -> Comet | None:
     """Comet with the most forks at a free center with at most two directs.
 
     The forks are a maximum matching of the fork-servable pairs, each pair
-    served by its first fork node.  No center next to an entry of 4 or more
-    roots gets a comet, and this loses none that could win:
-
-    - While such a neighbour stands, its star beats every comet.  That star
-      has s >= 4 and cost index 1/(s-1) <= 1/3, while a comet with b <= 2
-      has (a+1)/(2a+b-1) > 1/2.
-    - The merge that shrinks or absorbs that entry reshapes this center: the
-      neighbour is in that merge's `shared` nodes or among its absorbed
-      ones.  So the center is scored again before any comet can win.
-    - With every entry at 3 roots or fewer, the pairs one fork node serves
-      share roots pairwise.  Matched pairs are disjoint, so each fork node
-      serves at most one of them, and every matched pair keeps its first
-      fork.
-
-    The decline reads only the entries' sizes, so a merge that only renames
-    roots around the center leaves the result as it was.
+    served by its first fork node.  `best_comet` calls this only when no
+    star of s >= 3 stands, so every entry holds at most two roots and each
+    fork node serves at most one pair.  Called on any other state, as a
+    fresh scoring beside such a star may be, it gives no comet to a center
+    next to an entry of 4 or more roots, and with every entry at 3 roots or
+    fewer the pairs one fork node serves share roots pairwise, so matched
+    pairs, being disjoint, still get distinct forks.  The decline reads only
+    the entries' sizes, so a merge that only renames roots around the center
+    leaves the result as it was.
     """
     direct_reps = view.get(center, {})
     if len(direct_reps) > 2:

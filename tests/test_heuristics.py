@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+from stp12 import heuristics
 from stp12.core import (
     Instance,
     PartitionState,
@@ -203,3 +204,34 @@ def test_cheapest_never_beats_strict_and_ratio_bound():
             assert Fraction(strict, opt) <= Fraction(4, 3)
         else:
             assert cheap == strict == 0
+
+
+def test_no_edge_joins_two_terminal_components_after_the_star_loop(monkeypatch):
+    # Phase 1 joins every terminal-terminal edge, and every star takes all
+    # the terminal components next to its center.  So when RS finishes, no
+    # instance edge joins two terminal components, and the cheapest
+    # finishing's scan of the component graph finds no edge to take.
+    finished = 0
+
+    def checked_finishing(state, mode="cheapest"):
+        nonlocal finished
+        for u, v in state.instance.edges():
+            ru, rv = state.find(u), state.find(v)
+            assert ru == rv or not (
+                state.is_terminal_component(ru) and state.is_terminal_component(rv)
+            )
+        finished += 1
+        return finishing(state, mode)
+
+    monkeypatch.setattr(heuristics, "finishing", checked_finishing)
+    cases = [inst for _, inst in full_corpus(seed=0)]
+    cases += [
+        generate(GeneratorSpec("random-gnp", {"n": n, "p": Fraction(4, n), "r": n // 4}, seed))
+        for n, seed in ((200, 1), (400, 2), (600, 3), (800, 4))
+    ]
+    cases.append(generate(
+        GeneratorSpec("random-sparse", {"n": 2000, "p": Fraction(4, 1999), "r": 500}, 1)
+    ))
+    for inst in cases:
+        rayward_smith(inst)
+    assert finished == len(cases)

@@ -19,7 +19,9 @@ from stp12.io import GeneratorSpec, generate
 from stp12.sixphase import (
     Comet,
     Fork,
+    _comet_at,
     best_comet,
+    build_fork_candidates,
     cost_index,
     max_3star_set,
     six_phase,
@@ -70,6 +72,33 @@ def test_comet_counts_and_index():
     assert comet.a == 1 and comet.b == 2
     assert comet.terminal_count == 4 and comet.edge_count == 5
     assert comet.cost_index == Fraction(2, 3)
+
+
+def test_every_comet_best_comet_can_score_loses_to_a_3_star():
+    # best_comet returns a star of s >= 3 before it scores any comet.  That
+    # loses nothing: every comet `_comet_at` builds has a >= 1 and b <= 2.
+    for b in range(3):
+        directs = tuple(range(200, 200 + b))
+        for a in range(1, 65):
+            forks = tuple(
+                Fork(node=f, leaves=(1000 + 2 * f, 1001 + 2 * f),
+                     edges=((0, f), (f, 1000 + 2 * f), (f, 1001 + 2 * f)))
+                for f in range(1, a + 1)
+            )
+            comet = Comet(center=0, directs=directs,
+                          direct_edges=tuple((0, d) for d in directs), forks=forks)
+            assert comet.cost_index > star_cost_index(3)
+
+
+def test_a_matched_pair_with_two_fork_nodes_takes_the_smaller():
+    # center 0 with directs 3, 4; fork nodes 1 and 2 both reach terminals 5
+    # and 6, so the matched pair (5, 6) can be served by either
+    edges = [(0, 3), (0, 4), (0, 1), (0, 2), (1, 5), (1, 6), (2, 5), (2, 6)]
+    inst = Instance.from_edges(7, edges, [3, 4, 5, 6])
+    view = fresh_state(inst).view_upkeep().view
+    assert build_fork_candidates(inst, view, 0) == {(5, 6): [1, 2]}
+    assert [fork.node for fork in _comet_at(inst, view, 0).forks] == [1]
+    assert six_phase(inst).connections == {(0, 1), (0, 3), (0, 4), (1, 5), (1, 6)}
 
 
 def test_comet_rejects_shared_components():

@@ -1,6 +1,7 @@
 """Random merges against the kept terminal view and the phase-6 key cache.
 
-Hypothesis draws instances with at most 14 nodes, reads the comet cache,
+Hypothesis draws instances with at most 14 nodes, scores every comet into
+the cache (`best_comet` itself scores none while a star of s >= 3 stands),
 then joins a terminal component to random components by direct unions or
 collapses.  After each merge the kept view must equal a rebuild, and every
 free center the merge does not report reshaped must keep its comet sort key.
@@ -12,7 +13,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from stp12.core import Instance, PartitionState, collapse  # noqa: E402
-from stp12.sixphase import best_comet  # noqa: E402
+from stp12.sixphase import _best_comet_key  # noqa: E402
 from test_view_upkeep import checked_merge, comet_keys, component_roots  # noqa: E402
 
 
@@ -33,7 +34,7 @@ def test_random_merges_keep_the_view_and_the_unreshaped_keys(inst, data):
     # along a path that starts at it, by direct unions or by one collapse.
     # So every union touches a terminal component.
     state = PartitionState(inst)
-    best_comet(state)
+    _best_comet_key(state)
     for _ in range(data.draw(st.integers(1, 8))):
         roots = component_roots(state)
         if len(roots) < 2:
@@ -54,6 +55,6 @@ def test_random_merges_keep_the_view_and_the_unreshaped_keys(inst, data):
         else:
             checked_merge(inst, state, lambda: collapse(state, picked, path))
         if data.draw(st.booleans()):
-            best_comet(state)
+            _best_comet_key(state)
             kept = state.view_upkeep().comets
             assert {c: key[:2] for c, key in kept.items()} == comet_keys(inst, state)

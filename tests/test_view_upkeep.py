@@ -148,7 +148,6 @@ def test_cached_best_comet_matches_enumeration_and_cold_search(monkeypatch):
     def checked_best_comet(state):
         nonlocal steps
         got = best_comet(state)
-        assert state.view_upkeep().comets is not None
         assert got == best_comet(replayed(state))
         want = exhaustive_min_cost_index(state)
         assert (None if got is None else structure_cost_index(got)) == want
@@ -166,33 +165,52 @@ def closed_neighbourhoods(inst, nodes):
 
 
 def test_comet_cache_matches_a_fresh_scoring_at_every_step(monkeypatch):
-    # Every kept key must equal a fresh scoring.  Around the entries that
-    # changed since the last call, many centers must keep their key object:
-    # they were only renamed, so they are not scored again.  Some steps must
-    # have an entry of 4 or more roots, next to which no comet is kept.
+    # A call leaves the cache absent, or `reshaped` unscored, only when a
+    # star of s >= 3 wins it; every kept key outside `reshaped` must equal
+    # a fresh scoring at every step, and every other call scores all of
+    # `reshaped`.  Around the entries that changed since the last scoring,
+    # many centers must keep their key object: they were only renamed, so
+    # they are not scored again.  Some steps must have an entry of 4 or more
+    # roots: a star wins there, and a fresh scoring gives no comet next to
+    # it.  (Once the cache exists, six-phase never grows an entry past 3
+    # roots, so these steps all come before the first scoring.)
     steps = kept_around_changes = declining = 0
     last = {"state": None, "view": None}
+
+    def outside_reshaped(keys, upkeep):
+        return {c: key[:2] for c, key in keys.items() if c not in upkeep.reshaped}
 
     def checked_best_comet(state):
         nonlocal steps, kept_around_changes, declining
         inst = state.instance
         upkeep = state.view_upkeep()
         kept = dict(upkeep.comets or {})
-        around = set()
+        wide = [f for f, reps in upkeep.view.items() if len(reps) >= 4]
+        got = best_comet(state)
+        steps += 1
+        star_won = isinstance(got, Star) and got.s >= 3
+        if wide:
+            declining += 1
+            assert star_won
+            assert not closed_neighbourhoods(inst, wide) & comet_keys(inst, state).keys()
+        if upkeep.comets is None:
+            assert star_won
+            return got
+        fresh = comet_keys(inst, state)
+        assert outside_reshaped(upkeep.comets, upkeep) == outside_reshaped(fresh, upkeep)
+        assert all(key[2:] == (c, 1) for c, key in upkeep.comets.items())
+        if star_won:
+            return got
+        assert not upkeep.reshaped
+        assert {c: key[:2] for c, key in upkeep.comets.items()} == fresh
         if last["state"] is state:
             old, view = last["view"], upkeep.view
             moved = {v for v in old.keys() | view.keys() if old.get(v) != view.get(v)}
-            around = closed_neighbourhoods(inst, moved)
-        got = best_comet(state)
-        assert {c: key[:2] for c, key in upkeep.comets.items()} == comet_keys(inst, state)
-        assert all(key[2:] == (c, 1) for c, key in upkeep.comets.items())
-        assert not upkeep.reshaped
-        declining += any(len(reps) >= 4 for reps in upkeep.view.values())
-        kept_around_changes += sum(
-            1 for c in around if c in kept and upkeep.comets.get(c) is kept[c]
-        )
+            kept_around_changes += sum(
+                1 for c in closed_neighbourhoods(inst, moved)
+                if c in kept and upkeep.comets.get(c) is kept[c]
+            )
         last["state"], last["view"] = state, {v: dict(r) for v, r in upkeep.view.items()}
-        steps += 1
         return got
 
     monkeypatch.setattr(sixphase, "best_comet", checked_best_comet)
@@ -223,12 +241,15 @@ def test_first_comet_scoring_skips_only_centers_without_a_fork(monkeypatch):
         view = upkeep.view
         centers = free_nodes(inst, state)
         forked = {c for c in centers if any(len(view.get(f, ())) >= 2 for f in inst.neighbors(c))}
+        scored.clear()
+        got = best_comet(state)
+        if upkeep.comets is None:   # a star of s >= 3 won and nothing was scored
+            assert not scored
+            return got
         for center in centers - forked:
             assert _comet_at(inst, view, center) is None
         free += len(centers)
         skipped += len(centers - forked)
-        scored.clear()
-        got = best_comet(state)
         assert scored == forked
         return got
 
@@ -392,8 +413,10 @@ def test_heaps_match_a_linear_scan_at_every_step(monkeypatch):
         nonlocal comets
         got = best_comet(state)
         upkeep = state.view_upkeep()
-        candidates = list(upkeep.comets.values())
         star = linear_star(upkeep.view)
+        if upkeep.comets is None:   # nothing scored yet: only a star of s >= 3 may win
+            assert star is not None and star.s >= 3
+        candidates = list((upkeep.comets or {}).values())
         if star is not None and star.s >= 2:
             candidates.append((star_cost_index(star.s), -star.s, star.center, 0))
         want = min(candidates, default=None)
