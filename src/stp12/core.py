@@ -92,6 +92,19 @@ class Instance:
                 yield u, u + low.bit_length()
                 mask ^= low
 
+    def terminal_edges(self) -> Iterator[tuple[int, int]]:
+        """The edges joining two terminals, as (u, v) with u < v, in lexicographic order."""
+        terminal_mask = 0
+        for t in self.terminals:
+            terminal_mask |= 1 << t
+        for u in sorted(self.terminals):
+            # terminal neighbours above u; bit i stands for u + 1 + i
+            above = (self.adjacency[u] & terminal_mask) >> (u + 1)
+            while above:
+                low = above & -above
+                yield u, u + low.bit_length()
+                above ^= low
+
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self.adjacency) // 2
 
@@ -214,16 +227,21 @@ class PartitionState(DisjointSets):
     It is the one handle on a partition: every function that reads or grows
     one takes the state and reads the instance off it.  Every merge joins at
     least one terminal component, so a component without a terminal is a
-    single free node.  The terminal view is built on its first read and from
-    then on updated by every merge, whether it comes from `collapse` or a
-    direct `union`.
+    single free node.  `absorbed` lists the free nodes merged into terminal
+    components, so every member of a terminal component is a terminal or
+    an absorbed node.  The terminal view is built on its first read and
+    from then on updated by every merge, whether it comes from `collapse`
+    or a direct `union`.
     """
 
     def __init__(self, instance: Instance):
         super().__init__(instance.node_count)
         self.instance = instance
-        self._terminal_flag = [v in instance.terminals for v in range(instance.node_count)]
+        self._terminal_flag = [False] * instance.node_count
+        for t in instance.terminals:
+            self._terminal_flag[t] = True
         self._upkeep: ViewUpkeep | None = None
+        self.absorbed: list[int] = []
         self.connections: list[Connection] = []
         self.cost = 0
 
@@ -252,8 +270,9 @@ class PartitionState(DisjointSets):
         if not terminal_roots:
             raise ContractViolation(f"merge of {sorted(roots)} joins no terminal component")
         root = min(roots)
+        absorbed = [r for r in roots if not flags[r]]
+        self.absorbed.extend(absorbed)
         if self._upkeep is not None:
-            absorbed = [r for r in roots if not flags[r]]
             _absorb(self, self._upkeep, terminal_roots, absorbed, root)
         for r in roots:
             self._parent[r] = root
@@ -421,17 +440,29 @@ def _sort_neighbourhoods(
 
 
 def induced_graph(state: PartitionState) -> dict[tuple[int, int], Connection]:
-    """Component graph of the current partition: (root, root) -> representative.
+    """Terminal component graph: (root, root) -> representative.
 
-    Two components are adjacent iff some instance edge crosses them; the
-    stored representative is the lexicographically smallest such pair, which
-    is the first one seen since the edges come in lexicographic order.
+    Two terminal components are adjacent iff some instance edge crosses
+    them; the stored representative is the lexicographically smallest such
+    edge.  Every member of a terminal component is a terminal or an absorbed
+    node, so only the edges between two terminals and the edges at absorbed
+    nodes are scanned, not the whole instance.
     """
+    instance = state.instance
+    flags = state._terminal_flag
+    find = state.find
+    candidates = list(instance.terminal_edges())
+    for a in state.absorbed:
+        candidates.extend(connection(a, v) for v in instance.neighbors(a))
     edges: dict[tuple[int, int], Connection] = {}
-    for u, v in state.instance.edges():
-        ru, rv = state.find(u), state.find(v)
-        if ru != rv:
-            edges.setdefault((ru, rv) if ru < rv else (rv, ru), (u, v))
+    for u, v in candidates:
+        ru, rv = find(u), find(v)
+        if ru == rv or not (flags[ru] and flags[rv]):
+            continue
+        key = (ru, rv) if ru < rv else (rv, ru)
+        known = edges.get(key)
+        if known is None or (u, v) < known:
+            edges[key] = (u, v)
     return edges
 
 

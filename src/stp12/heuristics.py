@@ -62,25 +62,17 @@ def find_max_star(state: PartitionState) -> Star | None:
 
 
 def preprocess_terminal_edges(state: PartitionState) -> PartitionState:
-    """Collapse every edge whose two endpoints are both terminal nodes.
+    """Merge along every edge whose two endpoints are both terminal nodes.
 
     The terminal-terminal edges are visited once, in lexicographic order;
-    after that every such edge lies inside one component.
+    after that every such edge lies inside one component.  Each edge that
+    joins two components is a one-edge spanning tree of them, so it is
+    merged with a direct `union` and costs 1.
     """
-    instance = state.instance
-    terminal_mask = 0
-    for t in instance.terminals:
-        terminal_mask |= 1 << t
-    for u in sorted(instance.terminals):
-        # terminal neighbours above u; bit i stands for u + 1 + i
-        above = (instance.adjacency[u] & terminal_mask) >> (u + 1)
-        while above:
-            low = above & -above
-            v = u + low.bit_length()
-            above ^= low
-            ru, rv = state.find(u), state.find(v)
-            if ru != rv:
-                collapse(state, (ru, rv), ((u, v),))
+    for u, v in state.instance.terminal_edges():
+        if state.union(u, v):
+            state.connections.append((u, v))
+            state.cost += 1
     return state
 
 
@@ -105,12 +97,9 @@ def finishing(state: PartitionState, mode: str = "cheapest") -> Solution:
     # takes no edge, so it chains every component.
     group = DisjointSets(instance.node_count)
     if mode == "cheapest":
-        wanted = set(roots)
-        between = [(key, rep) for key, rep in induced_graph(state).items()
-                   if key[0] in wanted and key[1] in wanted]
-        for (a, b), rep in sorted(between):
+        for (a, b), rep in sorted(induced_graph(state).items()):
             if group.union(a, b):
-                conns.append(connection(*rep))
+                conns.append(rep)
     anchors: dict[int, int] = {}    # each component's smallest terminal
     for t in sorted(instance.terminals):
         anchors.setdefault(state.find(t), t)

@@ -79,11 +79,11 @@ def test_validity_single_terminal():
 
 
 def test_induced_graph_identity_partition():
-    inst = Instance.from_edges(5, [(0, 1), (1, 2), (3, 4)], [0])
+    # Before any merge only an edge between two terminals joins two
+    # terminal components; (1, 2) and (3, 4) end at a free node.
+    inst = Instance.from_edges(5, [(0, 1), (1, 2), (3, 4), (0, 4)], [0, 1, 4])
     state = PartitionState(inst)
-    cg = induced_graph(state)
-    assert set(cg) == {(0, 1), (1, 2), (3, 4)}
-    assert all(cg[key] == key for key in cg)
+    assert induced_graph(state) == {(0, 1): (0, 1), (0, 4): (0, 4)}
 
 
 def test_induced_graph_single_component_is_empty():
@@ -99,6 +99,24 @@ def test_induced_graph_after_merge_has_representative():
     state = PartitionState(inst)
     collapse(state, [0, 1], [(0, 1)])
     assert induced_graph(state) == {(0, 2): (1, 2)}
+
+
+def test_induced_graph_keeps_the_smallest_edge_between_two_components():
+    # Components {1, 4} (free 1 absorbed) and {2, 5} are joined by the
+    # terminal edge (4, 5) and by (1, 5) at the absorbed node.  In the
+    # second instance, components {0, 3} and {4, 5} are joined by the
+    # terminal edge (0, 5) and by (3, 4) at the absorbed node.
+    inst = Instance.from_edges(6, [(1, 4), (2, 5), (1, 5), (4, 5)], [2, 4, 5])
+    state = PartitionState(inst)
+    state.union(4, 1)
+    state.union(2, 5)
+    assert induced_graph(state) == {(1, 2): (1, 5)}
+
+    inst = Instance.from_edges(6, [(0, 3), (4, 5), (0, 5), (3, 4)], [0, 4, 5])
+    state = PartitionState(inst)
+    state.union(0, 3)
+    state.union(4, 5)
+    assert induced_graph(state) == {(0, 4): (0, 5)}
 
 
 def test_collapse_two_components_edge_cost():

@@ -1,16 +1,17 @@
 import random
 from fractions import Fraction
 
-from stp12 import heuristics
+from stp12 import harness, heuristics, sixphase
 from stp12.core import (
     Instance,
     PartitionState,
     collapse,
     cost,
+    induced_graph,
     is_valid_solution,
 )
 from stp12.exact import brute_force_opt
-from stp12.harness import full_corpus
+from stp12.harness import finishing_only_solver, full_corpus
 from stp12.heuristics import (
     find_max_star,
     finishing,
@@ -18,6 +19,7 @@ from stp12.heuristics import (
     rayward_smith,
 )
 from stp12.io import GeneratorSpec, generate
+from stp12.sixphase import six_phase
 
 
 def big_star(n):
@@ -235,3 +237,69 @@ def test_no_edge_joins_two_terminal_components_after_the_star_loop(monkeypatch):
     for inst in cases:
         rayward_smith(inst)
     assert finished == len(cases)
+
+
+def full_scan_terminal_graph(state):
+    """The terminal component graph by a scan of every instance edge in order."""
+    edges = {}
+    for u, v in state.instance.edges():
+        ru, rv = state.find(u), state.find(v)
+        if ru != rv and state.is_terminal_component(ru) and state.is_terminal_component(rv):
+            edges.setdefault((ru, rv) if ru < rv else (rv, ru), (u, v))
+    return edges
+
+
+def test_induced_graph_matches_a_full_edge_scan_wherever_finishing_runs(monkeypatch):
+    # After RS and six-phase no edge joins two terminal components on these
+    # cases, so only the finishing-only baseline, which skips phase 1,
+    # compares graphs with edges.
+    checked = nonempty = 0
+
+    def checked_finishing(state, mode="cheapest"):
+        nonlocal checked, nonempty
+        want = full_scan_terminal_graph(state)
+        assert induced_graph(state) == want
+        checked += 1
+        nonempty += bool(want)
+        return finishing(state, mode)
+
+    monkeypatch.setattr(heuristics, "finishing", checked_finishing)
+    monkeypatch.setattr(sixphase, "finishing", checked_finishing)
+    monkeypatch.setattr(harness, "finishing", checked_finishing)
+    cases = [(inst, "exact") for _, inst in full_corpus(seed=0)]
+    cases += [
+        (generate(GeneratorSpec("random-gnp", {"n": n, "p": Fraction(4, n), "r": n // 4}, seed)),
+         "greedy")
+        for n, seed in ((200, 1), (400, 2), (600, 3), (800, 4))
+    ]
+    for inst, pack3 in cases:
+        rayward_smith(inst)
+        six_phase(inst, pack3=pack3)
+        finishing_only_solver(inst, "cheapest")
+    assert checked == 3 * len(cases)
+    assert nonempty > 100
+
+
+def test_induced_graph_matches_a_full_edge_scan_without_phase_1():
+    # Random merges, each joining a terminal component to any other
+    # component along an edge or a non-edge, with terminal-terminal edges
+    # left between components.
+    rng = random.Random(61)
+    nonempty = 0
+    for _ in range(300):
+        inst = random_instance(rng, max_nodes=14, max_terminals=10)
+        state = PartitionState(inst)
+        assert induced_graph(state) == full_scan_terminal_graph(state)
+        for _ in range(rng.randint(1, 6)):
+            roots = sorted({state.find(v) for v in range(inst.node_count)})
+            if len(roots) < 2:
+                break
+            a = rng.choice(state.terminal_components())
+            b = rng.choice([r for r in roots if r != a])
+            u = rng.choice([x for x in range(inst.node_count) if state.find(x) == a])
+            v = rng.choice([x for x in range(inst.node_count) if state.find(x) == b])
+            collapse(state, [a, b], [(u, v)])
+            want = full_scan_terminal_graph(state)
+            assert induced_graph(state) == want
+            nonempty += bool(want)
+    assert nonempty > 100

@@ -125,21 +125,28 @@ def corpus_and_gnp():
 
 
 def test_kept_view_matches_rebuild_after_every_collapse(monkeypatch):
+    # Every merge is checked, the direct unions of phase 1 as well as the
+    # collapses of the later phases.
     cases = corpus_and_gnp()
     expected = [(rayward_smith(inst), six_phase(inst, pack3=pack3)) for inst, pack3 in cases]
+    merge = PartitionState.merge
+    merges = terminal_only = 0
 
-    def checked_collapse(state, components, tree_edges):
+    def checked(state, roots):
+        nonlocal merges, terminal_only
+        roots = list(roots)
+        merges += 1
+        # Stars and comets merge a free center; phase 1 merges only terminals.
+        terminal_only += all(state.is_terminal_component(r) for r in roots)
         # Reading the view first makes it exist from phase 1 on.
         state.view_upkeep()
-        return checked_merge(
-            state.instance, state, lambda: collapse(state, components, tree_edges)
-        )
+        return checked_merge(state.instance, state, lambda: merge(state, roots))
 
-    monkeypatch.setattr(heuristics, "collapse", checked_collapse)
-    monkeypatch.setattr(sixphase, "collapse", checked_collapse)
+    monkeypatch.setattr(PartitionState, "merge", checked)
     for (inst, pack3), (rs, sp) in zip(cases, expected):
         assert rayward_smith(inst) == rs
         assert six_phase(inst, pack3=pack3) == sp
+    assert 0 < terminal_only < merges
 
 
 def test_cached_best_comet_matches_enumeration_and_cold_search(monkeypatch):
