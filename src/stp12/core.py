@@ -12,7 +12,11 @@ the one union-find every module uses.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import islice
+from operator import lt
 from typing import Iterable, Iterator
 
 
@@ -42,12 +46,15 @@ def connection(u: int, v: int) -> Connection:
 class Instance:
     """A graph defining the 1/2 metric, plus the set of terminal nodes.
 
-    Adjacency is kept as one bitmask per node, which makes neighbourhood
-    scans and membership tests cheap at desk scale (n up to a few thousand).
+    Each node keeps its neighbours as one ascending tuple, so memory grows
+    with n + m, not with n^2, and `from_edges` takes O(n + m log d) for
+    degree d.  `has_edge` is a binary search in one tuple.  The exact oracles
+    want one bitmask per node; those are built from the tuples on the first
+    read of `adjacency` and kept, so the heuristics never build them.
     """
 
     node_count: int
-    adjacency: tuple[int, ...]
+    neighbourhoods: tuple[tuple[int, ...], ...]
     terminals: frozenset[int]
 
     @classmethod
@@ -57,56 +64,82 @@ class Instance:
         edges: Iterable[tuple[int, int]],
         terminals: Iterable[int],
     ) -> "Instance":
+        """Instance over nodes 0..node_count-1; an edge listed twice counts once.
+
+        Edges listed as (u, v) with u < v, each once, in lexicographic order
+        (as `edges()`, `serialize_stp` and random-gnp list them) give every
+        node its neighbours in ascending order, those below it first, so
+        the per-node sort is skipped for them.
+        """
         if node_count <= 0:
             raise InputError("node_count must be positive")
-        masks = [0] * node_count
+        edges = list(edges)
+        around: list[list[int]] = [[] for _ in range(node_count)]
+        ordered = True
         for u, v in edges:
-            if not (0 <= u < node_count and 0 <= v < node_count):
-                raise InputError(f"edge ({u}, {v}) out of range 0..{node_count - 1}")
-            if u == v:
-                raise InputError(f"self-loop at node {u}")
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
+            if not 0 <= u < v < node_count:
+                ordered = False
+                if not (0 <= u < node_count and 0 <= v < node_count):
+                    raise InputError(f"edge ({u}, {v}) out of range 0..{node_count - 1}")
+                if u == v:
+                    raise InputError(f"self-loop at node {u}")
+            around[u].append(v)
+            around[v].append(u)
         terms = frozenset(terminals)
         for t in terms:
             if not (0 <= t < node_count):
                 raise InputError(f"terminal {t} out of range 0..{node_count - 1}")
-        return cls(node_count, tuple(masks), terms)
+        if ordered and all(map(lt, edges, islice(edges, 1, None))):
+            neighbourhoods = tuple(map(tuple, around))
+        else:
+            neighbourhoods = tuple([tuple(sorted(set(vs))) for vs in around])
+        return cls(node_count, neighbourhoods, terms)
+
+    @cached_property
+    def adjacency(self) -> tuple[int, ...]:
+        """One neighbour bitmask per node (bit v set iff v is a neighbour)."""
+        masks = []
+        for vs in self.neighbourhoods:
+            mask = 0
+            for v in vs:
+                mask |= 1 << v
+            masks.append(mask)
+        return tuple(masks)
+
+    @cached_property
+    def terminal_flags(self) -> tuple[bool, ...]:
+        """flags[v] is True iff v is a terminal."""
+        flags = [False] * self.node_count
+        for t in self.terminals:
+            flags[t] = True
+        return tuple(flags)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return u != v and bool(self.adjacency[u] >> v & 1)
+        around = self.neighbourhoods[u]
+        i = bisect_left(around, v)
+        return i < len(around) and around[i] == v
 
-    def neighbors(self, u: int) -> Iterator[int]:
-        mask = self.adjacency[u]
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
+    def neighbors(self, u: int) -> tuple[int, ...]:
+        """The neighbours of u, ascending."""
+        return self.neighbourhoods[u]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, in lexicographic order."""
-        for u in range(self.node_count):
-            mask = self.adjacency[u] >> (u + 1)   # bit i stands for u + 1 + i
-            while mask:
-                low = mask & -mask
-                yield u, u + low.bit_length()
-                mask ^= low
+        for u, around in enumerate(self.neighbourhoods):
+            for v in around[bisect_right(around, u):]:
+                yield u, v
 
     def terminal_edges(self) -> Iterator[tuple[int, int]]:
         """The edges joining two terminals, as (u, v) with u < v, in lexicographic order."""
-        terminal_mask = 0
-        for t in self.terminals:
-            terminal_mask |= 1 << t
+        flags = self.terminal_flags
         for u in sorted(self.terminals):
-            # terminal neighbours above u; bit i stands for u + 1 + i
-            above = (self.adjacency[u] & terminal_mask) >> (u + 1)
-            while above:
-                low = above & -above
-                yield u, u + low.bit_length()
-                above ^= low
+            around = self.neighbourhoods[u]
+            for v in around[bisect_right(around, u):]:
+                if flags[v]:
+                    yield u, v
 
     def edge_count(self) -> int:
-        return sum(m.bit_count() for m in self.adjacency) // 2
+        return sum(map(len, self.neighbourhoods)) // 2
 
 
 def cost(instance: Instance, connections: Iterable[Connection]) -> int:
@@ -237,9 +270,7 @@ class PartitionState(DisjointSets):
     def __init__(self, instance: Instance):
         super().__init__(instance.node_count)
         self.instance = instance
-        self._terminal_flag = [False] * instance.node_count
-        for t in instance.terminals:
-            self._terminal_flag[t] = True
+        self._terminal_flag = list(instance.terminal_flags)
         self._upkeep: ViewUpkeep | None = None
         self.absorbed: list[int] = []
         self.connections: list[Connection] = []

@@ -82,7 +82,7 @@ def brute_force_opt(instance: Instance, max_nodes: int = BRUTE_FORCE_NODE_CAP) -
     ]
     # All node pairs once, cheapest and lexicographically smallest first.
     all_pairs = sorted(
-        ((1 if instance.has_edge(u, v) else 2, u, v)
+        ((1 if adjacency[u] >> v & 1 else 2, u, v)
          for u in range(instance.node_count)
          for v in range(u + 1, instance.node_count)),
     )

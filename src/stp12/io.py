@@ -22,8 +22,9 @@ GENERATOR_FAMILIES = (
     "random-gnp", "random-sparse", "star-cluster", "comet-chain", "bp-adversarial"
 )
 
-# Largest node count parse_stp and generate accept; an Instance holds one
-# adjacency bitmask per node, allocated from the declared count.
+# Largest node count parse_stp and generate accept.  An Instance holds one
+# neighbour tuple per node, so its memory grows with n + m; the bitmasks the
+# exact oracles read are built only on their first use.
 MAX_NODES = 100_000
 # Largest n random-gnp accepts: it makes one draw per node pair, which at
 # n = MAX_NODES is 5 * 10^9 draws.  random-sparse draws the same distribution
@@ -246,9 +247,8 @@ def _generate_gnp(spec: GeneratorSpec) -> Instance:
             f"{GNP_MAX_NODES}, use random-sparse"
         )
     rng = random.Random(spec.seed)
-    edges = [
-        (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < threshold
-    ]
+    draw = rng.random
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if draw() < threshold]
     terminals = rng.sample(range(n), r)
     return Instance.from_edges(n, edges, terminals)
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import comb
 
@@ -153,11 +154,12 @@ def build_fork_candidates(
     directs = view.get(center, {})
     pair_forks: dict[tuple[int, int], list[int]] = {}
     for f in instance.neighbors(center):
-        reps = view.get(f, ())
+        reps = view.get(f)
+        if reps is None or len(reps) < 2:
+            continue
         if len(reps) > 3:
             return {}
-        leaves = sorted(root for root in reps if root not in directs)
-        for pair in combinations(leaves, 2):
+        for pair in combinations(sorted(reps.keys() - directs), 2):
             pair_forks.setdefault(pair, []).append(f)
     return pair_forks
 
@@ -235,12 +237,13 @@ def _best_comet_key(state: PartitionState) -> tuple | None:
     """Sort key of the best comet, after scoring the centers that need it.
 
     A center's best comet depends only on the view entries of the center and
-    its neighbours, and its sort key (cost index, terminal count) only on the
-    shape of those entries.  So each center's key is kept with the view and
+    its neighbours, and its sort key (cost index, terminal count) only on
+    its shape (a, b), which `_comet_shape` reads off those entries without
+    building the comet.  So each center's key is kept with the view and
     scored again only when the view reports that neighbourhood reshaped or
     the center is no longer free; a merge that only renames roots there
     leaves the key as it is.  The best kept key is read off a lazy heap of
-    the keys.
+    the keys; `best_comet` builds the comet of the winning center alone.
     """
     instance = state.instance
     upkeep = state.view_upkeep()
@@ -261,9 +264,9 @@ def _best_comet_key(state: PartitionState) -> tuple | None:
         comets.pop(center, None)
         if state.is_terminal_component(center):
             continue
-        comet = _comet_at(instance, view, center)
-        if comet is not None:
-            key = (comet.cost_index, -comet.terminal_count, center, 1)
+        shape = _comet_shape(instance, view, center)
+        if shape is not None:
+            key = (*_shape_key(*shape), center, 1)
             comets[center] = key
             heapq.heappush(keys, key)
     # A key that is not the one kept for its center was scored again or is gone.
@@ -272,19 +275,46 @@ def _best_comet_key(state: PartitionState) -> tuple | None:
     return keys[0] if keys else None
 
 
+@cache
+def _shape_key(a: int, b: int) -> tuple[CostIndex, int]:
+    """(cost index, -terminal count) of every comet with a forks and b directs."""
+    return cost_index(2 * a + b, 3 * a + b), -(2 * a + b)
+
+
+def _comet_shape(instance: Instance, view: TerminalView, center: int) -> tuple[int, int] | None:
+    """(a, b) of the comet `_comet_at` builds at center, or None if it builds none.
+
+    b counts the center's direct components and a is the size of a maximum
+    matching of the fork-servable pairs.  When those pairs are pairwise
+    disjoint (one pair, most often), they are the matching and none is run.
+    """
+    direct_reps = view.get(center, {})
+    if len(direct_reps) > 2:
+        return None
+    pairs = build_fork_candidates(instance, view, center)
+    if not pairs:
+        return None
+    if len({root for pair in pairs for root in pair}) == 2 * len(pairs):
+        a = len(pairs)
+    else:
+        a = len(max_matching(AuxGraph.build(pairs)))
+    return a, len(direct_reps)
+
+
 def _comet_at(instance: Instance, view: TerminalView, center: int) -> Comet | None:
     """Comet with the most forks at a free center with at most two directs.
 
     The forks are a maximum matching of the fork-servable pairs, each pair
-    served by its first fork node.  `best_comet` calls this only when no
-    star of s >= 3 stands, so every entry holds at most two roots and each
-    fork node serves at most one pair.  Called on any other state, as a
-    fresh scoring beside such a star may be, it gives no comet to a center
-    next to an entry of 4 or more roots, and with every entry at 3 roots or
+    served by its first fork node.  `best_comet` builds it only at the
+    center whose shape (`_comet_shape`) wins, and only when no star of
+    s >= 3 stands, so every entry holds at most two roots and each fork
+    node serves at most one pair.  Called on any other state, as a fresh
+    scoring beside such a star may be, it gives no comet to a center next
+    to an entry of 4 or more roots, and with every entry at 3 roots or
     fewer the pairs one fork node serves share roots pairwise, so matched
-    pairs, being disjoint, still get distinct forks.  The decline reads only
-    the entries' sizes, so a merge that only renames roots around the center
-    leaves the result as it was.
+    pairs, being disjoint, still get distinct forks.  The decline reads
+    only the entries' sizes, so a merge that only renames roots around the
+    center leaves the result as it was.
     """
     direct_reps = view.get(center, {})
     if len(direct_reps) > 2:

@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from stp12 import io as stpio
 from stp12.core import (
     ContractViolation,
     InputError,
@@ -14,6 +16,9 @@ from stp12.core import (
     induced_graph,
     is_valid_solution,
 )
+from stp12.harness import full_corpus
+from stp12.heuristics import rayward_smith
+from stp12.sixphase import six_phase
 
 
 def path3():
@@ -39,6 +44,93 @@ def test_adjacency_symmetric():
     assert inst.has_edge(1, 3) and inst.has_edge(3, 1)
     assert not inst.has_edge(0, 1)
     assert list(inst.edges()) == [(0, 2), (1, 3)]
+
+
+def check_against_masks(inst, node_count, edges, terminals, pairs=None):
+    """Every query of `inst` against bitmasks built from the same edge list."""
+    masks = [0] * node_count
+    for u, v in edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+
+    def decoded(mask):
+        bits = []
+        while mask:
+            low = mask & -mask
+            bits.append(low.bit_length() - 1)
+            mask ^= low
+        return tuple(bits)
+
+    want_edges = [(u, v) for u in range(node_count) for v in decoded(masks[u]) if u < v]
+    terms = set(terminals)
+    assert inst.node_count == node_count and inst.terminals == terms
+    assert [inst.neighbors(v) for v in range(node_count)] == [decoded(m) for m in masks]
+    assert list(inst.edges()) == want_edges
+    assert list(inst.terminal_edges()) == [(u, v) for u, v in want_edges
+                                           if u in terms and v in terms]
+    assert inst.edge_count() == len(want_edges)
+    if pairs is None:
+        pairs = [(u, v) for u in range(node_count) for v in range(node_count)]
+    for u, v in pairs:
+        assert inst.has_edge(u, v) == bool(masks[u] >> v & 1), (u, v)
+    assert inst.adjacency == tuple(masks)
+
+
+def test_tuple_queries_match_bitmasks_on_the_corpus():
+    # Each corpus instance is rebuilt from its edge list shuffled, with every
+    # edge also listed reversed and some twice, plus an isolated node.
+    rng = random.Random(5)
+    for _, inst in full_corpus(seed=0):
+        n = inst.node_count + 1
+        edges = list(inst.edges())
+        listed = edges + [(v, u) for u, v in edges] + rng.sample(edges, len(edges) // 3)
+        rng.shuffle(listed)
+        rebuilt = Instance.from_edges(n, listed, inst.terminals)
+        check_against_masks(rebuilt, n, listed, inst.terminals)
+        check_against_masks(inst, inst.node_count, edges, inst.terminals)
+
+
+def test_tuple_queries_match_bitmasks_on_random_sparse_draws():
+    # The generator's own draws, read back through the generator's instance
+    # and through from_edges with the list reversed and duplicated.
+    for n, seed in ((50, 1), (300, 2), (2000, 3)):
+        p = Fraction(4, n - 1)
+        rng = random.Random(seed)
+        edges = stpio._sparse_edges(n, float(p), rng)
+        terminals = rng.sample(range(n), n // 4)
+        spec = stpio.GeneratorSpec("random-sparse", {"n": n, "p": p, "r": n // 4}, seed=seed)
+        generated = stpio.generate(spec)
+        listed = edges[::-1] + edges[: n // 3]
+        rebuilt = Instance.from_edges(n, listed, terminals)
+        assert rebuilt == generated
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(5000)]
+        pairs += [(u, v) for u, v in edges] + [(v, u) for u, v in edges]
+        check_against_masks(generated, n, edges, terminals, pairs)
+        check_against_masks(rebuilt, n, listed, terminals, pairs)
+
+
+def test_isolated_nodes_and_duplicate_edges():
+    # Lexicographic lists of (u, v), u < v, skip the per-node sort; a
+    # repeat, a reversed pair or a pair out of order must not.
+    want = Instance.from_edges(6, [(1, 4), (2, 4)], [5, 1])
+    for edges in ([(4, 1), (1, 4), (4, 1), (2, 4)], [(1, 4), (1, 4), (2, 4)],
+                  [(1, 4), (4, 2)], [(2, 4), (1, 4)]):
+        inst = Instance.from_edges(6, edges, [1, 5])
+        check_against_masks(inst, 6, edges, [1, 5])
+        assert inst == want
+    assert want.neighbors(4) == (1, 2) and want.neighbors(0) == () == want.neighbors(5)
+
+
+def test_heuristics_never_build_the_bitmasks():
+    spec = stpio.GeneratorSpec(
+        "random-sparse", {"n": 20000, "p": Fraction(4, 19999), "r": 5000}, seed=1
+    )
+    inst = stpio.generate(spec)
+    rayward_smith(inst)
+    six_phase(inst, pack3="greedy")
+    assert "adjacency" not in vars(inst)
+    inst.adjacency
+    assert "adjacency" in vars(inst)
 
 
 def test_cost_two_unit_edges():

@@ -10,16 +10,19 @@ from stp12.core import (
     Instance,
     PartitionState,
     cost,
+    induced_graph,
     is_valid_solution,
 )
 from stp12.exact import brute_force_opt
 from stp12.harness import exhaustive_min_cost_index
-from stp12.heuristics import Star, preprocess_terminal_edges, rayward_smith
+from stp12.heuristics import Star, finishing, preprocess_terminal_edges, rayward_smith
 from stp12.io import GeneratorSpec, generate
 from stp12.sixphase import (
     Comet,
     Fork,
+    PACK3_STRATEGIES,
     _comet_at,
+    _comet_shape,
     best_comet,
     build_fork_candidates,
     cost_index,
@@ -99,6 +102,47 @@ def test_a_matched_pair_with_two_fork_nodes_takes_the_smaller():
     assert build_fork_candidates(inst, view, 0) == {(5, 6): [1, 2]}
     assert [fork.node for fork in _comet_at(inst, view, 0).forks] == [1]
     assert six_phase(inst).connections == {(0, 1), (0, 3), (0, 4), (1, 5), (1, 6)}
+
+
+def test_comet_shape_matches_the_comet_built():
+    # Center 0 with direct terminal 1.  Fork nodes 2-5 serve the pairs
+    # (6, 7), (7, 8), (8, 9) and (6, 9): a 4-cycle, so a = 2 and the shape
+    # runs the matching.  With fork node 2 alone there is one pair and none.
+    edges = [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5),
+             (2, 6), (2, 7), (3, 7), (3, 8), (4, 8), (4, 9), (5, 6), (5, 9)]
+    terminals = [1, 6, 7, 8, 9]
+    for forks, shape in (((2, 3, 4, 5), (2, 1)), ((2,), (1, 1)), ((), None)):
+        kept = [(u, v) for u, v in edges if not ({u, v} & ({2, 3, 4, 5} - set(forks)))]
+        inst = Instance.from_edges(10, kept, terminals)
+        view = fresh_state(inst).view_upkeep().view
+        comet = _comet_at(inst, view, 0)
+        assert _comet_shape(inst, view, 0) == shape
+        assert shape == (None if comet is None else (comet.a, comet.b))
+
+
+def test_cheapest_finishing_takes_the_edge_between_two_packed_3_stars(monkeypatch):
+    # Found by a fixed-seed search of random-gnp runs with n <= 60 for one
+    # where cheapest finishing beats strict-paper, random-gnp(n=36, p=1/10,
+    # r=10, seed=2491001743), and shrunk by harness.minimize_instance.  The
+    # adjacent centers 0 and 7 carry three terminals each.  Phase 4 packs
+    # both 3-stars and phase 5 collapses them together, so the edge (0, 7)
+    # joins two terminal components and only finishing can take it.
+    edges = [(0, 2), (0, 4), (0, 6), (0, 7), (1, 7), (3, 7), (5, 7)]
+    inst = Instance.from_edges(8, edges, [1, 2, 3, 4, 5, 6])
+    graphs = []
+
+    def recorded_finishing(state, mode="cheapest"):
+        graphs.append(induced_graph(state))
+        return finishing(state, mode)
+
+    monkeypatch.setattr(sixphase, "finishing", recorded_finishing)
+    for pack3 in PACK3_STRATEGIES:
+        graphs.clear()
+        cheapest = six_phase(inst, pack3=pack3)
+        strict = six_phase(inst, mode="strict-paper", pack3=pack3)
+        assert graphs == [{(0, 1): (0, 7)}] * 2
+        assert (0, 7) in cheapest.connections and (0, 7) not in strict.connections
+        assert (cheapest.cost, strict.cost) == (7, 8)
 
 
 def test_comet_rejects_shared_components():

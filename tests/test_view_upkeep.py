@@ -20,6 +20,7 @@ from stp12.io import GeneratorSpec, generate
 from stp12.heuristics import Star, find_max_star
 from stp12.sixphase import (
     _comet_at,
+    _comet_shape,
     best_comet,
     six_phase,
     star_cost_index,
@@ -235,9 +236,9 @@ def test_first_comet_scoring_skips_only_centers_without_a_fork(monkeypatch):
     free = skipped = 0
     scored = set()
 
-    def recorded_comet_at(inst, view, center):
+    def recorded_comet_shape(inst, view, center):
         scored.add(center)
-        return _comet_at(inst, view, center)
+        return _comet_shape(inst, view, center)
 
     def checked_best_comet(state):
         nonlocal free, skipped
@@ -260,7 +261,7 @@ def test_first_comet_scoring_skips_only_centers_without_a_fork(monkeypatch):
         assert scored == forked
         return got
 
-    monkeypatch.setattr(sixphase, "_comet_at", recorded_comet_at)
+    monkeypatch.setattr(sixphase, "_comet_shape", recorded_comet_shape)
     monkeypatch.setattr(sixphase, "best_comet", checked_best_comet)
     for inst, pack3 in corpus_and_gnp() + [(inst, "greedy") for inst in larger_gnp_instances()]:
         six_phase(inst, pack3=pack3)
