@@ -15,8 +15,6 @@ import heapq
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
-from operator import lt
 from typing import Iterable, Iterator
 
 
@@ -64,35 +62,22 @@ class Instance:
         edges: Iterable[tuple[int, int]],
         terminals: Iterable[int],
     ) -> "Instance":
-        """Instance over nodes 0..node_count-1; an edge listed twice counts once.
-
-        Edges listed as (u, v) with u < v, each once, in lexicographic order
-        (as `edges()`, `serialize_stp` and random-gnp list them) give every
-        node its neighbours in ascending order, those below it first, so
-        the per-node sort is skipped for them.
-        """
+        """Instance over nodes 0..node_count-1; an edge listed twice counts once."""
         if node_count <= 0:
             raise InputError("node_count must be positive")
-        edges = list(edges)
         around: list[list[int]] = [[] for _ in range(node_count)]
-        ordered = True
         for u, v in edges:
-            if not 0 <= u < v < node_count:
-                ordered = False
-                if not (0 <= u < node_count and 0 <= v < node_count):
-                    raise InputError(f"edge ({u}, {v}) out of range 0..{node_count - 1}")
-                if u == v:
-                    raise InputError(f"self-loop at node {u}")
+            if not (0 <= u < node_count and 0 <= v < node_count):
+                raise InputError(f"edge ({u}, {v}) out of range 0..{node_count - 1}")
+            if u == v:
+                raise InputError(f"self-loop at node {u}")
             around[u].append(v)
             around[v].append(u)
         terms = frozenset(terminals)
         for t in terms:
             if not (0 <= t < node_count):
                 raise InputError(f"terminal {t} out of range 0..{node_count - 1}")
-        if ordered and all(map(lt, edges, islice(edges, 1, None))):
-            neighbourhoods = tuple(map(tuple, around))
-        else:
-            neighbourhoods = tuple([tuple(sorted(set(vs))) for vs in around])
+        neighbourhoods = tuple([tuple(sorted(set(vs))) for vs in around])
         return cls(node_count, neighbourhoods, terms)
 
     @cached_property

@@ -247,10 +247,16 @@ def _generate_gnp(spec: GeneratorSpec) -> Instance:
             f"{GNP_MAX_NODES}, use random-sparse"
         )
     rng = random.Random(spec.seed)
-    draw = rng.random
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if draw() < threshold]
-    terminals = rng.sample(range(n), r)
-    return Instance.from_edges(n, edges, terminals)
+    # Pairs are drawn in lexicographic order, so each node's neighbours
+    # arrive ascending and once each: the tuples need no sort.
+    around: list[list[int]] = [[] for _ in range(n)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < threshold:
+                around[u].append(v)
+                around[v].append(u)
+    terminals = frozenset(rng.sample(range(n), r))
+    return Instance(n, tuple(map(tuple, around)), terminals)
 
 
 def _generate_sparse(spec: GeneratorSpec) -> Instance:

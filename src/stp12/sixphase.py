@@ -281,6 +281,23 @@ def _shape_key(a: int, b: int) -> tuple[CostIndex, int]:
     return cost_index(2 * a + b, 3 * a + b), -(2 * a + b)
 
 
+def _comet_pairs(
+    instance: Instance, view: TerminalView, center: int
+) -> tuple[dict[int, Connection], dict[tuple[int, int], list[int]]] | None:
+    """The center's direct entry and fork-servable pairs, or None if it has no comet.
+
+    A center with more than two directs, or with no pair a fork can serve,
+    gets no comet; `_comet_shape` and `_comet_at` both start here.
+    """
+    direct_reps = view.get(center, {})
+    if len(direct_reps) > 2:
+        return None
+    pair_forks = build_fork_candidates(instance, view, center)
+    if not pair_forks:
+        return None
+    return direct_reps, pair_forks
+
+
 def _comet_shape(instance: Instance, view: TerminalView, center: int) -> tuple[int, int] | None:
     """(a, b) of the comet `_comet_at` builds at center, or None if it builds none.
 
@@ -288,12 +305,10 @@ def _comet_shape(instance: Instance, view: TerminalView, center: int) -> tuple[i
     matching of the fork-servable pairs.  When those pairs are pairwise
     disjoint (one pair, most often), they are the matching and none is run.
     """
-    direct_reps = view.get(center, {})
-    if len(direct_reps) > 2:
+    found = _comet_pairs(instance, view, center)
+    if found is None:
         return None
-    pairs = build_fork_candidates(instance, view, center)
-    if not pairs:
-        return None
+    direct_reps, pairs = found
     if len({root for pair in pairs for root in pair}) == 2 * len(pairs):
         a = len(pairs)
     else:
@@ -316,12 +331,10 @@ def _comet_at(instance: Instance, view: TerminalView, center: int) -> Comet | No
     only the entries' sizes, so a merge that only renames roots around the
     center leaves the result as it was.
     """
-    direct_reps = view.get(center, {})
-    if len(direct_reps) > 2:
+    found = _comet_pairs(instance, view, center)
+    if found is None:
         return None
-    pair_forks = build_fork_candidates(instance, view, center)
-    if not pair_forks:
-        return None
+    direct_reps, pair_forks = found
     forks = []
     for pair in sorted(max_matching(AuxGraph.build(pair_forks)).pairs):
         f = pair_forks[pair][0]

@@ -110,8 +110,7 @@ def test_tuple_queries_match_bitmasks_on_random_sparse_draws():
 
 
 def test_isolated_nodes_and_duplicate_edges():
-    # Lexicographic lists of (u, v), u < v, skip the per-node sort; a
-    # repeat, a reversed pair or a pair out of order must not.
+    # A repeat, a reversed pair or a pair out of order builds the same Instance.
     want = Instance.from_edges(6, [(1, 4), (2, 4)], [5, 1])
     for edges in ([(4, 1), (1, 4), (4, 1), (2, 4)], [(1, 4), (1, 4), (2, 4)],
                   [(1, 4), (4, 2)], [(2, 4), (1, 4)]):

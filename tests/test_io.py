@@ -177,6 +177,17 @@ def test_gnp_deterministic_per_seed():
     assert generate(other) != generate(spec)
 
 
+def test_gnp_matches_from_edges_over_the_same_draws():
+    # One draw per pair in lexicographic order, then the terminal sample.
+    for n, seed in ((9, 5), (32, 7), (200, 3)):
+        p = Fraction(4, n - 1)
+        rng = random.Random(seed)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < float(p)]
+        terminals = rng.sample(range(n), n // 4)
+        spec = GeneratorSpec("random-gnp", {"n": n, "p": p, "r": n // 4}, seed=seed)
+        assert generate(spec) == Instance.from_edges(n, edges, terminals)
+
+
 def test_gnp_respects_counts():
     spec = GeneratorSpec("random-gnp", {"n": 9, "p": Fraction(1, 2), "r": 3}, seed=5)
     inst = generate(spec)
