@@ -95,7 +95,10 @@ def main(argv: list[str] | None = None) -> int:
 def _read_instances(paths: list[str]) -> list[tuple[str, Instance]]:
     out = []
     for path in paths:
-        text = Path(path).read_text(encoding="utf-8")
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text: {exc}") from None
         out.append((Path(path).name, stpio.parse_stp(text)))
     return out
 

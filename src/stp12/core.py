@@ -213,10 +213,10 @@ class ViewUpkeep:
     entry again only when its size changes, and `largest` drops the tops
     that no longer match the view.
 
-    Once `comets` exists, every merge also adds to `reshaped` the nodes
-    whose closed neighbourhood changed shape (see `_sort_neighbourhoods`);
-    a result that depends on the shape of those entries alone still holds
-    everywhere else.  `closed` keeps the closed neighbourhoods this needs.
+    Once `comets` exists, every merge also adds to `reshaped` the closed
+    neighbourhood of every node whose entry it changed, added or removed
+    (see `_absorb`); a result that depends only on the entries of a node
+    and its neighbours still holds everywhere else.
     """
 
     view: TerminalView
@@ -225,7 +225,6 @@ class ViewUpkeep:
     comets: dict[int, tuple] | None = None
     comet_keys: list[tuple] = field(default_factory=list)
     reshaped: set[int] = field(default_factory=set)
-    closed: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
     def largest(self) -> int | None:
         """Center of the largest entry, ties to the smallest; None if empty."""
@@ -349,9 +348,12 @@ def _absorb(
     merged roots and the neighbours of absorbed nodes are visited, and they
     are folded into the kept root's `touching` set (small to large).  When
     the merged component takes a free node's id, every set is visited.
+
+    Once `comets` exists, the closed neighbourhood of every visited or
+    absorbed node goes into `reshaped`.  No other entry changes, so every
+    node outside it sees the same entries around it as before.
     """
     view, touching = upkeep.view, upkeep.touching
-    absorbed_set = set(absorbed)
     for f in absorbed:
         for k in view.pop(f, ()):
             touching[k].discard(f)
@@ -366,12 +368,10 @@ def _absorb(
             if not flags[state.find(u)]:
                 nearest_absorbed.setdefault(u, f)
     affected: set[int] = set(nearest_absorbed).union(*small.values())
-    affected -= absorbed_set
+    affected.difference_update(absorbed)
     sizes = upkeep.sizes
-    marked = set(absorbed)
     for v in affected:
         reps = view.setdefault(v, {})
-        before = reps.get(root)
         nearest = nearest_absorbed.get(v)
         dropped = 0
         for k in terminal_roots:
@@ -385,74 +385,13 @@ def _absorb(
         reps[root] = edge
         if dropped != 1:
             heapq.heappush(sizes, (-len(reps), v))
-            marked.add(v)
-        elif before is None:   # renamed; an entry that only moved its edge keeps its shape
-            marked.add(v)
     if upkeep.comets is not None:
-        _sort_neighbourhoods(instance, upkeep, root, big, small, absorbed_set, affected, marked)
+        reshaped = upkeep.reshaped
+        for v in (*absorbed, *affected):
+            reshaped.add(v)
+            reshaped.update(instance.neighbors(v))
     big |= affected
     touching[root] = big
-
-
-def _sort_neighbourhoods(
-    instance: Instance,
-    upkeep: ViewUpkeep,
-    root: int,
-    big: set[int],
-    small: dict[int, set[int]],
-    absorbed: set[int],
-    affected: set[int],
-    marked: set[int],
-) -> None:
-    """Add the nodes around one merge's changed entries that it reshaped.
-
-    Before the merge, `big` held the free nodes whose entry held `root`
-    (empty when `root` is a free node's id) and `small` maps every other
-    merged terminal root to the free nodes whose entry held it.  A node is
-    only renamed when no node of its closed neighbourhood was absorbed, and
-    every entry there that the merge touched held exactly one merged root,
-    the same one throughout: the merge only put the new root in its place
-    and may have changed edges, so the key sets there keep their sizes and
-    keys that differed still differ.  Every other node is reshaped.
-    """
-    sole: dict[int, int] = {}   # free node -> the one small root it held
-    shared: set[int] = set()    # free nodes that held two or more
-    for k, nodes in small.items():
-        for u in nodes:
-            if u in sole or u in big:
-                shared.add(u)
-            else:
-                sole[u] = k
-    closed = upkeep.closed
-
-    def around(v: int) -> tuple[int, ...]:
-        if v not in closed:
-            closed[v] = (v, *instance.neighbors(v))
-        return closed[v]
-
-    centers: set[int] = set()
-    for v in marked:
-        centers.update(around(v))
-    for c in centers:
-        name = None
-        for u in around(c):
-            if u in absorbed or u in shared:
-                break
-            if u in sole:
-                k = sole[u]
-            elif u in big:
-                k = root
-            elif u in affected:   # gained the new root: held none before
-                break
-            else:
-                continue
-            if name is None:
-                name = k
-            elif k != name:
-                break
-        else:
-            continue   # only renamed
-        upkeep.reshaped.add(c)
 
 
 def induced_graph(state: PartitionState) -> dict[tuple[int, int], Connection]:

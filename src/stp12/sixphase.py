@@ -149,7 +149,7 @@ def build_fork_candidates(
     A fork node must be a free non-terminal adjacent to the center; pairs may
     not touch components already attached directly to the center.  Returns
     no pair at all (no comet) when a neighbour's entry holds more than 3
-    roots, which `best_comet`'s calls never meet; see `_comet_at`.
+    roots, which `best_comet`'s calls never meet; see `_comet_pairs`.
     """
     directs = view.get(center, {})
     pair_forks: dict[tuple[int, int], list[int]] = {}
@@ -215,10 +215,10 @@ def best_comet(state: PartitionState) -> Star | Comet | None:
     index 1/(s-1) <= 1/2, and every comet `_comet_at` returns has a >= 1
     and b <= 2, so index (a+1)/(2a+b-1) > 1/2.  So while the largest star
     has s >= 3 it is returned before any comet is scored.  Until the first
-    scoring no comet cache exists, so merges sort no neighbourhoods; after
-    it, the centers reshaped meanwhile wait in `reshaped` and are scored
-    together when a comet can next win.  A key depends only on the entries'
-    shape when it is scored, so scoring later gives the same keys.
+    scoring no comet cache exists, so merges mark no centers; after it, the
+    centers reshaped meanwhile wait in `reshaped` and are scored together
+    when a comet can next win.  A key depends only on the entries around
+    its center when it is scored, so scoring later gives the same keys.
     """
     star = find_max_star(state)
     if star is not None and star.s >= 3:
@@ -240,10 +240,10 @@ def _best_comet_key(state: PartitionState) -> tuple | None:
     its neighbours, and its sort key (cost index, terminal count) only on
     its shape (a, b), which `_comet_shape` reads off those entries without
     building the comet.  So each center's key is kept with the view and
-    scored again only when the view reports that neighbourhood reshaped or
-    the center is no longer free; a merge that only renames roots there
-    leaves the key as it is.  The best kept key is read off a lazy heap of
-    the keys; `best_comet` builds the comet of the winning center alone.
+    scored again only when a merge changed, added or removed the entry of
+    the center or of a neighbour, which puts the center in `reshaped`, or
+    the center is no longer free.  The best kept key is read off a lazy heap
+    of the keys; `best_comet` builds the comet of the winning center alone.
     """
     instance = state.instance
     upkeep = state.view_upkeep()
@@ -288,6 +288,12 @@ def _comet_pairs(
 
     A center with more than two directs, or with no pair a fork can serve,
     gets no comet; `_comet_shape` and `_comet_at` both start here.
+
+    `six_phase` never reaches this guard or the decline in
+    `build_fork_candidates` beside an entry of more than 3 roots: it scores
+    comets only once no star of s >= 3 stands.  Both stay so that the two
+    callers give an answer on any partition state, as the fresh scorings
+    of the tests do beside such a star.
     """
     direct_reps = view.get(center, {})
     if len(direct_reps) > 2:
@@ -327,9 +333,7 @@ def _comet_at(instance: Instance, view: TerminalView, center: int) -> Comet | No
     scoring beside such a star may be, it gives no comet to a center next
     to an entry of 4 or more roots, and with every entry at 3 roots or
     fewer the pairs one fork node serves share roots pairwise, so matched
-    pairs, being disjoint, still get distinct forks.  The decline reads
-    only the entries' sizes, so a merge that only renames roots around the
-    center leaves the result as it was.
+    pairs, being disjoint, still get distinct forks.
     """
     found = _comet_pairs(instance, view, center)
     if found is None:

@@ -80,6 +80,15 @@ def test_parse_error_exits_two(tmp_path, capsys):
     assert "line 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "compare", "audit"])
+def test_non_utf8_input_exits_two(tmp_path, capsys, command):
+    # Exit 1 is compare's bound violation; unreadable text is an input error.
+    path = tmp_path / "bad.stp"
+    path.write_bytes(b"\xff\xfe")
+    assert main([command, str(path)]) == 2
+    assert f"error: {path}: not UTF-8 text" in capsys.readouterr().err
+
+
 def test_finishing_mode_dominance(p3_file, tmp_path):
     costs = {}
     for mode in ("cheapest", "strict-paper"):

@@ -2,17 +2,18 @@
 
 The view is built on its first read and then updated by every merge; these
 tests rebuild it from the whole graph after each merge and compare, check
-that every free center the merge does not report reshaped keeps its comet
-sort key, check the phase-6 comet cache against the exhaustive
-enumeration, a cold search and a fresh scoring of every center, and check
-the star and comet heaps against a linear scan of the view and the cache.
+that the merge reports reshaped the closed neighbourhood of every entry it
+changed and that every free center it leaves out keeps its comet sort key,
+check the phase-6 comet cache against the exhaustive enumeration, a cold
+search and a fresh scoring of every center, and check the star and comet
+heaps against a linear scan of the view and the cache.
 """
 
 import random
 from fractions import Fraction
 from types import MappingProxyType
 
-from stp12 import core, heuristics, sixphase
+from stp12 import heuristics, sixphase
 from stp12.core import Instance, PartitionState, collapse, connection
 from stp12.harness import exhaustive_min_cost_index, full_corpus
 from stp12.heuristics import rayward_smith
@@ -59,18 +60,29 @@ def comet_keys(inst, state):
     return keys
 
 
+def closed_neighbourhoods(inst, nodes):
+    return {u for v in nodes for u in (v, *inst.neighbors(v))}
+
+
 def checked_merge(inst, state, merge):
     """Run merge() and check the kept view and the centers it reports reshaped.
 
-    Once the comet cache exists, every free center the merge leaves out of
-    `reshaped` must score the same before and after it.
+    Once the comet cache exists, `reshaped` must hold the closed
+    neighbourhood of every node whose entry the merge changed, added or
+    removed, and every free center left out of it must score the same
+    before and after the merge.
     """
     upkeep = state.view_upkeep()
-    before = None if upkeep.comets is None else comet_keys(inst, state)
+    if upkeep.comets is not None:
+        old = {v: dict(reps) for v, reps in upkeep.view.items()}
+        before = comet_keys(inst, state)
     result = merge()
     assert state.view_upkeep() is upkeep
-    assert upkeep.view == reference_view(inst, state)
-    if before is not None:
+    view = upkeep.view
+    assert view == reference_view(inst, state)
+    if upkeep.comets is not None:
+        changed = {v for v in old.keys() | view.keys() if old.get(v) != view.get(v)}
+        assert closed_neighbourhoods(inst, changed) <= upkeep.reshaped
         after = comet_keys(inst, state)
         kept = free_nodes(inst, state) - upkeep.reshaped
         assert not {c for c in kept if after.get(c) != before.get(c)}
@@ -168,31 +180,23 @@ def test_cached_best_comet_matches_enumeration_and_cold_search(monkeypatch):
     assert steps > 1033
 
 
-def closed_neighbourhoods(inst, nodes):
-    return {u for v in nodes for u in (v, *inst.neighbors(v))}
-
-
 def test_comet_cache_matches_a_fresh_scoring_at_every_step(monkeypatch):
     # A call leaves the cache absent, or `reshaped` unscored, only when a
     # star of s >= 3 wins it; every kept key outside `reshaped` must equal
     # a fresh scoring at every step, and every other call scores all of
-    # `reshaped`.  Around the entries that changed since the last scoring,
-    # many centers must keep their key object: they were only renamed, so
-    # they are not scored again.  Some steps must have an entry of 4 or more
-    # roots: a star wins there, and a fresh scoring gives no comet next to
-    # it.  (Once the cache exists, six-phase never grows an entry past 3
-    # roots, so these steps all come before the first scoring.)
-    steps = kept_around_changes = declining = 0
-    last = {"state": None, "view": None}
+    # `reshaped`.  Some steps must have an entry of 4 or more roots: a star
+    # wins there, and a fresh scoring gives no comet next to it.  (Once the
+    # cache exists, six-phase never grows an entry past 3 roots, so these
+    # steps all come before the first scoring.)
+    steps = declining = 0
 
     def outside_reshaped(keys, upkeep):
         return {c: key[:2] for c, key in keys.items() if c not in upkeep.reshaped}
 
     def checked_best_comet(state):
-        nonlocal steps, kept_around_changes, declining
+        nonlocal steps, declining
         inst = state.instance
         upkeep = state.view_upkeep()
-        kept = dict(upkeep.comets or {})
         wide = [f for f, reps in upkeep.view.items() if len(reps) >= 4]
         got = best_comet(state)
         steps += 1
@@ -211,21 +215,12 @@ def test_comet_cache_matches_a_fresh_scoring_at_every_step(monkeypatch):
             return got
         assert not upkeep.reshaped
         assert {c: key[:2] for c, key in upkeep.comets.items()} == fresh
-        if last["state"] is state:
-            old, view = last["view"], upkeep.view
-            moved = {v for v in old.keys() | view.keys() if old.get(v) != view.get(v)}
-            kept_around_changes += sum(
-                1 for c in closed_neighbourhoods(inst, moved)
-                if c in kept and upkeep.comets.get(c) is kept[c]
-            )
-        last["state"], last["view"] = state, {v: dict(r) for v, r in upkeep.view.items()}
         return got
 
     monkeypatch.setattr(sixphase, "best_comet", checked_best_comet)
     for inst, pack3 in corpus_and_gnp() + [(inst, "greedy") for inst in larger_gnp_instances()]:
         six_phase(inst, pack3=pack3)
     assert steps > 1033
-    assert kept_around_changes > 100
     assert declining > 0
 
 
@@ -268,7 +263,7 @@ def test_first_comet_scoring_skips_only_centers_without_a_fork(monkeypatch):
     assert skipped > free // 2
 
 
-def test_merge_sorts_renamed_and_reshaped_nodes():
+def test_merge_reshapes_the_neighbourhoods_it_visits():
     # Terminals 0, 4, 7, 8.  Node 1 touches 0 and 4; node 2 touches 0 and
     # its neighbour 3 touches 4; node 5 touches 4 and 8 and forks for the
     # center 6, which touches 7.
@@ -281,16 +276,16 @@ def test_merge_sorts_renamed_and_reshaped_nodes():
 
     kept = upkeep.comets[6]
     assert checked_merge(inst, state, lambda: state.union(0, 4))
-    # 5 and 6 only see 4 renamed to 0; 1 held both roots, and the
-    # neighbourhoods of 2 and 3 held one each.
-    assert upkeep.reshaped == {0, 1, 2, 3, 4}
+    # The merge visits 1, 3 and 5, whose entries held 4, and not 2, whose
+    # entry holds the kept root 0.  5 only sees 4 renamed to 0, yet its
+    # neighbour 6 is scored again.
+    assert upkeep.reshaped == {0, 1, 2, 3, 4, 5, 6, 8}
     after = best_comet(state)
     assert after.forks[0].leaves == (0, 8)
     cold = PartitionState(inst)
     cold.union(0, 4)
     assert after == best_comet(cold)
-    assert upkeep.comets[6] is kept
-    assert kept == (before.cost_index, -3, 6, 1)
+    assert upkeep.comets[6] == kept == (before.cost_index, -3, 6, 1)
 
     # A node 9 joining the center to 0 makes it see two merged roots.
     inst = Instance.from_edges(10, edges + [(6, 9), (9, 0)], [0, 4, 7, 8])
@@ -300,12 +295,12 @@ def test_merge_sorts_renamed_and_reshaped_nodes():
     assert 6 in state.view_upkeep().reshaped
 
 
-def test_an_entry_that_only_moves_its_edge_is_not_marked(monkeypatch):
+def test_an_entry_that_only_moves_its_edge_reshapes_its_neighbourhood():
     # {0, 5} keeps its name when the star at 1 joins it to terminal 6.  Node
     # 3 reached {0, 5} through 5 and now through the smaller absorbed 1: its
     # entry keeps its one key and only moves its edge.  The centers around 1
-    # are reshaped; node 3 is not handed on as changed, so its neighbour 8,
-    # which sees no absorbed node, is not even examined.
+    # are reshaped, and so are those around 3, down to its neighbour 8,
+    # which sees no absorbed node.
     edges = [(0, 1), (1, 6), (3, 5), (1, 3), (0, 5), (3, 8)]
     inst = Instance.from_edges(9, edges, [0, 5, 6])
     state = PartitionState(inst)
@@ -313,18 +308,9 @@ def test_an_entry_that_only_moves_its_edge_is_not_marked(monkeypatch):
     best_comet(state)
     upkeep = state.view_upkeep()
     assert upkeep.view == {1: {0: (0, 1), 6: (1, 6)}, 3: {0: (3, 5)}}
-    handed = []
-    core_sort = core._sort_neighbourhoods
-
-    def recorded(instance, upkeep, root, big, small, absorbed, affected, marked):
-        handed.append(set(marked))
-        core_sort(instance, upkeep, root, big, small, absorbed, affected, marked)
-
-    monkeypatch.setattr(core, "_sort_neighbourhoods", recorded)
     checked_merge(inst, state, lambda: state.merge([0, 1, 6]))
     assert upkeep.view == {3: {0: (1, 3)}}
-    assert handed == [{1}]
-    assert upkeep.reshaped == {0, 1, 3, 6}
+    assert upkeep.reshaped == {0, 1, 3, 5, 6, 8}
 
 
 def test_views_read_without_comets_sort_nothing():
@@ -337,7 +323,7 @@ def test_views_read_without_comets_sort_nothing():
             merges += state.union(u, v)
     upkeep = state.view_upkeep()
     assert merges > 10
-    assert not (upkeep.reshaped or upkeep.closed)
+    assert not upkeep.reshaped
 
 
 def test_random_unions_and_collapses_keep_the_view():
@@ -500,7 +486,7 @@ def test_merge_under_a_free_name_rekeys_every_set():
 
     checked_merge(inst, state, lambda: state.merge([0, 3, 5]))
     assert upkeep.view == {1: {0: (1, 3)}, 2: {0: (2, 5), 6: (2, 6)}, 4: {0: (3, 4)}}
-    # 0 was absorbed and 4 held both merged roots; 1 and 2 held one each.
-    assert upkeep.reshaped == {0, 3, 4, 5}
+    # Around the absorbed 0 and the visited 1, 2 and 4.
+    assert upkeep.reshaped == {0, 1, 2, 3, 4, 5, 6}
     assert upkeep.touching == {0: {1, 2, 4}, 6: {2}}
     assert find_max_star(state).center == 2
