@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -28,6 +29,8 @@ from stp12.sixphase import PACK3_STRATEGIES, six_phase
 ALGORITHMS = ("rs", "six-phase", "exact", "all")
 # Version of the JSON document `compare` writes.
 REPORT_SCHEMA_VERSION = 1
+# A --param value: an integer, a ratio a/b or a decimal, in ASCII digits.
+NUMBER = re.compile(r"-?[0-9]+(/[0-9]+|\.[0-9]+)?")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,13 +112,13 @@ def _parse_params(pairs: list[str]) -> dict:
         if "=" not in pair:
             raise InputError(f"--param expects KEY=VALUE, got {pair!r}")
         key, _, value = pair.partition("=")
+        number = NUMBER.fullmatch(value)
         try:
-            params[key] = int(value)
-        except ValueError:
-            try:
-                params[key] = Fraction(value)
-            except (ValueError, ZeroDivisionError):
-                raise InputError(f"--param {key} needs a number, got {value!r}") from None
+            if number is None:
+                raise ValueError
+            params[key] = Fraction(value) if number[1] else int(value)
+        except (ValueError, ZeroDivisionError):
+            raise InputError(f"--param {key} needs a number, got {value!r}") from None
     return params
 
 

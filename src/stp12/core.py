@@ -196,8 +196,9 @@ class DisjointSets:
         return True
 
 
-# free node -> {terminal component root: smallest edge joining them}
-TerminalView = dict[int, dict[int, Connection]]
+# free node -> roots of the terminal components it has an edge to
+# (`edges_to` picks the edge to each)
+TerminalView = dict[int, set[int]]
 
 
 @dataclass
@@ -303,9 +304,7 @@ class PartitionState(DisjointSets):
 def _build_upkeep(state: PartitionState) -> ViewUpkeep:
     """Terminal view of the current partition, built anew.
 
-    Only the members of terminal components have their neighbours scanned,
-    in ascending order of member and neighbour, so the first edge seen from
-    a free node to a component is its smallest connecting edge.
+    Only the members of terminal components have their neighbours scanned.
     """
     instance = state.instance
     flags = state._terminal_flag
@@ -316,11 +315,8 @@ def _build_upkeep(state: PartitionState) -> ViewUpkeep:
         if not flags[root]:
             continue
         for v in instance.neighbors(u):
-            if flags[roots[v]]:
-                continue
-            reps = view.setdefault(v, {})
-            if root not in reps:
-                reps[root] = connection(v, u)
+            if not flags[roots[v]]:
+                view.setdefault(v, set()).add(root)
                 touching.setdefault(root, set()).add(v)
     sizes = [(-len(reps), v) for v, reps in view.items()]
     heapq.heapify(sizes)
@@ -338,9 +334,8 @@ def _absorb(
 
     Called before the union-find changes.  `terminal_roots` are the merged
     terminal components and `absorbed` the free nodes merged with them.  Only
-    the free nodes touching the merged members change: their keys among
-    `terminal_roots` fold into `root`, whose edge goes to the smallest
-    neighbour in the merged component.
+    the free nodes touching the merged members change: their roots among
+    `terminal_roots` give way to `root`.
 
     When `root` keeps its name (it is one of `terminal_roots`), a node whose
     entry held `root` and no other merged root, and which has no absorbed
@@ -358,32 +353,20 @@ def _absorb(
         for k in view.pop(f, ()):
             touching[k].discard(f)
     big = touching.pop(root, set())
-    small = {k: touching.pop(k, set()) for k in terminal_roots if k != root}
+    small = [touching.pop(k, set()) for k in terminal_roots if k != root]
+    affected: set[int] = set().union(*small)
     instance = state.instance
     flags = state._terminal_flag
-    # free node -> its smallest absorbed neighbour
-    nearest_absorbed: dict[int, int] = {}
-    for f in sorted(absorbed):
-        for u in instance.neighbors(f):
-            if not flags[state.find(u)]:
-                nearest_absorbed.setdefault(u, f)
-    affected: set[int] = set(nearest_absorbed).union(*small.values())
+    for f in absorbed:
+        affected.update(u for u in instance.neighbors(f) if not flags[state.find(u)])
     affected.difference_update(absorbed)
     sizes = upkeep.sizes
     for v in affected:
-        reps = view.setdefault(v, {})
-        nearest = nearest_absorbed.get(v)
-        dropped = 0
-        for k in terminal_roots:
-            edge = reps.pop(k, None)
-            if edge is not None:
-                dropped += 1
-                u = edge[0] + edge[1] - v
-                if nearest is None or u < nearest:
-                    nearest = u
-        edge = connection(v, nearest)
-        reps[root] = edge
-        if dropped != 1:
+        reps = view.setdefault(v, set())
+        size = len(reps)
+        reps.difference_update(terminal_roots)
+        reps.add(root)
+        if len(reps) != size:
             heapq.heappush(sizes, (-len(reps), v))
     if upkeep.comets is not None:
         reshaped = upkeep.reshaped
@@ -392,6 +375,20 @@ def _absorb(
             reshaped.update(instance.neighbors(v))
     big |= affected
     touching[root] = big
+
+
+def edges_to(state: PartitionState, v: int, roots: Iterable[int]) -> tuple[Connection, ...]:
+    """The edge from the free node v to each of `roots`, in their order.
+
+    The edge to the terminal component r is `connection(v, u)` for the
+    smallest neighbour u of v in r.  Every structure built over the terminal
+    view takes its edges from here.
+    """
+    find = state.find
+    nearest: dict[int, int] = {}
+    for u in state.instance.neighbors(v):
+        nearest.setdefault(find(u), u)
+    return tuple(connection(v, nearest[r]) for r in roots)
 
 
 def induced_graph(state: PartitionState) -> dict[tuple[int, int], Connection]:

@@ -21,6 +21,7 @@ from stp12.core import (
     Solution,
     collapse,
     connection,
+    edges_to,
     induced_graph,
 )
 
@@ -50,15 +51,15 @@ def find_max_star(state: PartitionState) -> Star | None:
     """Largest star in the current component graph, or None if there is none.
 
     Ties go to the smallest center.  The star is read off the state's kept
-    terminal view (`PartitionState.view_upkeep`).
+    terminal view (`PartitionState.view_upkeep`), and its edges off
+    `edges_to`.
     """
     upkeep = state.view_upkeep()
     center = upkeep.largest()
     if center is None:
         return None
-    reps = upkeep.view[center]
-    leaves = tuple(sorted(reps))
-    return Star(center, leaves, tuple(reps[r] for r in leaves))
+    leaves = tuple(sorted(upkeep.view[center]))
+    return Star(center, leaves, edges_to(state, center, leaves))
 
 
 def preprocess_terminal_edges(state: PartitionState) -> PartitionState:

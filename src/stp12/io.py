@@ -30,6 +30,10 @@ MAX_NODES = 100_000
 # n = MAX_NODES is 5 * 10^9 draws.  random-sparse draws the same distribution
 # in O(n + m).
 GNP_MAX_NODES = 10_000
+# Largest expected edge count p * n(n-1)/2 the two random families accept.
+# Both keep every edge they draw: at n = MAX_NODES and p = 1 that is
+# 5 * 10^9 edges.
+MAX_EXPECTED_EDGES = 1_000_000
 
 
 class ParseError(InputError):
@@ -90,7 +94,7 @@ def parse_stp(text: str) -> Instance:
             elif keyword == "E":
                 if len(tokens) != 4:
                     raise ParseError(f"edge line needs 'E u v w', got {line!r}", lineno)
-                u, v, w = (_parse_int(t, lineno) for t in tokens[1:])
+                u, v, w = [_parse_int(t, lineno) for t in tokens[1:]]
                 if node_count is None:
                     raise ParseError("edge before Nodes declaration", lineno)
                 if not (1 <= u <= node_count and 1 <= v <= node_count):
@@ -130,10 +134,12 @@ def parse_stp(text: str) -> Instance:
 
 
 def _parse_int(token: str, lineno: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"expected integer, got {token!r}", lineno) from None
+    """ASCII digits with an optional minus sign; `int` alone would also take
+    `1_0`, `+4` and non-ASCII digits."""
+    digits = token[1:] if token[0] == "-" else token
+    if not (digits.isdigit() and digits.isascii()):
+        raise ParseError(f"expected integer, got {token!r}", lineno)
+    return int(token)
 
 
 def _int_field(tokens: list[str], lineno: int, what: str) -> int:
@@ -189,7 +195,8 @@ def generate(spec: GeneratorSpec) -> Instance:
 
     A family whose parameters ask for more than MAX_NODES nodes is refused
     with CapExceeded before anything is drawn or allocated, and so is
-    random-gnp above GNP_MAX_NODES.
+    random-gnp above GNP_MAX_NODES and a random family expecting more than
+    MAX_EXPECTED_EDGES edges.
     """
     if spec.family == "random-gnp":
         return _generate_gnp(spec)
@@ -226,7 +233,7 @@ def _node_cap(spec: GeneratorSpec, node_count: int) -> None:
 
 
 def _gnp_params(spec: GeneratorSpec) -> tuple[int, int, float]:
-    """n, r and p of the two random families, checked."""
+    """n, r and p of the two random families, checked against every cap."""
     n = _param(spec, "n", int, 1)
     r = _param(spec, "r", int, 1)
     p = _param(spec, "p", Fraction, 0)
@@ -235,17 +242,23 @@ def _gnp_params(spec: GeneratorSpec) -> tuple[int, int, float]:
     if r > n:
         raise InputError("parameter 'r' cannot exceed 'n'")
     _node_cap(spec, n)
+    if spec.family == "random-gnp" and n > GNP_MAX_NODES:
+        raise CapExceeded(
+            f"random-gnp draws once per node pair; n={n} is above its limit "
+            f"{GNP_MAX_NODES}, use random-sparse"
+        )
+    expected = p * n * (n - 1) / 2
+    if expected > MAX_EXPECTED_EDGES:
+        raise CapExceeded(
+            f"{spec.family} expects {float(expected):.4g} edges, above the limit "
+            f"{MAX_EXPECTED_EDGES}"
+        )
     return n, r, float(p)
 
 
 def _generate_gnp(spec: GeneratorSpec) -> Instance:
     """Every pair is an edge with probability p, one draw per pair."""
     n, r, threshold = _gnp_params(spec)
-    if n > GNP_MAX_NODES:
-        raise CapExceeded(
-            f"random-gnp draws once per node pair; n={n} is above its limit "
-            f"{GNP_MAX_NODES}, use random-sparse"
-        )
     rng = random.Random(spec.seed)
     # Pairs are drawn in lexicographic order, so each node's neighbours
     # arrive ascending and once each: the tuples need no sort.

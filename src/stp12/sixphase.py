@@ -45,6 +45,7 @@ from stp12.core import (
     TerminalView,
     collapse,
     connection,
+    edges_to,
 )
 from stp12.heuristics import Star, find_max_star, finishing, preprocess_terminal_edges
 from stp12.matching import AuxGraph, max_matching
@@ -151,7 +152,7 @@ def build_fork_candidates(
     no pair at all (no comet) when a neighbour's entry holds more than 3
     roots, which `best_comet`'s calls never meet; see `_comet_pairs`.
     """
-    directs = view.get(center, {})
+    directs = view.get(center, set())
     pair_forks: dict[tuple[int, int], list[int]] = {}
     for f in instance.neighbors(center):
         reps = view.get(f)
@@ -159,7 +160,7 @@ def build_fork_candidates(
             continue
         if len(reps) > 3:
             return {}
-        for pair in combinations(sorted(reps.keys() - directs), 2):
+        for pair in combinations(sorted(reps.difference(directs)), 2):
             pair_forks.setdefault(pair, []).append(f)
     return pair_forks
 
@@ -230,7 +231,7 @@ def best_comet(state: PartitionState) -> Star | Comet | None:
             return star
     if best is None:
         return None
-    return _comet_at(state.instance, state.view_upkeep().view, best[2])
+    return _comet_at(state, best[2])
 
 
 def _best_comet_key(state: PartitionState) -> tuple | None:
@@ -283,8 +284,8 @@ def _shape_key(a: int, b: int) -> tuple[CostIndex, int]:
 
 def _comet_pairs(
     instance: Instance, view: TerminalView, center: int
-) -> tuple[dict[int, Connection], dict[tuple[int, int], list[int]]] | None:
-    """The center's direct entry and fork-servable pairs, or None if it has no comet.
+) -> tuple[set[int], dict[tuple[int, int], list[int]]] | None:
+    """The center's direct roots and fork-servable pairs, or None if it has no comet.
 
     A center with more than two directs, or with no pair a fork can serve,
     gets no comet; `_comet_shape` and `_comet_at` both start here.
@@ -295,13 +296,13 @@ def _comet_pairs(
     callers give an answer on any partition state, as the fresh scorings
     of the tests do beside such a star.
     """
-    direct_reps = view.get(center, {})
-    if len(direct_reps) > 2:
+    directs = view.get(center, set())
+    if len(directs) > 2:
         return None
     pair_forks = build_fork_candidates(instance, view, center)
     if not pair_forks:
         return None
-    return direct_reps, pair_forks
+    return directs, pair_forks
 
 
 def _comet_shape(instance: Instance, view: TerminalView, center: int) -> tuple[int, int] | None:
@@ -314,41 +315,42 @@ def _comet_shape(instance: Instance, view: TerminalView, center: int) -> tuple[i
     found = _comet_pairs(instance, view, center)
     if found is None:
         return None
-    direct_reps, pairs = found
+    directs, pairs = found
     if len({root for pair in pairs for root in pair}) == 2 * len(pairs):
         a = len(pairs)
     else:
         a = len(max_matching(AuxGraph.build(pairs)))
-    return a, len(direct_reps)
+    return a, len(directs)
 
 
-def _comet_at(instance: Instance, view: TerminalView, center: int) -> Comet | None:
+def _comet_at(state: PartitionState, center: int) -> Comet | None:
     """Comet with the most forks at a free center with at most two directs.
 
     The forks are a maximum matching of the fork-servable pairs, each pair
-    served by its first fork node.  `best_comet` builds it only at the
-    center whose shape (`_comet_shape`) wins, and only when no star of
-    s >= 3 stands, so every entry holds at most two roots and each fork
-    node serves at most one pair.  Called on any other state, as a fresh
-    scoring beside such a star may be, it gives no comet to a center next
-    to an entry of 4 or more roots, and with every entry at 3 roots or
-    fewer the pairs one fork node serves share roots pairwise, so matched
-    pairs, being disjoint, still get distinct forks.
+    served by its first fork node; every edge comes from `edges_to`.
+    `best_comet` builds it only at the center whose shape (`_comet_shape`)
+    wins, and only when no star of s >= 3 stands, so every entry holds at
+    most two roots and each fork node serves at most one pair.  Called on
+    any other state, as a fresh scoring beside such a star may be, it gives
+    no comet to a center next to an entry of 4 or more roots, and with
+    every entry at 3 roots or fewer the pairs one fork node serves share
+    roots pairwise, so matched pairs, being disjoint, still get distinct
+    forks.
     """
-    found = _comet_pairs(instance, view, center)
+    found = _comet_pairs(state.instance, state.view_upkeep().view, center)
     if found is None:
         return None
-    direct_reps, pair_forks = found
+    roots, pair_forks = found
     forks = []
     for pair in sorted(max_matching(AuxGraph.build(pair_forks)).pairs):
         f = pair_forks[pair][0]
-        edges = (connection(center, f), view[f][pair[0]], view[f][pair[1]])
+        edges = (connection(center, f), *edges_to(state, f, pair))
         forks.append(Fork(node=f, leaves=pair, edges=edges))
-    directs = tuple(sorted(direct_reps))
+    directs = tuple(sorted(roots))
     return Comet(
         center=center,
         directs=directs,
-        direct_edges=tuple(direct_reps[r] for r in directs),
+        direct_edges=edges_to(state, center, directs),
         forks=tuple(forks),
     )
 
@@ -371,7 +373,7 @@ def max_3star_set(state: PartitionState, strategy: str = "exact") -> tuple[Star,
         return ()
 
     def build(center: int, combo: tuple[int, ...]) -> Star:
-        return Star(center, combo, tuple(view[center][r] for r in combo))
+        return Star(center, combo, edges_to(state, center, combo))
 
     if strategy == "greedy":
         picked: list[Star] = []
@@ -408,10 +410,9 @@ def upgrade_to_comets(
     for star in ordered:
         used_comps.update(star.leaves)
     blocked_nodes = {star.center for star in ordered}
-    view = state.view_upkeep().view
     result: list[Star | Comet] = []
     for star in ordered:
-        fork = _find_free_fork(state.instance, view, star.center, used_comps, blocked_nodes)
+        fork = _find_free_fork(state, star.center, used_comps, blocked_nodes)
         if fork is None:
             result.append(star)
             continue
@@ -429,25 +430,17 @@ def upgrade_to_comets(
 
 
 def _find_free_fork(
-    instance: Instance,
-    view: TerminalView,
-    center: int,
-    used_comps: set[int],
-    blocked_nodes: set[int],
+    state: PartitionState, center: int, used_comps: set[int], blocked_nodes: set[int]
 ) -> Fork | None:
-    for f in instance.neighbors(center):
+    view = state.view_upkeep().view
+    for f in state.instance.neighbors(center):
         if f in blocked_nodes or f not in view:
             continue
-        reps = view[f]
-        fresh = sorted(root for root in reps if root not in used_comps)
-        if len(fresh) < 2:
-            continue
-        pair = (fresh[0], fresh[1])
-        return Fork(
-            node=f,
-            leaves=pair,
-            edges=(connection(center, f), reps[pair[0]], reps[pair[1]]),
-        )
+        fresh = sorted(root for root in view[f] if root not in used_comps)
+        if len(fresh) >= 2:
+            pair = (fresh[0], fresh[1])
+            edges = (connection(center, f), *edges_to(state, f, pair))
+            return Fork(node=f, leaves=pair, edges=edges)
     return None
 
 

@@ -116,10 +116,16 @@ def test_gen_rejects_bad_params(tmp_path, capsys):
                  "--param", "p=3/2", "--param", "r=1", "--out", str(out)]) == 2
 
 
-@pytest.mark.parametrize("value", ["n=abc", "n=1/0", "n=15/2", "r=5/2"])
+@pytest.mark.parametrize(
+    "value",
+    ["n=abc", "n=1/0", "n=15/2", "r=5/2", "n=1_0", "p=\u0663/\u0664", "n=+9", "r=\uff12",
+     "p=1/2_0", "n= 9"],
+)
 def test_gen_malformed_param_exits_two(tmp_path, capsys, value):
     # A value that is no number, or not a whole number where one is needed,
     # is an input error, never a traceback or a silently truncated size.
+    # Numbers are ASCII digits with an optional minus sign, and no
+    # underscores, plus signs or spaces.
     params = {"n": "n=9", "p": "p=1/2", "r": "r=2"}
     params[value.split("=")[0]] = value
     out = tmp_path / "x.stp"

@@ -13,6 +13,7 @@ from stp12.core import (
     collapse,
     connection,
     cost,
+    edges_to,
     induced_graph,
     is_valid_solution,
 )
@@ -276,8 +277,9 @@ def test_merges_that_join_no_terminal_component_are_refused():
     state = PartitionState(inst)
     collapse(state, [0, 1], [(0, 1)])
     view = state.view_upkeep().view
-    assert view == {2: {0: (1, 2)}, 3: {4: (3, 4)}}
-    before = (list(state.connections), state.cost, {v: dict(r) for v, r in view.items()})
+    assert view == {2: {0}, 3: {4}}
+    assert edges_to(state, 2, [0]) + edges_to(state, 3, [4]) == ((1, 2), (3, 4))
+    before = (list(state.connections), state.cost, {v: set(r) for v, r in view.items()})
     with pytest.raises(ContractViolation):
         state.union(2, 3)
     with pytest.raises(ContractViolation):

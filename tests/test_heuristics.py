@@ -7,6 +7,7 @@ from stp12.core import (
     PartitionState,
     collapse,
     cost,
+    edges_to,
     induced_graph,
     is_valid_solution,
 )
@@ -74,7 +75,9 @@ def two_edge_component():
 
 def test_find_max_star_uses_smallest_edge_into_component():
     inst, state = two_edge_component()
-    assert state.view_upkeep().view == {5: {0: (5, 6), 1: (1, 5), 3: (3, 5)}}
+    assert state.view_upkeep().view == {5: {0, 1, 3}}
+    # one edge per root, in the order asked for
+    assert edges_to(state, 5, (3, 0, 1)) == ((3, 5), (5, 6), (1, 5))
     star = find_max_star(state)
     assert star.center == 5 and star.leaves == (0, 1, 3)
     assert star.edges == ((5, 6), (1, 5), (3, 5))

@@ -117,12 +117,17 @@ def test_parse_rejects_mismatched_declared_counts(graph, terminals, line):
         ("SECTION Graph\nNodes 3\nEdges 1 1\nE 1 2 1\nEND\n", 3),
         ("SECTION Graph\nNodes 3\nEND\nSECTION Terminals\nTerminals 1 2\nT 2\nEND\n", 5),
         ("SECTION Graph\nNodes 9\nEND\nSECTION Terminals\nT 2 7\nEND\n", 5),
+        ("SECTION Graph\nNodes 1_0\nEND\n", 2),
+        ("SECTION Graph\nNodes 5\nE \u0663 +4 1\nEND\n", 3),
+        ("SECTION Graph\nNodes 5\nE 3 +4 1\nEND\n", 3),
+        ("SECTION Graph\nNodes 5\nEND\nSECTION Terminals\nT \uff14\nEND\n", 5),
     ],
     ids=["terminal-twice", "edge-before-section", "terminal-after-end",
          "zero-nodes", "negative-nodes", "second-nodes",
          "pair-at-both-weights", "pair-at-both-weights-apart", "same-edge-twice",
          "weight-two-pair-twice", "token-after-nodes", "token-after-edges",
-         "token-after-terminals", "token-after-terminal"],
+         "token-after-terminals", "token-after-terminal", "underscore-in-nodes",
+         "arabic-indic-digit-in-edge", "plus-sign-in-edge", "fullwidth-digit-terminal"],
 )
 def test_parse_rejects_malformed_lines_with_their_number(text, line):
     with pytest.raises(ParseError) as err:
@@ -260,6 +265,33 @@ def test_generate_refuses_too_many_nodes_before_drawing(monkeypatch, family, par
     monkeypatch.setattr(stpio.random, "Random", no_draws)
     with pytest.raises(CapExceeded, match=f"{family} makes {nodes} nodes"):
         generate(GeneratorSpec(family, params))
+
+
+@pytest.mark.parametrize(
+    "family, n, p",
+    [
+        ("random-sparse", LIMIT, 1),
+        ("random-gnp", stpio.GNP_MAX_NODES, 1),
+        ("random-sparse", 2000, Fraction(1001, 1999)),
+        ("random-gnp", 2000, Fraction(1001, 1999)),
+    ],
+)
+def test_generate_refuses_too_many_expected_edges_before_drawing(monkeypatch, family, n, p):
+    # p * n(n-1)/2 is 1001000 at n = 2000, p = 1001/1999.
+    monkeypatch.setattr(stpio, "Instance", NoInstance)
+    monkeypatch.setattr(stpio.random, "Random", no_draws)
+    limit = stpio.MAX_EXPECTED_EDGES
+    with pytest.raises(CapExceeded, match=f"{family} expects .* edges, above the limit {limit}"):
+        generate(GeneratorSpec(family, {"n": n, "p": p, "r": 1}))
+
+
+def test_random_sparse_accepts_expected_edges_at_limit(monkeypatch):
+    # p * n(n-1)/2 is exactly MAX_EXPECTED_EDGES; no edge is drawn.
+    monkeypatch.setattr(stpio, "Instance", NodeCount)
+    monkeypatch.setattr(stpio, "_sparse_edges", lambda n, p, rng: [])
+    assert Fraction(1000, 1999) * 2000 * 1999 / 2 == stpio.MAX_EXPECTED_EDGES
+    spec = GeneratorSpec("random-sparse", {"n": 2000, "p": Fraction(1000, 1999), "r": 1})
+    assert generate(spec) == 2000
 
 
 def test_gnp_refuses_more_nodes_than_it_can_draw_for(monkeypatch):

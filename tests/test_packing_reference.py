@@ -20,6 +20,7 @@ from stp12.core import CapExceeded, Connection, InputError, Instance, PartitionS
 from stp12.heuristics import Star, find_max_star, preprocess_terminal_edges
 from stp12.io import GeneratorSpec, generate
 from stp12.sixphase import DEFAULT_PACK3_CAP, PACK3_STRATEGIES, build_fork_candidates
+from test_view_upkeep import reference_edges
 
 
 def max_fork_set(
@@ -64,10 +65,11 @@ def max_3star_set(state: PartitionState, strategy: str = "exact") -> tuple[Star,
     candidates: list[tuple[int, tuple[int, ...], dict[int, Connection]]] = []
     view = state.view_upkeep().view
     # The view keeps no center order; both packings depend on this one.
+    # Each entry is rebuilt with its edges by a plain scan.
     for center in sorted(view):
-        reps = view[center]
-        if len(reps) < 3:
+        if len(view[center]) < 3:
             continue
+        reps = reference_edges(state, center)
         for combo in combinations(sorted(reps), 3):
             candidates.append((center, combo, reps))
 
@@ -250,7 +252,7 @@ def test_comets_next_to_a_large_entry_are_declined_and_the_rest_have_the_most_fo
         for center in range(inst.node_count):
             if state.is_terminal_component(center):
                 continue
-            comet = sixphase._comet_at(inst, view, center)
+            comet = sixphase._comet_at(state, center)
             if any(len(view.get(f, ())) >= 4 for f in inst.neighbors(center)):
                 declined += 1
                 assert comet is None

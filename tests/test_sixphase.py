@@ -98,9 +98,9 @@ def test_a_matched_pair_with_two_fork_nodes_takes_the_smaller():
     # and 6, so the matched pair (5, 6) can be served by either
     edges = [(0, 3), (0, 4), (0, 1), (0, 2), (1, 5), (1, 6), (2, 5), (2, 6)]
     inst = Instance.from_edges(7, edges, [3, 4, 5, 6])
-    view = fresh_state(inst).view_upkeep().view
-    assert build_fork_candidates(inst, view, 0) == {(5, 6): [1, 2]}
-    assert [fork.node for fork in _comet_at(inst, view, 0).forks] == [1]
+    state = fresh_state(inst)
+    assert build_fork_candidates(inst, state.view_upkeep().view, 0) == {(5, 6): [1, 2]}
+    assert [fork.node for fork in _comet_at(state, 0).forks] == [1]
     assert six_phase(inst).connections == {(0, 1), (0, 3), (0, 4), (1, 5), (1, 6)}
 
 
@@ -114,9 +114,9 @@ def test_comet_shape_matches_the_comet_built():
     for forks, shape in (((2, 3, 4, 5), (2, 1)), ((2,), (1, 1)), ((), None)):
         kept = [(u, v) for u, v in edges if not ({u, v} & ({2, 3, 4, 5} - set(forks)))]
         inst = Instance.from_edges(10, kept, terminals)
-        view = fresh_state(inst).view_upkeep().view
-        comet = _comet_at(inst, view, 0)
-        assert _comet_shape(inst, view, 0) == shape
+        state = fresh_state(inst)
+        comet = _comet_at(state, 0)
+        assert _comet_shape(inst, state.view_upkeep().view, 0) == shape
         assert shape == (None if comet is None else (comet.a, comet.b))
 
 

@@ -3,8 +3,9 @@
 Hypothesis draws instances with at most 14 nodes, scores every comet into
 the cache (`best_comet` itself scores none while a star of s >= 3 stands),
 then joins a terminal component to random components by direct unions or
-collapses.  After each merge the kept view must equal a rebuild, and every
-free center the merge does not report reshaped must keep its comet sort key.
+collapses.  After each merge the kept view must equal a rebuild, each of its
+representative edges must equal a plain scan, and every free center the
+merge does not report reshaped must keep its comet sort key.
 """
 
 import pytest
@@ -14,7 +15,12 @@ st = hypothesis.strategies
 
 from stp12.core import Instance, PartitionState, collapse  # noqa: E402
 from stp12.sixphase import _best_comet_key  # noqa: E402
-from test_view_upkeep import checked_merge, comet_keys, component_roots  # noqa: E402
+from test_view_upkeep import (  # noqa: E402
+    check_representative_edges,
+    checked_merge,
+    comet_keys,
+    component_roots,
+)
 
 
 @st.composite
@@ -35,6 +41,7 @@ def test_random_merges_keep_the_view_and_the_unreshaped_keys(inst, data):
     # So every union touches a terminal component.
     state = PartitionState(inst)
     _best_comet_key(state)
+    check_representative_edges(state)
     for _ in range(data.draw(st.integers(1, 8))):
         roots = component_roots(state)
         if len(roots) < 2:

@@ -2,6 +2,7 @@
 
 The view is built on its first read and then updated by every merge; these
 tests rebuild it from the whole graph after each merge and compare, check
+every representative edge `edges_to` gives against a plain scan, check
 that the merge reports reshaped the closed neighbourhood of every entry it
 changed and that every free center it leaves out keeps its comet sort key,
 check the phase-6 comet cache against the exhaustive enumeration, a cold
@@ -11,10 +12,9 @@ heaps against a linear scan of the view and the cache.
 
 import random
 from fractions import Fraction
-from types import MappingProxyType
 
 from stp12 import heuristics, sixphase
-from stp12.core import Instance, PartitionState, collapse, connection
+from stp12.core import Instance, PartitionState, collapse, connection, edges_to
 from stp12.harness import exhaustive_min_cost_index, full_corpus
 from stp12.heuristics import rayward_smith
 from stp12.io import GeneratorSpec, generate
@@ -29,20 +29,38 @@ from stp12.sixphase import (
 )
 
 
+def reference_edges(state, v):
+    """Each terminal root next to v, with v's edge to its smallest neighbour there.
+
+    A plain ascending scan of v's neighbours in which the first edge wins.
+    """
+    reps = {}
+    for u in state.instance.neighbors(v):
+        root = state.find(u)
+        if root not in reps and state.is_terminal_component(root):
+            reps[root] = connection(v, u)
+    return reps
+
+
 def reference_view(inst, state):
-    """The view rebuilt from the whole graph: ascending scans, first edge wins."""
+    """The view rebuilt from the whole graph."""
     view = {}
     for v in range(inst.node_count):
-        if state.is_terminal_component(v):
-            continue
-        reps = {}
-        for u in inst.neighbors(v):
-            root = state.find(u)
-            if root not in reps and state.is_terminal_component(root):
-                reps[root] = connection(v, u)
-        if reps:
-            view[v] = reps
+        if not state.is_terminal_component(v) and (reps := reference_edges(state, v)):
+            view[v] = set(reps)
     return view
+
+
+def edge_view(state):
+    """The kept view with the edge `edges_to` gives for each of its roots."""
+    view = state.view_upkeep().view
+    return {v: dict(zip(sorted(reps), edges_to(state, v, sorted(reps))))
+            for v, reps in view.items()}
+
+
+def check_representative_edges(state):
+    """Every (v, r) of the kept view has edge v joined to its smallest neighbour in r."""
+    assert edge_view(state) == {v: reference_edges(state, v) for v in state.view_upkeep().view}
 
 
 def free_nodes(inst, state):
@@ -51,10 +69,9 @@ def free_nodes(inst, state):
 
 def comet_keys(inst, state):
     """Cost index and terminal count of the best comet at every free center."""
-    view = state.view_upkeep().view
     keys = {}
     for center in free_nodes(inst, state):
-        comet = _comet_at(inst, view, center)
+        comet = _comet_at(state, center)
         if comet is not None:
             keys[center] = (comet.cost_index, -comet.terminal_count)
     return keys
@@ -67,6 +84,7 @@ def closed_neighbourhoods(inst, nodes):
 def checked_merge(inst, state, merge):
     """Run merge() and check the kept view and the centers it reports reshaped.
 
+    The kept view must equal a rebuild, and each of its edges a plain scan.
     Once the comet cache exists, `reshaped` must hold the closed
     neighbourhood of every node whose entry the merge changed, added or
     removed, and every free center left out of it must score the same
@@ -74,12 +92,13 @@ def checked_merge(inst, state, merge):
     """
     upkeep = state.view_upkeep()
     if upkeep.comets is not None:
-        old = {v: dict(reps) for v, reps in upkeep.view.items()}
+        old = {v: set(reps) for v, reps in upkeep.view.items()}
         before = comet_keys(inst, state)
     result = merge()
     assert state.view_upkeep() is upkeep
     view = upkeep.view
     assert view == reference_view(inst, state)
+    check_representative_edges(state)
     if upkeep.comets is not None:
         changed = {v for v in old.keys() | view.keys() if old.get(v) != view.get(v)}
         assert closed_neighbourhoods(inst, changed) <= upkeep.reshaped
@@ -250,7 +269,7 @@ def test_first_comet_scoring_skips_only_centers_without_a_fork(monkeypatch):
             assert not scored
             return got
         for center in centers - forked:
-            assert _comet_at(inst, view, center) is None
+            assert _comet_at(state, center) is None
         free += len(centers)
         skipped += len(centers - forked)
         assert scored == forked
@@ -298,18 +317,19 @@ def test_merge_reshapes_the_neighbourhoods_it_visits():
 def test_an_entry_that_only_moves_its_edge_reshapes_its_neighbourhood():
     # {0, 5} keeps its name when the star at 1 joins it to terminal 6.  Node
     # 3 reached {0, 5} through 5 and now through the smaller absorbed 1: its
-    # entry keeps its one key and only moves its edge.  The centers around 1
-    # are reshaped, and so are those around 3, down to its neighbour 8,
-    # which sees no absorbed node.
+    # entry keeps its one root, and only the edge `edges_to` gives moves.
+    # The merge still visits 3, as a neighbour of an absorbed node: the
+    # centers around 1 are reshaped, and so are those around 3, down to its
+    # neighbour 8, which sees no absorbed node.
     edges = [(0, 1), (1, 6), (3, 5), (1, 3), (0, 5), (3, 8)]
     inst = Instance.from_edges(9, edges, [0, 5, 6])
     state = PartitionState(inst)
     state.union(0, 5)
     best_comet(state)
     upkeep = state.view_upkeep()
-    assert upkeep.view == {1: {0: (0, 1), 6: (1, 6)}, 3: {0: (3, 5)}}
+    assert edge_view(state) == {1: {0: (0, 1), 6: (1, 6)}, 3: {0: (3, 5)}}
     checked_merge(inst, state, lambda: state.merge([0, 1, 6]))
-    assert upkeep.view == {3: {0: (1, 3)}}
+    assert edge_view(state) == {3: {0: (1, 3)}}
     assert upkeep.reshaped == {0, 1, 3, 5, 6, 8}
 
 
@@ -340,6 +360,7 @@ def test_random_unions_and_collapses_keep_the_view():
         for step in range(rng.randint(1, 8)):
             if step == read_at:
                 assert state.view_upkeep().view == reference_view(inst, state)
+                check_representative_edges(state)
             roots = component_roots(state)
             if len(roots) < 2:
                 break
@@ -366,31 +387,32 @@ def test_direct_union_updates_a_read_view():
     edges = [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (2, 6)]
     inst = Instance.from_edges(7, edges, [0, 4])
     state = PartitionState(inst)
-    view = state.view_upkeep().view
-    assert view == {1: {0: (0, 1)}, 3: {4: (3, 4)}}
+    assert edge_view(state) == {1: {0: (0, 1)}, 3: {4: (3, 4)}}
     assert best_comet(state) is None
 
     assert checked_merge(inst, state, lambda: state.union(1, 0))
-    assert view == {2: {0: (1, 2)}, 3: {4: (3, 4)}, 5: {0: (1, 5)}}
+    assert edge_view(state) == {2: {0: (1, 2)}, 3: {4: (3, 4)}, 5: {0: (1, 5)}}
 
     # a free node into a terminal component, then one into the merged one
     best_comet(state)
     assert checked_merge(inst, state, lambda: state.union(3, 4))
-    assert view == {2: {0: (1, 2), 3: (2, 3)}, 5: {0: (1, 5)}}
+    assert edge_view(state) == {2: {0: (1, 2), 3: (2, 3)}, 5: {0: (1, 5)}}
     assert checked_merge(inst, state, lambda: state.union(5, 3))
-    assert view == {2: {0: (1, 2), 3: (2, 3)}}
+    assert edge_view(state) == {2: {0: (1, 2), 3: (2, 3)}}
     # around the absorbed 3 and 5, and around 2, which gained a root
     assert state.view_upkeep().reshaped == {1, 2, 3, 4, 5, 6}
     assert not checked_merge(inst, state, lambda: state.union(5, 4))
 
 
-def linear_star(view):
+def linear_star(state):
     """Largest entry of the view by a full scan; ties to the smallest center."""
+    view = state.view_upkeep().view
     if not view:
         return None
     center = max(view, key=lambda c: (len(view[c]), -c))
-    leaves = tuple(sorted(view[center]))
-    return Star(center, leaves, tuple(view[center][r] for r in leaves))
+    reps = reference_edges(state, center)
+    leaves = tuple(sorted(reps))
+    return Star(center, leaves, tuple(reps[r] for r in leaves))
 
 
 def test_heaps_match_a_linear_scan_at_every_step(monkeypatch):
@@ -399,7 +421,7 @@ def test_heaps_match_a_linear_scan_at_every_step(monkeypatch):
     def checked_find_max_star(state):
         nonlocal stars
         got = find_max_star(state)
-        assert got == linear_star(state.view_upkeep().view)
+        assert got == linear_star(state)
         stars += 1
         return got
 
@@ -407,7 +429,7 @@ def test_heaps_match_a_linear_scan_at_every_step(monkeypatch):
         nonlocal comets
         got = best_comet(state)
         upkeep = state.view_upkeep()
-        star = linear_star(upkeep.view)
+        star = linear_star(state)
         if upkeep.comets is None:   # nothing scored yet: only a star of s >= 3 may win
             assert star is not None and star.s >= 3
         candidates = list((upkeep.comets or {}).values())
@@ -419,7 +441,7 @@ def test_heaps_match_a_linear_scan_at_every_step(monkeypatch):
         elif want[3] == 0:
             assert got == star
         else:
-            assert got == _comet_at(state.instance, upkeep.view, want[2])
+            assert got == _comet_at(state, want[2])
             assert (got.cost_index, -got.terminal_count) == want[:2]
         comets += 1
         return got
@@ -453,17 +475,17 @@ def test_kept_root_visits_only_what_the_merge_changes():
     state.union(0, 5)
     best_comet(state)
     upkeep = state.view_upkeep()
-    assert upkeep.view == {
+    assert edge_view(state) == {
         1: {0: (0, 1), 6: (1, 6)},
         2: {0: (0, 2), 7: (2, 7)},
         3: {0: (3, 5)},
         4: {0: (0, 4), 6: (4, 6)},
     }
     kept = upkeep.touching[0]
-    upkeep.view[2] = MappingProxyType(upkeep.view[2])   # any write fails
+    upkeep.view[2] = frozenset(upkeep.view[2])   # any write fails
 
     checked_merge(inst, state, lambda: state.merge([0, 1, 6]))
-    assert upkeep.view == {2: {0: (0, 2), 7: (2, 7)}, 3: {0: (1, 3)}, 4: {0: (0, 4)}}
+    assert edge_view(state) == {2: {0: (0, 2), 7: (2, 7)}, 3: {0: (1, 3)}, 4: {0: (0, 4)}}
     assert upkeep.touching[0] is kept and kept == {2, 3, 4}
     assert 6 not in upkeep.touching
     assert {3, 4} <= upkeep.reshaped and 2 not in upkeep.reshaped
@@ -477,7 +499,7 @@ def test_merge_under_a_free_name_rekeys_every_set():
     state = PartitionState(inst)
     best_comet(state)
     upkeep = state.view_upkeep()
-    assert upkeep.view == {
+    assert edge_view(state) == {
         0: {3: (0, 3), 5: (0, 5)},
         1: {3: (1, 3)},
         2: {5: (2, 5), 6: (2, 6)},
@@ -485,7 +507,7 @@ def test_merge_under_a_free_name_rekeys_every_set():
     }
 
     checked_merge(inst, state, lambda: state.merge([0, 3, 5]))
-    assert upkeep.view == {1: {0: (1, 3)}, 2: {0: (2, 5), 6: (2, 6)}, 4: {0: (3, 4)}}
+    assert edge_view(state) == {1: {0: (1, 3)}, 2: {0: (2, 5), 6: (2, 6)}, 4: {0: (3, 4)}}
     # Around the absorbed 0 and the visited 1, 2 and 4.
     assert upkeep.reshaped == {0, 1, 2, 3, 4, 5, 6}
     assert upkeep.touching == {0: {1, 2, 4}, 6: {2}}
