@@ -304,18 +304,17 @@ class PartitionState(DisjointSets):
 def _build_upkeep(state: PartitionState) -> ViewUpkeep:
     """Terminal view of the current partition, built anew.
 
-    Only the members of terminal components have their neighbours scanned.
+    Only the members of terminal components, the terminals and the absorbed
+    nodes, have their neighbours scanned.
     """
     instance = state.instance
-    flags = state._terminal_flag
-    roots = [state.find(v) for v in range(instance.node_count)]
+    members = instance.terminals.union(state.absorbed)
     view: TerminalView = {}
     touching: dict[int, set[int]] = {}
-    for u, root in enumerate(roots):
-        if not flags[root]:
-            continue
+    for u in sorted(members):
+        root = state.find(u)
         for v in instance.neighbors(u):
-            if not flags[roots[v]]:
+            if v not in members:
                 view.setdefault(v, set()).add(root)
                 touching.setdefault(root, set()).add(v)
     sizes = [(-len(reps), v) for v, reps in view.items()]

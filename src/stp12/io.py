@@ -9,7 +9,9 @@ the metric already makes every absent pair cost 2.
 from __future__ import annotations
 
 import math
+import operator
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
@@ -45,22 +47,60 @@ class ParseError(InputError):
 def parse_stp(text: str) -> Instance:
     """Parse an STP document into an Instance (ids mapped to 0-based).
 
+    `text.splitlines()` defines the lines and their numbers.  Once Nodes is
+    known, a run of up to RUN_LINES well-formed `E u v w` lines in the Graph
+    section, or `T v` lines in the Terminals section, is matched at once:
+    ASCII digits, split by spaces or tabs.  The run is checked as a whole
+    (ids in 1..n, no self-loop, weights 1 or 2, no node pair or terminal
+    listed twice, within the run or before it) and added whole.  Every other
+    line, and every line of a run that fails, is read by the per-line rule,
+    which alone words the errors, so a refusal names the same line with the
+    same message whichever way the line was first read.
+
     A declared Edges or Terminals count must equal the E or T lines present.
     A Nodes count above MAX_NODES is refused with CapExceeded on its line,
     before anything is allocated for it.  Every other malformed line raises
     ParseError with its number, for example a line outside any SECTION, a
-    Nodes count below 1 or given twice, a token after the value of a Nodes,
-    Edges, Terminals or T line, a terminal listed twice, or a node pair
-    listed twice at any weights.
+    second Nodes, Edges or Terminals line, a Nodes count below 1, a token
+    after the value of a Nodes, Edges, Terminals or T line, a terminal
+    listed twice, or a node pair listed twice at any weights.
     """
+    lines = text.splitlines()
+    joined = "\n".join(lines) + "\n"   # lines[lineno] starts at joined[pos]
     node_count: int | None = None
-    edges: list[tuple[int, int]] = []
-    pairs: set[tuple[int, int]] = set()   # every pair listed, at either weight
+    edges: list[tuple[int, int]] = []     # the weight-1 pairs
+    pairs: set[tuple[int, int]] = set()   # every pair (u, v), u < v, 0-based, at either weight
     terminals: set[int] = set()
     # (declared count, line of the declaration) for Edges and Terminals
     declared: dict[str, tuple[int, int]] = {}
     section: str | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lineno, pos = 0, 0
+    # Lines before this index are read one at a time: a run that failed is
+    # not matched again from each of its lines.
+    one_by_one = 0
+    while lineno < len(lines):
+        if node_count is not None and lineno >= one_by_one:
+            run = None
+            if section == "graph":
+                run = _EDGE_RUN.match(joined, pos)
+                added = run is not None and _add_edges(
+                    run.group().split(), node_count, pairs, edges
+                )
+            elif section == "terminals":
+                run = _TERMINAL_RUN.match(joined, pos)
+                added = run is not None and _add_terminals(
+                    run.group().split(), node_count, terminals
+                )
+            if run is not None:
+                taken = run.group().count("\n")
+                if added:
+                    lineno += taken
+                    pos = run.end()
+                    continue
+                one_by_one = lineno + taken   # the per-line rule words the fault
+        raw = lines[lineno]
+        lineno += 1
+        pos += len(raw) + 1
         line = raw.strip()
         if not line or line.startswith("#") or line.startswith("33D32945"):
             continue
@@ -90,29 +130,17 @@ def parse_stp(text: str) -> Instance:
                         f"line {lineno}: Nodes {node_count} above the limit {MAX_NODES}"
                     )
             elif keyword == "EDGES":
+                if "Edges" in declared:
+                    raise ParseError("second Edges line", lineno)
                 declared["Edges"] = (_int_field(tokens, lineno, "Edges"), lineno)
             elif keyword == "E":
-                if len(tokens) != 4:
-                    raise ParseError(f"edge line needs 'E u v w', got {line!r}", lineno)
-                u, v, w = [_parse_int(t, lineno) for t in tokens[1:]]
-                if node_count is None:
-                    raise ParseError("edge before Nodes declaration", lineno)
-                if not (1 <= u <= node_count and 1 <= v <= node_count):
-                    raise ParseError(f"edge endpoint out of range 1..{node_count}", lineno)
-                if u == v:
-                    raise ParseError("self-loop edge", lineno)
-                if w not in (1, 2):
-                    raise ParseError(f"weight {w} outside the 1/2 metric", lineno)
-                pair = (min(u, v) - 1, max(u, v) - 1)
-                if pair in pairs:
-                    raise ParseError(f"edge {u} {v} listed twice", lineno)
-                pairs.add(pair)
-                if w == 1:
-                    edges.append(pair)
+                _edge_line(line, tokens, lineno, node_count, pairs, edges)
             else:
                 raise ParseError(f"unknown Graph line {line!r}", lineno)
         elif section == "terminals":
             if keyword == "TERMINALS":
+                if "Terminals" in declared:
+                    raise ParseError("second Terminals line", lineno)
                 declared["Terminals"] = (_int_field(tokens, lineno, "Terminals"), lineno)
             elif keyword == "T":
                 t = _int_field(tokens, lineno, "T")
@@ -124,13 +152,101 @@ def parse_stp(text: str) -> Instance:
             else:
                 raise ParseError(f"unknown Terminals line {line!r}", lineno)
         # content of other sections (Comment, ...) is ignored
+    del lines, joined   # not held while the instance is built
     if node_count is None:
         raise ParseError("missing SECTION Graph with a Nodes line", 1)
     found = {"Edges": len(pairs), "Terminals": len(terminals)}
     for what, (count, lineno) in declared.items():
         if count != found[what]:
             raise ParseError(f"{what} declares {count}, found {found[what]}", lineno)
-    return Instance.from_edges(node_count, edges, terminals)
+    around: list[list[int]] = [[] for _ in range(node_count)]
+    for u, v in edges:
+        around[u].append(v)
+        around[v].append(u)
+    for neighbours in around:   # no pair is listed twice: a sort is all they need
+        neighbours.sort()
+    return Instance(node_count, tuple(map(tuple, around)), frozenset(terminals))
+
+
+# Most lines one run of E or T lines takes, so its token lists stay bounded.
+RUN_LINES = 1024
+_EDGE_RUN = re.compile(
+    rf"(?:[ \t]*[Ee][ \t]+[0-9]+[ \t]+[0-9]+[ \t]+[0-9]+[ \t]*\n){{1,{RUN_LINES}}}"
+)
+_TERMINAL_RUN = re.compile(rf"(?:[ \t]*[Tt][ \t]+[0-9]+[ \t]*\n){{1,{RUN_LINES}}}")
+
+
+def _add_edges(
+    fields: list[str],
+    node_count: int,
+    pairs: set[tuple[int, int]],
+    edges: list[tuple[int, int]],
+) -> bool:
+    """Add a run of edge lines, split into `E u v w` fields, if it passes
+    every check of `_edge_line`; otherwise add nothing and return False."""
+    try:
+        us = list(map(int, fields[1::4]))
+        vs = list(map(int, fields[2::4]))
+        weights = {token: int(token) for token in set(fields[3::4])}
+    except ValueError:  # a field beyond int's digit limit
+        return False
+    if not (1 <= min(us) and max(us) <= node_count and 1 <= min(vs) and max(vs) <= node_count):
+        return False
+    if any(map(operator.eq, us, vs)) or not set(weights.values()) <= {1, 2}:
+        return False
+    listed = [(u - 1, v - 1) if u < v else (v - 1, u - 1) for u, v in zip(us, vs)]
+    run = set(listed)
+    if len(run) != len(listed) or not run.isdisjoint(pairs):
+        return False
+    pairs |= run
+    if 2 in weights.values():
+        listed = [pair for pair, w in zip(listed, fields[3::4]) if weights[w] == 1]
+    edges.extend(listed)
+    return True
+
+
+def _add_terminals(fields: list[str], node_count: int, terminals: set[int]) -> bool:
+    """Add a run of terminal lines, split into `T v` fields, if it passes
+    every check of the per-line rule; otherwise add nothing and return False."""
+    try:
+        ts = list(map(int, fields[1::2]))
+    except ValueError:  # a field beyond int's digit limit
+        return False
+    if not (1 <= min(ts) and max(ts) <= node_count):
+        return False
+    run = {t - 1 for t in ts}
+    if len(run) != len(ts) or not run.isdisjoint(terminals):
+        return False
+    terminals |= run
+    return True
+
+
+def _edge_line(
+    line: str,
+    tokens: list[str],
+    lineno: int,
+    node_count: int | None,
+    pairs: set[tuple[int, int]],
+    edges: list[tuple[int, int]],
+) -> None:
+    """Read one `E u v w` line of the Graph section, or refuse it."""
+    if len(tokens) != 4:
+        raise ParseError(f"edge line needs 'E u v w', got {line!r}", lineno)
+    u, v, w = [_parse_int(t, lineno) for t in tokens[1:]]
+    if node_count is None:
+        raise ParseError("edge before Nodes declaration", lineno)
+    if not (1 <= u <= node_count and 1 <= v <= node_count):
+        raise ParseError(f"edge endpoint out of range 1..{node_count}", lineno)
+    if u == v:
+        raise ParseError("self-loop edge", lineno)
+    if w not in (1, 2):
+        raise ParseError(f"weight {w} outside the 1/2 metric", lineno)
+    pair = (min(u, v) - 1, max(u, v) - 1)
+    if pair in pairs:
+        raise ParseError(f"edge {u} {v} listed twice", lineno)
+    pairs.add(pair)
+    if w == 1:
+        edges.append(pair)
 
 
 def _parse_int(token: str, lineno: int) -> int:

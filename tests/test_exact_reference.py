@@ -132,11 +132,12 @@ def dreyfus_wagner(instance: Instance) -> Solution:
         return Solution(frozenset(), 0)
 
     n = instance.node_count
-
-    def dist(u: int, v: int) -> int:
-        if u == v:
-            return 0
-        return 1 if instance.has_edge(u, v) else 2
+    # dist[u][v]: the 1/2 metric, one table per instance
+    dist = [[2] * n for _ in range(n)]
+    for u, around in enumerate(instance.neighbourhoods):
+        dist[u][u] = 0
+        for v in around:
+            dist[u][v] = 1
 
     full = (1 << k) - 1
     dp = [[_INF] * n for _ in range(full + 1)]
@@ -146,9 +147,7 @@ def dreyfus_wagner(instance: Instance) -> Solution:
     split = [[0] * n for _ in range(full + 1)]
 
     for i, t in enumerate(terms):
-        row = dp[1 << i]
-        for v in range(n):
-            row[v] = dist(t, v)
+        dp[1 << i] = list(dist[t])
 
     for mask in range(1, full + 1):
         if mask & (mask - 1) == 0:
@@ -173,8 +172,9 @@ def dreyfus_wagner(instance: Instance) -> Solution:
         for v in range(n):
             best_val = merged[v]
             best_u = v
+            to_v = dist[v]   # the metric is symmetric
             for u in range(n):
-                value = merged[u] + dist(u, v)
+                value = merged[u] + to_v[u]
                 if value < best_val:
                     best_val = value
                     best_u = u

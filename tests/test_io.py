@@ -121,13 +121,16 @@ def test_parse_rejects_mismatched_declared_counts(graph, terminals, line):
         ("SECTION Graph\nNodes 5\nE \u0663 +4 1\nEND\n", 3),
         ("SECTION Graph\nNodes 5\nE 3 +4 1\nEND\n", 3),
         ("SECTION Graph\nNodes 5\nEND\nSECTION Terminals\nT \uff14\nEND\n", 5),
+        ("SECTION Graph\nNodes 3\nEdges 7\nEdges 1\nE 1 2 1\nEND\n", 4),
+        ("SECTION Graph\nNodes 3\nEND\nSECTION Terminals\nTerminals 9\nTerminals 1\nT 1\nEND\n", 6),
     ],
     ids=["terminal-twice", "edge-before-section", "terminal-after-end",
          "zero-nodes", "negative-nodes", "second-nodes",
          "pair-at-both-weights", "pair-at-both-weights-apart", "same-edge-twice",
          "weight-two-pair-twice", "token-after-nodes", "token-after-edges",
          "token-after-terminals", "token-after-terminal", "underscore-in-nodes",
-         "arabic-indic-digit-in-edge", "plus-sign-in-edge", "fullwidth-digit-terminal"],
+         "arabic-indic-digit-in-edge", "plus-sign-in-edge", "fullwidth-digit-terminal",
+         "second-edges", "second-terminals"],
 )
 def test_parse_rejects_malformed_lines_with_their_number(text, line):
     with pytest.raises(ParseError) as err:
@@ -137,8 +140,7 @@ def test_parse_rejects_malformed_lines_with_their_number(text, line):
 
 def test_parse_refuses_nodes_above_limit_before_allocating(monkeypatch):
     class NoInstance:
-        @staticmethod
-        def from_edges(*args):
+        def __init__(self, *args):
             raise AssertionError("parse_stp built an instance")
 
     monkeypatch.setattr(stpio, "Instance", NoInstance)
