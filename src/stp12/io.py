@@ -36,6 +36,13 @@ GNP_MAX_NODES = 10_000
 # Both keep every edge they draw: at n = MAX_NODES and p = 1 that is
 # 5 * 10^9 edges.
 MAX_EXPECTED_EDGES = 1_000_000
+# Most lines parse_stp checks as one run of E or T lines, so the run's token
+# lists stay bounded.
+RUN_LINES = 1024
+_EDGE_RUN = re.compile(
+    rf"(?:[ \t]*[Ee][ \t]+[0-9]+[ \t]+[0-9]+[ \t]+[0-9]+[ \t]*\n){{1,{RUN_LINES}}}"
+)
+_TERMINAL_RUN = re.compile(rf"(?:[ \t]*[Tt][ \t]+[0-9]+[ \t]*\n){{1,{RUN_LINES}}}")
 
 
 class ParseError(InputError):
@@ -166,14 +173,6 @@ def parse_stp(text: str) -> Instance:
     for neighbours in around:   # no pair is listed twice: a sort is all they need
         neighbours.sort()
     return Instance(node_count, tuple(map(tuple, around)), frozenset(terminals))
-
-
-# Most lines one run of E or T lines takes, so its token lists stay bounded.
-RUN_LINES = 1024
-_EDGE_RUN = re.compile(
-    rf"(?:[ \t]*[Ee][ \t]+[0-9]+[ \t]+[0-9]+[ \t]+[0-9]+[ \t]*\n){{1,{RUN_LINES}}}"
-)
-_TERMINAL_RUN = re.compile(rf"(?:[ \t]*[Tt][ \t]+[0-9]+[ \t]*\n){{1,{RUN_LINES}}}")
 
 
 def _add_edges(

@@ -119,6 +119,7 @@ def dreyfus_wagner(instance: Instance) -> Solution:
 
     O(3^k n + 2^k n^2) time for k terminals.  Agrees with brute_force_opt
     wherever both run; used as the second route in oracle cross-checks.
+    The distances come from one n x n table, built once per instance.
     """
     terms = sorted(instance.terminals)
     k = len(terms)
