@@ -207,8 +207,8 @@ class ViewUpkeep:
 
     `touching` maps each terminal root to the free nodes whose view entry
     holds it.  `comets` is where `sixphase.best_comet` keeps each center's
-    best comet sort key between calls, and `comet_keys` the heap it reads
-    the best one from.
+    best comet sort key between calls, for comets with cost index below 1,
+    and `comet_keys` the heap it reads the best one from.
 
     `sizes` is a lazy min-heap of `(-len(entry), center)`: a merge pushes an
     entry again only when its size changes, and `largest` drops the tops

@@ -28,9 +28,16 @@ from stp12.core import (
     is_valid_solution,
 )
 from stp12.exact import DREYFUS_WAGNER_TERMINAL_CAP, brute_force_opt, dreyfus_wagner
-from stp12.heuristics import finishing, preprocess_terminal_edges, rayward_smith
+from stp12.heuristics import find_max_star, finishing, preprocess_terminal_edges, rayward_smith
 from stp12.matching import AuxGraph, max_matching
-from stp12.sixphase import best_comet, cost_index, six_phase, structure_cost_index
+from stp12.sixphase import (
+    _comet_at,
+    best_comet,
+    cost_index,
+    six_phase,
+    star_cost_index,
+    structure_cost_index,
+)
 
 RS_BOUND = Fraction(4, 3)
 SIX_PHASE_BOUND = Fraction(5, 4)
@@ -113,6 +120,24 @@ def exhaustive_min_cost_index(state: PartitionState) -> Fraction | None:
 
         walk(0, frozenset(), frozenset(), 0)
     return best
+
+
+def cold_min_cost_index(state: PartitionState) -> Fraction | None:
+    """Least cost index of the largest star and of the comet at every free center.
+
+    Each comet is built by `sixphase._comet_at`, with no comet cache and no
+    stop at index 1, so on any state this must equal
+    `exhaustive_min_cost_index`: it checks the comet search that
+    `best_comet` restricts to indices below 1.
+    """
+    star = find_max_star(state)
+    indices = [star_cost_index(star.s)] if star is not None and star.s >= 2 else []
+    for center in range(state.instance.node_count):
+        if not state.is_terminal_component(center):
+            comet = _comet_at(state, center)
+            if comet is not None:
+                indices.append(comet.cost_index)
+    return min(indices, default=None)
 
 
 def _adjacent_terminal_components(state: PartitionState, node: int) -> set[int]:
@@ -299,15 +324,20 @@ def suite_oracles(
         inst = stpio.generate(spec)
         state = PartitionState(inst)
         preprocess_terminal_edges(state)
+        # The cold search must reach the unrestricted minimum, and
+        # best_comet that minimum when it is below 1, else None.
         structure = best_comet(state)
         got_ci = None if structure is None else structure_cost_index(structure)
+        cold_ci = cold_min_cost_index(state)
         want_ci = exhaustive_min_cost_index(state)
-        if got_ci != want_ci:
+        below_one = want_ci if want_ci is not None and want_ci < 1 else None
+        if cold_ci != want_ci or got_ci != below_one:
             mismatches.append(
                 {
                     "check": "best_comet-vs-enumeration",
                     "instance": spec.instance_id(),
                     "got": None if got_ci is None else str(got_ci),
+                    "cold": None if cold_ci is None else str(cold_ci),
                     "want": None if want_ci is None else str(want_ci),
                     "dump": stpio.serialize_stp(inst, spec.instance_id()),
                 }

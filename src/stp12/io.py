@@ -250,11 +250,15 @@ def _edge_line(
 
 def _parse_int(token: str, lineno: int) -> int:
     """ASCII digits with an optional minus sign; `int` alone would also take
-    `1_0`, `+4` and non-ASCII digits."""
+    `1_0`, `+4` and non-ASCII digits.  A field beyond `int`'s digit limit
+    (4300 digits by default) is refused too."""
     digits = token[1:] if token[0] == "-" else token
     if not (digits.isdigit() and digits.isascii()):
         raise ParseError(f"expected integer, got {token!r}", lineno)
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"integer of {len(digits)} digits is too long", lineno) from None
 
 
 def _int_field(tokens: list[str], lineno: int, what: str) -> int:

@@ -15,7 +15,11 @@ exactly 1.  The six phases:
 5. upgrade selected 3-stars to (1,3)-comets where a free fork exists,
    then collapse the selection
 6. repeatedly collapse the structure with the least cost index while it is
-   below 1, then finish like the greedy heuristic
+   below 1, then finish like the greedy heuristic.  `best_comet` looks
+   only among structures with index below 1: stars of s >= 3, and comets
+   with a + b >= 3.  A center with b direct components and m neighbours
+   whose entry holds two or more roots has a <= m, so it is not scored
+   when b + m < 3.
 
 Phases 2 and 3 run as one loop that collapses a largest star while s >= 4.
 Both phases always take a largest star, so phase 2 is exactly the run of
@@ -29,6 +33,7 @@ and the log labels it that way.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -203,39 +208,34 @@ def _first_max_packing(candidates: list[tuple[int, tuple[int, ...]]]) -> list[in
 
 
 def best_comet(state: PartitionState) -> Star | Comet | None:
-    """Structure with the minimum cost index among all stars and comets.
+    """Structure with the least cost index among those below 1, or None.
 
-    The largest star covers every center with three or more direct terminal
-    components (dropping forks never increases the cost index there); for
-    centers with at most two direct components, forks are maximized through
-    a maximum matching on the fork-servable pairs.  Ties break on more
-    terminals, then smaller center id.  Returns None when no structure
-    touches two terminal components.
+    Phase 6 collapses only structures whose cost index is below 1, so no
+    other is looked for.  A star with s >= 3 has cost index 1/(s-1) <= 1/2
+    and a 2-star index 1, so the largest star is the only star that counts.
+    For centers with at most two direct components, forks are maximized
+    through a maximum matching on the fork-servable pairs; a comet with a
+    forks and b directs has index (a+1)/(2a+b-1), below 1 exactly when
+    a + b >= 3.  Ties break on more terminals, then smaller center id.
 
-    Comets are scored only when one can win.  A star with s >= 3 has cost
-    index 1/(s-1) <= 1/2, and every comet `_comet_at` returns has a >= 1
-    and b <= 2, so index (a+1)/(2a+b-1) > 1/2.  So while the largest star
-    has s >= 3 it is returned before any comet is scored.  Until the first
-    scoring no comet cache exists, so merges mark no centers; after it, the
-    centers reshaped meanwhile wait in `reshaped` and are scored together
-    when a comet can next win.  A key depends only on the entries around
-    its center when it is scored, so scoring later gives the same keys.
+    Comets are scored only when one can win.  Every comet `_comet_at`
+    returns has a >= 1 and b <= 2, so index (a+1)/(2a+b-1) > 1/2.  So
+    while the largest star has s >= 3 it is returned before any comet is
+    scored.  Until the first scoring no comet cache exists, so merges mark
+    no centers; after it, the centers reshaped meanwhile wait in `reshaped`
+    and are scored together when a comet can next win.  A key depends only
+    on the entries around its center when it is scored, so scoring later
+    gives the same keys.
     """
     star = find_max_star(state)
     if star is not None and star.s >= 3:
         return star
     best = _best_comet_key(state)
-    if star is not None and star.s == 2:
-        key = (star_cost_index(star.s), -star.s, star.center, 0)
-        if best is None or key < best:
-            return star
-    if best is None:
-        return None
-    return _comet_at(state, best[2])
+    return None if best is None else _comet_at(state, best[2])
 
 
 def _best_comet_key(state: PartitionState) -> tuple | None:
-    """Sort key of the best comet, after scoring the centers that need it.
+    """Sort key of the best comet of cost index below 1, after scoring as needed.
 
     A center's best comet depends only on the view entries of the center and
     its neighbours, and its sort key (cost index, terminal count) only on
@@ -243,31 +243,36 @@ def _best_comet_key(state: PartitionState) -> tuple | None:
     building the comet.  So each center's key is kept with the view and
     scored again only when a merge changed, added or removed the entry of
     the center or of a neighbour, which puts the center in `reshaped`, or
-    the center is no longer free.  The best kept key is read off a lazy heap
+    the center is no longer free.  Only keys of shapes with a + b >= 3
+    (index below 1) are kept.  The best kept key is read off a lazy heap
     of the keys; `best_comet` builds the comet of the winning center alone.
+
+    A fork node's entry holds two or more roots, and at most 3 (or the
+    center gets no comet), so it serves at most one matched pair: a <= m,
+    the center's neighbours whose entry holds two or more roots.  So a
+    center with b + m < 3 is not scored.
     """
     instance = state.instance
     upkeep = state.view_upkeep()
     view, keys = upkeep.view, upkeep.comet_keys
-    if upkeep.comets is None:
-        # A comet needs a fork: a neighbour of the center whose entry holds
-        # two or more roots.  Any free node next to one is a possible center,
-        # also one with no direct terminal component: a (3,0)-comet has cost
-        # index 4/5.
-        upkeep.comets = {}
-        centers = {c for f, reps in view.items() if len(reps) >= 2
-                   for c in instance.neighbors(f)}
-    else:
-        centers = set(upkeep.reshaped)
-    upkeep.reshaped.clear()
     comets = upkeep.comets
-    for center in centers:
+    if comets is None:
+        # Only a free node next to a fork can be a center, also one with no
+        # direct terminal component: a (3,0)-comet has cost index 4/5.
+        comets = upkeep.comets = {}
+        fork_counts = Counter(c for f, reps in view.items() if len(reps) >= 2
+                              for c in instance.neighbors(f))
+    else:
+        fork_counts = {c: len([f for f in instance.neighbors(c) if len(view.get(f, ())) >= 2])
+                       for c in upkeep.reshaped}
+    upkeep.reshaped.clear()
+    for center, m in fork_counts.items():
         comets.pop(center, None)
-        if state.is_terminal_component(center):
+        if m + len(view.get(center, ())) < 3 or state.is_terminal_component(center):
             continue
         shape = _comet_shape(instance, view, center)
-        if shape is not None:
-            key = (*_shape_key(*shape), center, 1)
+        if shape is not None and sum(shape) >= 3:
+            key = (*_shape_key(*shape), center)
             comets[center] = key
             heapq.heappush(keys, key)
     # A key that is not the one kept for its center was scored again or is gone.
@@ -485,12 +490,10 @@ def six_phase(
         log.append(f"phase 5 upgraded {comet_count} to (1,3)-comets: cost {state.cost}")
 
     while (structure := best_comet(state)) is not None:
-        ci = structure_cost_index(structure)
-        if ci >= 1:
-            break
         collapse(state, structure.touched_components(), structure.connections())
         if log is not None:
             kind = "star" if isinstance(structure, Star) else "comet"
+            ci = structure_cost_index(structure)
             log.append(f"phase 6 collapse {kind} ci={ci}: cost {state.cost}")
 
     solution = finishing(state, mode)

@@ -80,6 +80,18 @@ def test_parse_error_exits_two(tmp_path, capsys):
     assert "line 4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, field", [(4, "E 1 2 "), (2, "Nodes ")], ids=["weight", "nodes"])
+def test_integer_beyond_int_digit_limit_exits_two(tmp_path, capsys, line, field):
+    # 5000 digits is past Python's default limit of 4300 for int(str).
+    lines = ["SECTION Graph", "Nodes 2", "Edges 1", "E 1 2 1", "END",
+             "SECTION Terminals", "Terminals 1", "T 1", "END", "EOF"]
+    lines[line - 1] = field + "7" * 5000
+    path = tmp_path / "long.stp"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["solve", str(path)]) == 2
+    assert f"line {line}: integer of 5000 digits is too long" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["solve", "compare", "audit"])
 def test_non_utf8_input_exits_two(tmp_path, capsys, command):
     # Exit 1 is compare's bound violation; unreadable text is an input error.

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+from stp12 import harness, sixphase
 from stp12.core import Instance, PartitionState, Solution
 from stp12.exact import brute_force_opt, dreyfus_wagner
 from stp12.harness import (
@@ -16,7 +17,7 @@ from stp12.harness import (
     suite_ratio_sixphase,
     summary_json,
 )
-from stp12.heuristics import preprocess_terminal_edges
+from stp12.heuristics import find_max_star, preprocess_terminal_edges
 from stp12.io import generate, GeneratorSpec
 
 FOUR_STAR = ("4-star", generate(GeneratorSpec("star-cluster", {"k": 4, "m": 1})))
@@ -38,6 +39,18 @@ def test_suite_oracles_passes_on_default_corpora():
     summary = small_oracle_run()
     assert summary["passed"], summary["mismatches"][:1]
     assert summary["checked"]["steiner_instances"] > 40  # randoms plus gadgets
+
+
+def test_suite_oracles_detects_a_comet_search_past_index_1(monkeypatch):
+    # Offering a 2-star (cost index 1) when nothing is below 1 is the
+    # unrestricted minimum, which best_comet must not return.
+    def with_two_stars(state):
+        star = find_max_star(state)
+        return sixphase.best_comet(state) or (star if star and star.s == 2 else None)
+
+    monkeypatch.setattr(harness, "best_comet", with_two_stars)
+    summary = small_oracle_run()
+    assert {m["check"] for m in summary["mismatches"]} == {"best_comet-vs-enumeration"}
 
 
 def test_suite_oracles_detects_mutated_dreyfus_wagner():

@@ -215,11 +215,14 @@ def test_no_edge_joins_two_terminal_components_after_the_star_loop(monkeypatch):
     # Phase 1 joins every terminal-terminal edge, and every star takes all
     # the terminal components next to its center.  So when RS finishes, no
     # instance edge joins two terminal components, and the cheapest
-    # finishing's scan of the component graph finds no edge to take.
-    finished = 0
+    # finishing's scan of the component graph finds no edge to take: its
+    # `induced_graph` is empty, by its own scan and by a scan of every edge.
+    finished = split = 0
 
     def checked_finishing(state, mode="cheapest"):
-        nonlocal finished
+        nonlocal finished, split
+        assert induced_graph(state) == {}
+        split += len(state.terminal_components()) > 1
         for u, v in state.instance.edges():
             ru, rv = state.find(u), state.find(v)
             assert ru == rv or not (
@@ -239,7 +242,8 @@ def test_no_edge_joins_two_terminal_components_after_the_star_loop(monkeypatch):
     ))
     for inst in cases:
         rayward_smith(inst)
-    assert finished == len(cases)
+    # Over 400 runs leave more than one component, so the check is not vacuous.
+    assert finished == len(cases) and split > 300
 
 
 def full_scan_terminal_graph(state):

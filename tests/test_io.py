@@ -123,6 +123,9 @@ def test_parse_rejects_mismatched_declared_counts(graph, terminals, line):
         ("SECTION Graph\nNodes 5\nEND\nSECTION Terminals\nT \uff14\nEND\n", 5),
         ("SECTION Graph\nNodes 3\nEdges 7\nEdges 1\nE 1 2 1\nEND\n", 4),
         ("SECTION Graph\nNodes 3\nEND\nSECTION Terminals\nTerminals 9\nTerminals 1\nT 1\nEND\n", 6),
+        ("SECTION Graph\nNodes 3\nE 1 2 " + "1" * 5000 + "\nEND\n", 3),
+        ("SECTION Graph\nNodes " + "9" * 5000 + "\nEND\n", 2),
+        ("SECTION Graph\nNodes 3\nEND\nSECTION Terminals\nT -" + "1" * 5000 + "\nEND\n", 5),
     ],
     ids=["terminal-twice", "edge-before-section", "terminal-after-end",
          "zero-nodes", "negative-nodes", "second-nodes",
@@ -130,7 +133,8 @@ def test_parse_rejects_mismatched_declared_counts(graph, terminals, line):
          "weight-two-pair-twice", "token-after-nodes", "token-after-edges",
          "token-after-terminals", "token-after-terminal", "underscore-in-nodes",
          "arabic-indic-digit-in-edge", "plus-sign-in-edge", "fullwidth-digit-terminal",
-         "second-edges", "second-terminals"],
+         "second-edges", "second-terminals", "weight-beyond-int-digit-limit",
+         "nodes-beyond-int-digit-limit", "terminal-beyond-int-digit-limit"],
 )
 def test_parse_rejects_malformed_lines_with_their_number(text, line):
     with pytest.raises(ParseError) as err:

@@ -3,7 +3,8 @@
 `reference_parse_stp` below is `parse_stp` as it was before runs of `E` and
 `T` lines were checked in bulk: every line goes through one loop, and each
 `E` line is checked and added on its own.  It also refuses a second
-`Edges` or `Terminals` line, as `parse_stp` now does.  Both parsers must
+`Edges` or `Terminals` line, and an integer field beyond `int`'s digit
+limit, with a ParseError, as `parse_stp` now does.  Both parsers must
 give the same outcome on every document: an equal `Instance`, or the same
 exception type, line and message.
 
@@ -114,7 +115,10 @@ def _parse_int(token: str, lineno: int) -> int:
     digits = token[1:] if token[0] == "-" else token
     if not (digits.isdigit() and digits.isascii()):
         raise ParseError(f"expected integer, got {token!r}", lineno)
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:  # beyond int's digit limit
+        raise ParseError(f"integer of {len(digits)} digits is too long", lineno) from None
 
 
 def _int_field(tokens: list[str], lineno: int, what: str) -> int:
@@ -129,7 +133,7 @@ def outcome(parse, text: str):
     """The Instance a parser returns, or what it raises: type, line, message."""
     try:
         return parse(text)
-    except (ParseError, CapExceeded, ValueError) as exc:
+    except (ParseError, CapExceeded) as exc:
         return type(exc), getattr(exc, "line", None), str(exc)
 
 

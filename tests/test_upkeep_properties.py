@@ -1,7 +1,8 @@
 """Random merges against the kept terminal view and the phase-6 key cache.
 
-Hypothesis draws instances with at most 14 nodes, scores every comet into
-the cache (`best_comet` itself scores none while a star of s >= 3 stands),
+Hypothesis draws instances with at most 14 nodes, scores every comet of
+cost index below 1 into the cache (`best_comet` itself scores none while a
+star of s >= 3 stands),
 then joins a terminal component to random components by direct unions or
 collapses.  After each merge the kept view must equal a rebuild, each of its
 representative edges must equal a plain scan, and every free center the
@@ -16,6 +17,7 @@ st = hypothesis.strategies
 from stp12.core import Instance, PartitionState, collapse  # noqa: E402
 from stp12.sixphase import _best_comet_key  # noqa: E402
 from test_view_upkeep import (  # noqa: E402
+    below_one,
     check_representative_edges,
     checked_merge,
     comet_keys,
@@ -64,4 +66,4 @@ def test_random_merges_keep_the_view_and_the_unreshaped_keys(inst, data):
         if data.draw(st.booleans()):
             _best_comet_key(state)
             kept = state.view_upkeep().comets
-            assert {c: key[:2] for c, key in kept.items()} == comet_keys(inst, state)
+            assert {c: key[:2] for c, key in kept.items()} == below_one(comet_keys(inst, state))

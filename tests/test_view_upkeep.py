@@ -7,7 +7,10 @@ that the merge reports reshaped the closed neighbourhood of every entry it
 changed and that every free center it leaves out keeps its comet sort key,
 check the phase-6 comet cache against the exhaustive enumeration, a cold
 search and a fresh scoring of every center, and check the star and comet
-heaps against a linear scan of the view and the cache.
+heaps against a linear scan of the view and the cache.  `best_comet` looks
+only for a structure with cost index below 1, and the cache keeps only
+those comets; the cold search of the largest star and every center's
+comet must still reach the unrestricted minimum.
 """
 
 import random
@@ -15,7 +18,7 @@ from fractions import Fraction
 
 from stp12 import heuristics, sixphase
 from stp12.core import Instance, PartitionState, collapse, connection, edges_to
-from stp12.harness import exhaustive_min_cost_index, full_corpus
+from stp12.harness import cold_min_cost_index, exhaustive_min_cost_index, full_corpus
 from stp12.heuristics import rayward_smith
 from stp12.io import GeneratorSpec, generate
 from stp12.heuristics import Star, find_max_star
@@ -24,7 +27,6 @@ from stp12.sixphase import (
     _comet_shape,
     best_comet,
     six_phase,
-    star_cost_index,
     structure_cost_index,
 )
 
@@ -75,6 +77,16 @@ def comet_keys(inst, state):
         if comet is not None:
             keys[center] = (comet.cost_index, -comet.terminal_count)
     return keys
+
+
+def below_one(keys):
+    """The keys of comets with cost index below 1, the only ones phase 6 keeps."""
+    return {c: key for c, key in keys.items() if key[0] < 1}
+
+
+def fork_count(view, inst, center):
+    """m: the center's neighbours whose entry holds two or more roots."""
+    return sum(len(view.get(f, ())) >= 2 for f in inst.neighbors(center))
 
 
 def closed_neighbourhoods(inst, nodes):
@@ -182,28 +194,35 @@ def test_kept_view_matches_rebuild_after_every_collapse(monkeypatch):
 
 
 def test_cached_best_comet_matches_enumeration_and_cold_search(monkeypatch):
-    steps = 0
+    # best_comet gives the exhaustive minimum when it is below 1 and None
+    # otherwise; the cold search gives the minimum itself on every state.
+    steps = declined = 0
 
     def checked_best_comet(state):
-        nonlocal steps
+        nonlocal steps, declined
         got = best_comet(state)
         assert got == best_comet(replayed(state))
         want = exhaustive_min_cost_index(state)
-        assert (None if got is None else structure_cost_index(got)) == want
+        assert cold_min_cost_index(state) == want
+        if want is not None and want < 1:
+            assert structure_cost_index(got) == want
+        else:
+            assert got is None
+            declined += want is not None
         steps += 1
         return got
 
     monkeypatch.setattr(sixphase, "best_comet", checked_best_comet)
     for inst, pack3 in corpus_and_gnp():
         six_phase(inst, pack3=pack3)
-    assert steps > 1033
+    assert steps > 1033 and declined > 100
 
 
 def test_comet_cache_matches_a_fresh_scoring_at_every_step(monkeypatch):
     # A call leaves the cache absent, or `reshaped` unscored, only when a
-    # star of s >= 3 wins it; every kept key outside `reshaped` must equal
-    # a fresh scoring at every step, and every other call scores all of
-    # `reshaped`.  Some steps must have an entry of 4 or more roots: a star
+    # star of s >= 3 wins it; the kept keys outside `reshaped` must equal
+    # a fresh scoring's keys below 1 at every step, and every other call
+    # scores all of `reshaped`.  Some steps must have an entry of 4 or more roots: a star
     # wins there, and a fresh scoring gives no comet next to it.  (Once the
     # cache exists, six-phase never grows an entry past 3 roots, so these
     # steps all come before the first scoring.)
@@ -227,9 +246,9 @@ def test_comet_cache_matches_a_fresh_scoring_at_every_step(monkeypatch):
         if upkeep.comets is None:
             assert star_won
             return got
-        fresh = comet_keys(inst, state)
+        fresh = below_one(comet_keys(inst, state))
         assert outside_reshaped(upkeep.comets, upkeep) == outside_reshaped(fresh, upkeep)
-        assert all(key[2:] == (c, 1) for c, key in upkeep.comets.items())
+        assert all(key[2] == c and key[0] < 1 for c, key in upkeep.comets.items())
         if star_won:
             return got
         assert not upkeep.reshaped
@@ -243,11 +262,14 @@ def test_comet_cache_matches_a_fresh_scoring_at_every_step(monkeypatch):
     assert declining > 0
 
 
-def test_first_comet_scoring_skips_only_centers_without_a_fork(monkeypatch):
-    # A comet needs a fork: a neighbour whose entry holds two or more roots.
-    # The first call scores exactly the free centers next to one, and every
-    # free center it skips has no comet.
-    free = skipped = 0
+def test_first_comet_scoring_skips_only_centers_that_cannot_go_below_1(monkeypatch):
+    # A comet needs a fork, a neighbour whose entry holds two or more roots,
+    # and a comet with a forks and b directs has index below 1 only when
+    # a + b >= 3.  A center has a <= m, its neighbours with two or more
+    # roots.  So the first call scores exactly the free centers with
+    # b + m >= 3, and every free center it skips has no comet or one of
+    # index 1 or more.
+    free = skipped = skipped_with_comet = 0
     scored = set()
 
     def recorded_comet_shape(inst, view, center):
@@ -255,63 +277,67 @@ def test_first_comet_scoring_skips_only_centers_without_a_fork(monkeypatch):
         return _comet_shape(inst, view, center)
 
     def checked_best_comet(state):
-        nonlocal free, skipped
+        nonlocal free, skipped, skipped_with_comet
         inst = state.instance
         upkeep = state.view_upkeep()
         if upkeep.comets is not None:
             return best_comet(state)
         view = upkeep.view
         centers = free_nodes(inst, state)
-        forked = {c for c in centers if any(len(view.get(f, ())) >= 2 for f in inst.neighbors(c))}
+        wanted = {c for c in centers if len(view.get(c, ())) + fork_count(view, inst, c) >= 3}
         scored.clear()
         got = best_comet(state)
         if upkeep.comets is None:   # a star of s >= 3 won and nothing was scored
             assert not scored
             return got
-        for center in centers - forked:
-            assert _comet_at(state, center) is None
+        for center in centers - wanted:
+            comet = _comet_at(state, center)
+            assert comet is None or comet.cost_index >= 1
+            skipped_with_comet += comet is not None
         free += len(centers)
-        skipped += len(centers - forked)
-        assert scored == forked
+        skipped += len(centers - wanted)
+        assert scored == wanted
         return got
 
     monkeypatch.setattr(sixphase, "_comet_shape", recorded_comet_shape)
     monkeypatch.setattr(sixphase, "best_comet", checked_best_comet)
     for inst, pack3 in corpus_and_gnp() + [(inst, "greedy") for inst in larger_gnp_instances()]:
         six_phase(inst, pack3=pack3)
-    assert skipped > free // 2
+    assert skipped > free // 2 and skipped_with_comet > 0
 
 
 def test_merge_reshapes_the_neighbourhoods_it_visits():
-    # Terminals 0, 4, 7, 8.  Node 1 touches 0 and 4; node 2 touches 0 and
-    # its neighbour 3 touches 4; node 5 touches 4 and 8 and forks for the
-    # center 6, which touches 7.
-    edges = [(0, 1), (1, 4), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 8)]
-    inst = Instance.from_edges(9, edges, [0, 4, 7, 8])
+    # Terminals 0, 4, 7, 8, 9.  Node 1 touches 0 and 4; node 2 touches 0
+    # and its neighbour 3 touches 4; node 6 touches 4 and 8 and forks for
+    # the center 5, which touches 7 and 9: a (1,2)-comet of index 2/3.
+    # (Node 6 centers the mirrored comet, which ties and loses on its id.)
+    edges = [(0, 1), (1, 4), (0, 2), (2, 3), (3, 4), (4, 6), (5, 6), (5, 7), (6, 8), (5, 9)]
+    inst = Instance.from_edges(10, edges, [0, 4, 7, 8, 9])
     state = PartitionState(inst)
     before = best_comet(state)
-    assert before.center == 6 and before.forks[0].leaves == (4, 8)
+    assert before.center == 5 and (before.a, before.b) == (1, 2)
+    assert before.forks[0].leaves == (4, 8)
     upkeep = state.view_upkeep()
 
-    kept = upkeep.comets[6]
+    kept = upkeep.comets[5]
     assert checked_merge(inst, state, lambda: state.union(0, 4))
-    # The merge visits 1, 3 and 5, whose entries held 4, and not 2, whose
-    # entry holds the kept root 0.  5 only sees 4 renamed to 0, yet its
-    # neighbour 6 is scored again.
+    # The merge visits 1, 3 and 6, whose entries held 4, and not 2, whose
+    # entry holds the kept root 0.  6 only sees 4 renamed to 0, yet its
+    # neighbour 5 is scored again.
     assert upkeep.reshaped == {0, 1, 2, 3, 4, 5, 6, 8}
     after = best_comet(state)
-    assert after.forks[0].leaves == (0, 8)
+    assert after.center == 5 and after.forks[0].leaves == (0, 8)
     cold = PartitionState(inst)
     cold.union(0, 4)
     assert after == best_comet(cold)
-    assert upkeep.comets[6] == kept == (before.cost_index, -3, 6, 1)
+    assert upkeep.comets[5] == kept == (Fraction(2, 3), -4, 5)
 
-    # A node 9 joining the center to 0 makes it see two merged roots.
-    inst = Instance.from_edges(10, edges + [(6, 9), (9, 0)], [0, 4, 7, 8])
+    # A node 10 joining the center to 0 makes it see two merged roots.
+    inst = Instance.from_edges(11, edges + [(5, 10), (10, 0)], [0, 4, 7, 8, 9])
     state = PartitionState(inst)
     best_comet(state)
     state.union(0, 4)
-    assert 6 in state.view_upkeep().reshaped
+    assert 5 in state.view_upkeep().reshaped
 
 
 def test_an_entry_that_only_moves_its_edge_reshapes_its_neighbourhood():
@@ -430,20 +456,18 @@ def test_heaps_match_a_linear_scan_at_every_step(monkeypatch):
         got = best_comet(state)
         upkeep = state.view_upkeep()
         star = linear_star(state)
-        if upkeep.comets is None:   # nothing scored yet: only a star of s >= 3 may win
-            assert star is not None and star.s >= 3
-        candidates = list((upkeep.comets or {}).values())
-        if star is not None and star.s >= 2:
-            candidates.append((star_cost_index(star.s), -star.s, star.center, 0))
-        want = min(candidates, default=None)
+        comets += 1
+        if star is not None and star.s >= 3:
+            assert got == star
+            return got
+        # No star of s >= 3: the cache exists, and the least kept key wins.
+        want = min(upkeep.comets.values(), default=None)
         if want is None:
             assert got is None
-        elif want[3] == 0:
-            assert got == star
         else:
+            assert want[0] < 1
             assert got == _comet_at(state, want[2])
             assert (got.cost_index, -got.terminal_count) == want[:2]
-        comets += 1
         return got
 
     monkeypatch.setattr(heuristics, "find_max_star", checked_find_max_star)
