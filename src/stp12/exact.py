@@ -13,13 +13,15 @@ Two independent oracles, used as ground truth for every ratio claim:
   is spanned.
 * dreyfus_wagner is the classic dynamic program over terminal subsets,
   running on the metric closure (which here is simply: 1 for edges, 2 for
-  everything else, so one relaxation step per mask suffices).  Since every
-  distance is 1 or 2, each row lies within 2 of its own minimum, and three
-  levels store it exactly: the minimum, the bitmask of nodes at it, and the
-  bitmask of nodes at most one above it.  Splits merge by ANDs and ORs of
-  n-bit ints, O(3^k ceil(n/w)) word operations for k terminals and w-bit
-  words, and each row's relaxation ORs one adjacency mask per minimal
-  node; memory is O(2^k n) bits.
+  everything else, so one relaxation step per mask suffices).  As Dreyfus
+  and Wagner note, it needs only the subsets of R without one fixed
+  terminal q = min(R): the optimum is the row of R - {q} read at q.  Since
+  every distance is 1 or 2, each row lies within 2 of its own minimum, and
+  three levels store it exactly: the minimum, the bitmask of nodes at it,
+  and the bitmask of nodes at most one above it.  Splits merge by ANDs and
+  ORs of n-bit ints, O(3^(k-1) ceil(n/w)) word operations over 2^(k-1)
+  rows for k terminals and w-bit words, and each row's relaxation ORs one
+  adjacency mask per minimal node; memory is O(2^(k-1) n) bits.
 
 Both refuse inputs beyond their caps rather than grind.
 """
@@ -58,8 +60,8 @@ def brute_force_opt(instance: Instance, max_nodes: int = BRUTE_FORCE_NODE_CAP) -
     |R| + size - 1 exceeds it.  A subset that only ties the cost is still
     spanned, because its sorted connections may be smaller.
 
-    Time: O(n^2 log n) to sort the pairs, then O(|S|) per branch of the
-    subset search plus O(n^2) per subset spanned.
+    Time: O(n^2) to list the pairs, then O(|S|) per branch of the subset
+    search plus O(n^2) per subset spanned.
     """
     if instance.node_count > max_nodes:
         raise CapExceeded(
@@ -80,12 +82,14 @@ def brute_force_opt(instance: Instance, max_nodes: int = BRUTE_FORCE_NODE_CAP) -
         for v in range(instance.node_count)
         if v not in instance.terminals and adjacency[v].bit_count() >= 3
     ]
-    # All node pairs once, cheapest and lexicographically smallest first.
-    all_pairs = sorted(
-        ((1 if adjacency[u] >> v & 1 else 2, u, v)
-         for u in range(instance.node_count)
-         for v in range(u + 1, instance.node_count)),
-    )
+    # All node pairs once, cheapest and lexicographically smallest first:
+    # the unit pairs from the ascending neighbour tuples, then the rest.
+    n = instance.node_count
+    hoods = instance.neighbourhoods
+    all_pairs = [(1, u, v) for u, around in enumerate(hoods) for v in around if v > u]
+    for u, around in enumerate(hoods):
+        near = set(around)
+        all_pairs += [(2, u, v) for v in range(u + 1, n) if v not in near]
 
     best: tuple[int, tuple[Connection, ...]] | None = None
     max_extra = min(len(candidates), max(0, len(terms) - 2))
@@ -198,13 +202,14 @@ def dreyfus_wagner(instance: Instance) -> Solution:
     other node sits at low[S] + 2.  `_merge` takes the element-wise minimum
     over the splits of S with a few ANDs and ORs of n-bit ints, and the
     relaxation ORs the neighbour masks of the minimal nodes into the next
-    level.  Only the rows are kept; `_rebuild` recovers the witness along
-    its own path.
+    level.  Only the rows of the 2^(k-1) subsets without terms[0] are built
+    (see `_rows`), and the optimum is the row of the others read at
+    terms[0]; `_rebuild` recovers the witness along its own path.
 
     With w-bit machine words, each split costs O(ceil(n/w)) word operations,
-    so all merges cost O(3^k ceil(n/w)) for k terminals.  A relaxation ORs
-    one adjacency mask per minimal node, O(n ceil(n/w)) per row at worst and
-    a few masks in practice.  Memory is O(2^k n) bits.  Agrees with
+    so all merges cost O(3^(k-1) ceil(n/w)) for k terminals.  A relaxation
+    ORs one adjacency mask per minimal node, O(n ceil(n/w)) per row at worst
+    and a few masks in practice.  Memory is O(2^(k-1) n) bits.  Agrees with
     brute_force_opt wherever both run; used as the second route in oracle
     cross-checks.
     """
@@ -233,13 +238,15 @@ Rows = tuple[list[int], list[int], list[int]]
 
 
 def _rows(adjacency: tuple[int, ...], terms: list[int]) -> Rows:
-    """Every DP row as (low, at_low, at_next), indexed by terminal subset.
+    """The DP rows as (low, at_low, at_next), indexed by terminal subset.
 
     Node v's value in row S is low[S], low[S] + 1 or low[S] + 2, as v is in
     at_low[S], only in at_next[S], or in neither (see `_value`).  A
     singleton row is 0 at its terminal, 1 at the terminal's neighbours and 2
     elsewhere.  Any other row is its merged minimum clipped at low + 2, with
-    the neighbours of its minimal nodes lowered to low + 1.
+    the neighbours of its minimal nodes lowered to low + 1.  Apart from the
+    singletons, only the rows of even masks, the subsets without terms[0],
+    are built; their splits are even too.  An odd mask's entries stay 0.
     """
     full = (1 << len(terms)) - 1
     low = [0] * (full + 1)
@@ -249,7 +256,7 @@ def _rows(adjacency: tuple[int, ...], terms: list[int]) -> Rows:
         at_low[1 << i] = 1 << t
         at_next[1 << i] = 1 << t | adjacency[t]
     rows = (low, at_low, at_next)
-    for mask in range(3, full + 1):
+    for mask in range(6, full + 1, 2):
         if mask & (mask - 1):
             best, level0, level1 = _merge(rows, mask)
             rest = level0
@@ -264,6 +271,15 @@ def _rows(adjacency: tuple[int, ...], terms: list[int]) -> Rows:
 
 
 def _value(rows: Rows, mask: int, v: int) -> int:
+    """v's value in row mask.
+
+    A row holding terms[0] (bit 0) besides others is not built, and is read
+    only at terms[0], where it equals the row without terms[0]: a tree
+    spans mask and terms[0] exactly when it spans mask - {terms[0]} and
+    terms[0].  See `_rebuild` for why no other node is read there.
+    """
+    if mask & 1 and mask != 1:
+        mask ^= 1
     low, at_low, at_next = rows
     return low[mask] + 2 - (at_low[mask] >> v & 1) - (at_next[mask] >> v & 1)
 
@@ -372,6 +388,18 @@ def _rebuild(
     optimum, and the split at u is the first in `_splits` order that attains
     u's merged value.  Merged values are recomputed per node, unclipped,
     because the row holds best + 2 for anything above best + 1.
+
+    Rows holding terms[0] (odd masks) are not built, and the rebuild reads
+    them only at terms[0], where `_value` can.  It starts at (full,
+    terms[0]).  At an odd mask M and v = terms[0], every split is (A, M - A)
+    with A odd and M - A even, and `_split_at` reads A at terms[0].  The
+    split ({terms[0]}, M - {terms[0]}) attains value(M - {terms[0]},
+    terms[0]), which is v's row value, and no split does better: two trees
+    that both hold terms[0] together span M.  So u = v, `_merge` is not
+    called, and the odd part of the chosen split recurses at terms[0]
+    again.  Every other mask met is even, and so are its splits.  Every
+    value read is the one the full table of 2^k rows held, so the witness,
+    tie-breaks included, is the one that table gives.
     """
     if mask & (mask - 1) == 0:
         t = terms[mask.bit_length() - 1]

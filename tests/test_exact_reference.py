@@ -14,9 +14,12 @@ Two references live here.
   values-only DP as it was before each row became three bitmask levels:
   one list of n ints per terminal subset, merged with one `map` per split
   and relaxed over the neighbour lists, clipped at the row's minimum plus
-  2.  Every row of `exact._rows`, the table `dreyfus_wagner` builds, must
-  equal it node by node.  A row can differ while every witness agrees, so
-  this checks what the witness comparison cannot.
+  2.  `exact._rows` builds the singleton rows and the rows of the subsets
+  without the first terminal; each must equal its reference row node by
+  node.  `dreyfus_wagner` reads every other row only at the first
+  terminal, where `exact._value` must give the reference's value.  A row
+  can differ while every witness agrees, so this checks what the witness
+  comparison cannot.
 """
 
 from fractions import Fraction
@@ -256,18 +259,23 @@ def _merged(dp: list[list[int]], mask: int) -> list[int]:
     return list(map(min, *sums)) if len(sums) > 1 else list(sums[0])
 
 
-def bitmask_rows(instance: Instance) -> list[list[int]]:
-    """The rows `dreyfus_wagner` builds, decoded to one int per node.
+def assert_rows_match_reference(instance: Instance) -> None:
+    """Every value `dreyfus_wagner` keeps or reads equals the row reference.
 
-    Node v sits at low[S] when in at_low[S], at low[S] + 1 when only in
-    at_next[S], and at low[S] + 2 otherwise.
+    A row `exact._rows` builds, a singleton or a subset without terms[0]
+    (bit 0), is compared node by node.  A row holding terms[0] and more is
+    not built and is read only at terms[0], so it is compared there.  Both
+    are decoded by `exact._value`.
     """
-    low, at_low, at_next = exact._rows(instance.adjacency, sorted(instance.terminals))
+    terms = sorted(instance.terminals)
+    rows = exact._rows(instance.adjacency, terms)
+    reference = value_rows(instance)
     nodes = range(instance.node_count)
-    return [[]] + [
-        [base + 2 - (zero >> v & 1) - (one >> v & 1) for v in nodes]
-        for base, zero, one in zip(low[1:], at_low[1:], at_next[1:])
-    ]
+    for mask in range(1, len(reference)):
+        if mask & 1 and mask != 1:
+            assert exact._value(rows, mask, terms[0]) == reference[mask][terms[0]], mask
+        else:
+            assert [exact._value(rows, mask, v) for v in nodes] == reference[mask], mask
 
 
 def outcome(oracle, instance):
@@ -323,18 +331,50 @@ def test_a_subset_that_only_ties_the_best_cost_can_still_win():
 def test_dp_rows_match_row_reference():
     for inst in corpus() + gnp_sample():
         if len(inst.terminals) <= DREYFUS_WAGNER_TERMINAL_CAP:
-            assert bitmask_rows(inst) == value_rows(inst)
+            assert_rows_match_reference(inst)
 
 
 def test_rows_keep_the_level_two_above_a_splits_base():
-    # Five terminals, edges 1-3 and 1-4.  Rows {0, 1, 3, 4} and the full
-    # set take their nodes at best + 1 from splits whose minimum best is one
-    # above their base, so from those splits' level at base + 2
-    # (a0 | b0 | a1 & b1).  Leaving that level out raises node 0 in both
-    # rows, and node 2 in the full one, by one.
+    # Five terminals, edges 1-3 and 1-4.  Row {1, 2, 3, 4} takes its
+    # minimum 4 at node 2 from the split ({2}, {1, 3, 4}), whose base is 2
+    # and whose own minimum is base + 2, so from that split's level at
+    # base + 2 (a0 | b0 | a1 & b1).  Leaving a0 | b0 out of that level
+    # raises node 2 there by one.  The row mirrors {0, 1, 3, 4}, which is
+    # not built, as nodes 0 and 2 are both isolated terminals.
     inst = Instance.from_edges(5, [(1, 3), (1, 4)], range(5))
-    assert bitmask_rows(inst) == value_rows(inst)
+    assert_rows_match_reference(inst)
     assert exact.dreyfus_wagner(inst) == dreyfus_wagner(inst)
+
+
+def test_rebuild_reads_rows_holding_the_first_terminal_only_there(monkeypatch):
+    # `_rows` builds no row holding terms[0] (bit 0) besides its singleton,
+    # so `_rebuild` must never merge one, and read one only at terms[0].
+    merge, value = exact._merge, exact._value
+    merged = []
+    root = None
+
+    def checked_merge(rows, mask):
+        assert not mask & 1, bin(mask)
+        merged.append(mask)
+        return merge(rows, mask)
+
+    def checked_value(rows, mask, v):
+        assert not mask & 1 or mask == 1 or v == root, (bin(mask), v)
+        return value(rows, mask, v)
+
+    monkeypatch.setattr(exact, "_merge", checked_merge)
+    monkeypatch.setattr(exact, "_value", checked_value)
+    rebuilt = 0
+    for inst in corpus() + gnp_sample():
+        terms = sorted(inst.terminals)
+        if 1 < len(terms) <= DREYFUS_WAGNER_TERMINAL_CAP:
+            root = terms[0]
+            rows = exact._rows(inst.adjacency, terms)
+            merged.clear()
+            exact._rebuild(rows, terms, inst.adjacency, (1 << len(terms)) - 1, root, set())
+            rebuilt += len(merged)
+    # Some witnesses reach a node from another one, which merges its row.
+    assert rebuilt > 0
 
 
 if given is not None:
@@ -343,4 +383,9 @@ if given is not None:
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
     @given(graphs(max_nodes=11, max_terminals=6))
     def test_dp_rows_match_row_reference_on_random_graphs(inst):
-        assert bitmask_rows(inst) == value_rows(inst)
+        assert_rows_match_reference(inst)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(graphs(max_nodes=11, max_terminals=6))
+    def test_dreyfus_wagner_matches_reference_on_random_graphs(inst):
+        assert exact.dreyfus_wagner(inst) == dreyfus_wagner(inst)
