@@ -16,6 +16,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 from stp12 import harness
@@ -31,6 +32,9 @@ ALGORITHMS = ("rs", "six-phase", "exact", "all")
 REPORT_SCHEMA_VERSION = 1
 # A --param value: an integer, a ratio a/b or a decimal, in ASCII digits.
 NUMBER = re.compile(r"-?[0-9]+(/[0-9]+|\.[0-9]+)?")
+# Most instances `compare --family` generates; a larger --count is refused
+# before the first draw.
+MAX_COMPARE_COUNT = 10_000
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -159,16 +163,20 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    if not args.inputs and args.family is None:
+        raise InputError("compare needs input files or --family")
     instances = _read_instances(args.inputs)
     if args.family is not None:
         if args.count < 1:
             raise InputError(f"--count must be at least 1, got {args.count}")
+        if args.count > MAX_COMPARE_COUNT:
+            raise CapExceeded(f"--count {args.count} above the limit {MAX_COMPARE_COUNT}")
         params = _parse_params(args.param)
-        for i in range(args.count):
-            spec = stpio.GeneratorSpec(args.family, params, seed=args.seed + i)
-            instances.append((spec.instance_id(), stpio.generate(spec)))
-    if not instances:
-        raise InputError("compare needs input files or --family")
+        # Drawn one at a time as the check reaches them.
+        specs = (stpio.GeneratorSpec(args.family, params, seed=args.seed + i)
+                 for i in range(args.count))
+        instances = chain(instances, ((spec.instance_id(), stpio.generate(spec))
+                                      for spec in specs))
 
     runs = (
         ("rs", harness.RS_BOUND,

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from stp12 import io as stpio
 from stp12.core import (
@@ -381,12 +381,13 @@ Solve = Callable[[Instance, list[str]], Solution]
 
 
 def check_instances(
-    instances: list[tuple[str, Instance]],
+    instances: Iterable[tuple[str, Instance]],
     runs: Sequence[tuple[str, Fraction, Solve]],
     out_dir: str | None,
 ) -> list[InstanceCheck]:
     """Check every named run on every instance against `brute_force_opt`.
 
+    The instances are iterated once, each checked before the next is drawn.
     An instance beyond the oracle's cap is recorded with the cap message
     and no runs.  A run's solution is rejected as "invalid solution" when
     its connections leave the instance or miss a terminal, and as "cost

@@ -11,7 +11,8 @@ exactly 1.  The six phases:
 1. collapse terminal-terminal edges
 2. greedily collapse stars with s > 4
 3. greedily collapse stars with s >= 4 (new large stars can appear mid-phase)
-4. select a maximum-size set of disjoint 3-stars
+4. select a maximum-size set of disjoint 3-stars; after phases 2-3 a
+   center holds at most 3 terminal components, so it offers one 3-star
 5. upgrade selected 3-stars to (1,3)-comets where a free fork exists,
    then collapse the selection
 6. repeatedly collapse the structure with the least cost index while it is
@@ -38,11 +39,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import comb
 
 from stp12.core import (
     CapExceeded,
     Connection,
+    ContractViolation,
     InputError,
     Instance,
     PartitionState,
@@ -168,43 +169,6 @@ def build_fork_candidates(
         for pair in combinations(sorted(reps.difference(directs)), 2):
             pair_forks.setdefault(pair, []).append(f)
     return pair_forks
-
-
-def _first_max_packing(candidates: list[tuple[int, tuple[int, ...]]]) -> list[int]:
-    """Indices of the first maximum packing among `(owner, components)` candidates.
-
-    A packing takes each owner and each component at most once.  The search
-    takes a candidate before it skips it and keeps a packing only when it is
-    strictly larger than the best so far, so it returns the maximum packing
-    whose index list is lexicographically smallest.  It prunes a subtree when
-    the distinct owners left in it cannot beat the best packing; since only a
-    subtree that cannot beat the best is cut, any valid bound returns the
-    same packing.  Exhaustive: its one caller, the exact strategy of
-    `max_3star_set`, refuses more than DEFAULT_PACK3_CAP candidates.
-    """
-    owners_left = [0] * (len(candidates) + 1)
-    seen_owners: set[int] = set()
-    for i in range(len(candidates) - 1, -1, -1):
-        seen_owners.add(candidates[i][0])
-        owners_left[i] = len(seen_owners)
-    best: list[int] = []
-
-    def search(i: int, used_comps: set[int], used_owners: set[int],
-               picked: list[int]) -> None:
-        nonlocal best
-        if len(picked) > len(best):
-            best = list(picked)
-        if len(picked) + owners_left[i] <= len(best):
-            return
-        owner, comps = candidates[i]
-        if owner not in used_owners and used_comps.isdisjoint(comps):
-            picked.append(i)
-            search(i + 1, used_comps.union(comps), used_owners | {owner}, picked)
-            picked.pop()
-        search(i + 1, used_comps, used_owners, picked)
-
-    search(0, set(), set(), [])
-    return best
 
 
 def best_comet(state: PartitionState) -> Star | Comet | None:
@@ -363,11 +327,17 @@ def _comet_at(state: PartitionState, center: int) -> Comet | None:
 def max_3star_set(state: PartitionState, strategy: str = "exact") -> tuple[Star, ...]:
     """Maximum-size set of 3-stars disjoint on centers and terminal components.
 
-    The exact strategy searches every candidate 3-star with
-    `_first_max_packing`, up to DEFAULT_PACK3_CAP candidates; beyond that it
-    refuses before building any, and the caller should fall back to the
-    greedy.  The greedy gives each center, in ascending order, its three
-    smallest components not yet packed.
+    `six_phase` packs once phases 2-3 have collapsed every star with s >= 4,
+    so the candidates are one per center whose entry holds 3 roots: its
+    sorted root triple, in center order.  An entry of 4 or more roots is
+    refused with ContractViolation.  Both strategies first take, in order,
+    each triple disjoint from those already taken.  That first fit is the
+    greedy packing; it is also the first leaf of the exact search, which
+    takes a triple before it skips it and keeps a packing only when it is
+    strictly larger, pruning a subtree when the triples left in it cannot
+    beat the best.  So the exact strategy returns the maximum packing whose
+    index list is lexicographically smallest.  It refuses more than
+    DEFAULT_PACK3_CAP triples, and the caller should fall back to the greedy.
     """
     if strategy not in PACK3_STRATEGIES:
         raise InputError(f"unknown 3-star strategy {strategy!r}")
@@ -376,29 +346,40 @@ def max_3star_set(state: PartitionState, strategy: str = "exact") -> tuple[Star,
     centers = sorted(center for center, reps in view.items() if len(reps) >= 3)
     if not centers:
         return ()
-
-    def build(center: int, combo: tuple[int, ...]) -> Star:
-        return Star(center, combo, edges_to(state, center, combo))
-
-    if strategy == "greedy":
-        picked: list[Star] = []
-        used_comps: set[int] = set()
-        for center in centers:
-            free = sorted(r for r in view[center] if r not in used_comps)[:3]
-            if len(free) == 3:
-                picked.append(build(center, tuple(free)))
-                used_comps.update(free)
-        return tuple(picked)
-
-    count = sum(comb(len(view[center]), 3) for center in centers)
-    if count > DEFAULT_PACK3_CAP:
+    triples = []
+    for center in centers:
+        if len(view[center]) > 3:
+            raise ContractViolation(f"3-star packing met a {len(view[center])}-star at {center}")
+        triples.append(tuple(sorted(view[center])))
+    if strategy == "exact" and len(triples) > DEFAULT_PACK3_CAP:
         raise CapExceeded(
-            f"3-star packing has {count} candidates > cap {DEFAULT_PACK3_CAP}; "
+            f"3-star packing has {len(triples)} candidates > cap {DEFAULT_PACK3_CAP}; "
             "use the greedy strategy"
         )
-    candidates = [(center, combo) for center in centers
-                  for combo in combinations(sorted(view[center]), 3)]
-    return tuple(build(*candidates[i]) for i in _first_max_packing(candidates))
+
+    best: list[int] = []
+    used_comps: set[int] = set()
+    for i, triple in enumerate(triples):
+        if used_comps.isdisjoint(triple):
+            best.append(i)
+            used_comps.update(triple)
+
+    def search(i: int, used_comps: set[int], picked: list[int]) -> None:
+        nonlocal best
+        if len(picked) > len(best):
+            best = list(picked)
+        if len(picked) + len(triples) - i <= len(best):
+            return
+        if used_comps.isdisjoint(triples[i]):
+            picked.append(i)
+            search(i + 1, used_comps.union(triples[i]), picked)
+            picked.pop()
+        search(i + 1, used_comps, picked)
+
+    if strategy == "exact":
+        search(0, set(), [])
+    return tuple(Star(centers[i], triples[i], edges_to(state, centers[i], triples[i]))
+                 for i in best)
 
 
 def upgrade_to_comets(

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from stp12 import cli, harness
+from stp12 import io as stpio
 from stp12.cli import main
 from stp12.core import Solution, cost, is_valid_solution
 from stp12.exact import brute_force_opt, dreyfus_wagner
@@ -315,6 +316,32 @@ def test_compare_refuses_a_count_below_one(capsys):
     assert "--count" in capsys.readouterr().err
 
 
+def test_compare_refuses_a_count_above_its_limit_before_any_draw(monkeypatch, capsys):
+    def no_draw(spec):
+        raise AssertionError("compare drew an instance")
+
+    monkeypatch.setattr(stpio, "generate", no_draw)
+    assert main(["compare", "--family", "star-cluster", "--param", "k=4", "--param", "m=1",
+                 "--count", str(cli.MAX_COMPARE_COUNT + 1)]) == 3
+    assert f"above the limit {cli.MAX_COMPARE_COUNT}" in capsys.readouterr().err
+
+
+def test_compare_draws_each_instance_when_its_check_reaches_it(tmp_path, monkeypatch):
+    calls = []
+
+    def recorded(name, run):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return run(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(stpio, "generate", recorded("generate", stpio.generate))
+    monkeypatch.setattr(harness, "brute_force_opt", recorded("opt", harness.brute_force_opt))
+    assert main(["compare", "--family", "star-cluster", "--param", "k=4", "--param", "m=1",
+                 "--count", "3", "--out", str(tmp_path / "report.json")]) == 0
+    assert calls == ["generate", "opt"] * 3
+
+
 def test_compare_refuses_no_instances(capsys):
     assert main(["compare"]) == 2
     assert "compare needs input files or --family" in capsys.readouterr().err
@@ -339,6 +366,23 @@ def test_compare_identical_runs_are_byte_identical(tmp_path):
     assert main(args + ["--out", str(first)]) == 0
     assert main(args + ["--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("count, pack3, code, expected", [
+    (512, "exact", 0, "six-phase: cost 2558"),
+    (513, "exact", 3, "refused: 3-star packing has 513 candidates > cap 512; "
+                      "use the greedy strategy"),
+    (513, "greedy", 0, "six-phase: cost 2563"),
+])
+def test_solve_at_the_3_star_packing_cap(tmp_path, capsys, count, pack3, code, expected):
+    # comet-chain with a = 0 gives `count` disjoint 3-stars, one candidate each.
+    gen_path = tmp_path / "stars.stp"
+    assert main(["gen", "--family", "comet-chain", "--param", "a=0", "--param", "b=3",
+                 "--param", f"count={count}", "--out", str(gen_path)]) == 0
+    capsys.readouterr()
+    assert main(["solve", str(gen_path), "--alg", "six-phase", "--pack3", pack3]) == code
+    captured = capsys.readouterr()
+    assert expected in (captured.out if code == 0 else captured.err)
 
 
 def test_audit_path3_trace_empty(p3_file, tmp_path, capsys):

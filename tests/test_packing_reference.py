@@ -1,14 +1,14 @@
 """Exact packings and fork sets against verbatim copies of earlier searches.
 
 `max_3star_set` below is phase 4 as it was: it built every candidate
-3-star, then ran the exact strategy's branch and bound or the greedy's
-first fit over them.  `sixphase.max_3star_set` and its search,
-`sixphase._first_max_packing`, must return the same stars in the same
-order and refuse with the same message.  `max_fork_set` is the exhaustive
-fork-set search `_comet_at` once fell back on when the pair matching could
-not give every matched pair its own fork node.  It stays the reference for
-the comet's fork count, and `_first_max_packing` must still find the same
-fork sets on random pair forks.
+3-star of every center, then ran the exact strategy's branch and bound or
+the greedy's first fit over them.  On the states phase 4 meets, after
+phases 2-3, every center holds at most three terminal components, and
+`sixphase.max_3star_set`, which packs one root triple per center, must
+return the same stars in the same order and refuse with the same message.
+`max_fork_set` is the exhaustive fork-set search `_comet_at` once fell
+back on when the pair matching could not give every matched pair its own
+fork node.  It stays the reference for the comet's fork count.
 """
 
 import random
@@ -16,7 +16,14 @@ from fractions import Fraction
 from itertools import combinations
 
 from stp12 import sixphase
-from stp12.core import CapExceeded, Connection, InputError, Instance, PartitionState
+from stp12.core import (
+    CapExceeded,
+    Connection,
+    InputError,
+    Instance,
+    PartitionState,
+    collapse,
+)
 from stp12.heuristics import Star, find_max_star, preprocess_terminal_edges
 from stp12.io import GeneratorSpec, generate
 from stp12.sixphase import DEFAULT_PACK3_CAP, PACK3_STRATEGIES, build_fork_candidates
@@ -132,42 +139,39 @@ def first_max_by_enumeration(candidates):
     return []
 
 
-def random_pair_forks(rng):
-    """Pairs of 8 components, each served by some of 5 fork nodes."""
-    pair_forks: dict[tuple[int, int], list[int]] = {}
-    for _ in range(rng.randint(1, 12)):
-        pair = tuple(sorted(rng.sample(range(8), 2)))
-        forks = pair_forks.setdefault(pair, [])
-        f = rng.randrange(20, 25)
-        if f not in forks:
-            forks.append(f)
-    return pair_forks
+def triple_gadget(rng):
+    """Two to twelve centers, each tied to two or three of five to fourteen terminals.
+
+    No entry holds more than three roots, so phases 2-3 leave the state as
+    it is, and the triples overlap often enough for the first fit to miss
+    the maximum.
+    """
+    center_count, terminal_count = rng.randint(2, 12), rng.randint(5, 14)
+    terminals = range(center_count, center_count + terminal_count)
+    edges = sorted((center, t) for center in range(center_count)
+                   for t in rng.sample(terminals, rng.choice((2, 3, 3, 3))))
+    return Instance.from_edges(center_count + terminal_count, edges, terminals)
 
 
-def shared_search_fork_set(pair_forks):
-    """The fork set `_first_max_packing` finds over every (pair, fork) candidate."""
-    candidates = sorted((pair, f) for pair, forks in pair_forks.items() for f in forks)
-    packing = sixphase._first_max_packing([(f, pair) for pair, f in candidates])
-    return [candidates[i] for i in packing]
+def after_phase_three(inst):
+    """The state `six_phase` hands phase 4: phases 1-3 run on a fresh state."""
+    state = PartitionState(inst)
+    preprocess_terminal_edges(state)
+    while (star := find_max_star(state)) is not None and star.s >= 4:
+        collapse(state, star.touched_components(), star.connections())
+    return state
 
 
-def test_shared_search_matches_the_fork_set_search_on_random_pair_forks():
-    rng = random.Random(2)
-    for _ in range(400):
-        pair_forks = random_pair_forks(rng)
-        assert shared_search_fork_set(pair_forks) == max_fork_set(pair_forks)
-
-
-def test_shared_search_returns_the_first_maximum_of_random_candidate_lists():
-    # Owners shared by several candidates, components of one to three roots,
-    # in no particular order.
+def test_max_3star_set_returns_the_first_maximum_on_random_triple_gadgets():
     rng = random.Random(5)
     for _ in range(300):
-        candidates = [
-            (rng.randrange(4), tuple(rng.sample(range(9), rng.randint(1, 3))))
-            for _ in range(rng.randint(0, 11))
-        ]
-        assert sixphase._first_max_packing(candidates) == first_max_by_enumeration(candidates)
+        state = after_phase_three(triple_gadget(rng))
+        view = state.view_upkeep().view
+        candidates = [(center, tuple(sorted(view[center]))) for center in sorted(view)
+                      if len(view[center]) == 3]
+        want = [candidates[i] for i in first_max_by_enumeration(candidates)]
+        got = [(star.center, star.leaves) for star in sixphase.max_3star_set(state, "exact")]
+        assert got == want
 
 
 def outcome(pack, state, strategy):
@@ -197,10 +201,19 @@ def phase_one_states():
     return states
 
 
+def phase_three_states():
+    """`phase_one_states`, triple gadgets and 513 disjoint 3-stars, after phase 3."""
+    rng = random.Random(7)
+    instances = [state.instance for state in phase_one_states()]
+    instances += [triple_gadget(rng) for _ in range(200)]
+    instances.append(generate(GeneratorSpec("comet-chain", {"a": 0, "b": 3, "count": 513})))
+    return [after_phase_three(inst) for inst in instances]
+
+
 def test_max_3star_set_matches_reference():
-    states = phase_one_states()
+    states = phase_three_states()
     sizes = {len(reps) for state in states for reps in state.view_upkeep().view.values()}
-    assert {3, 4, 5, 6} <= sizes
+    assert max(sizes) == 3
     refused = differ = 0
     for state in states:
         for strategy in PACK3_STRATEGIES:

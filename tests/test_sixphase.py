@@ -6,6 +6,7 @@ import pytest
 from stp12 import sixphase
 from stp12.core import (
     CapExceeded,
+    ContractViolation,
     InputError,
     Instance,
     PartitionState,
@@ -32,6 +33,7 @@ from stp12.sixphase import (
     structure_cost_index,
     upgrade_to_comets,
 )
+from test_packing_reference import after_phase_three, triple_gadget
 
 
 def fresh_state(inst):
@@ -307,11 +309,12 @@ def test_max_3star_set_ignores_view_insertion_order():
     rng = random.Random(83)
     instances = [Instance.from_edges(9, trap, [3, 4, 5, 6, 7, 8])]
     instances += [random_instance(rng, max_nodes=14, max_terminals=9) for _ in range(150)]
+    instances += [triple_gadget(rng) for _ in range(100)]
     for inst in instances:
         for strategy in ("exact", "greedy"):
-            want = max_3star_set(PartitionState(inst), strategy)
+            want = max_3star_set(after_phase_three(inst), strategy)
             for shuffle in (list.reverse, rng.shuffle):
-                state = PartitionState(inst)
+                state = after_phase_three(inst)
                 view = state.view_upkeep().view
                 items = list(view.items())
                 shuffle(items)
@@ -325,26 +328,33 @@ def star_instance(leaves):
     return Instance.from_edges(leaves + 1, edges, range(1, leaves + 1))
 
 
-def no_combinations(*args):
-    raise AssertionError("max_3star_set enumerated candidate 3-stars")
+def disjoint_3_stars(count):
+    return generate(GeneratorSpec("comet-chain", {"a": 0, "b": 3, "count": count}))
 
 
-def test_max_3star_set_cap_refusal(monkeypatch):
-    # C(16, 3) = 560 candidate 3-stars, above the cap of 512: refused from
-    # the count, before any candidate is built.
-    monkeypatch.setattr(sixphase, "combinations", no_combinations)
-    inst = star_instance(16)
-    stars = max_3star_set(PartitionState(inst), "greedy")
-    assert len(stars) == 1
-    with pytest.raises(CapExceeded, match="560 candidates > cap 512"):
+def test_max_3star_set_refuses_an_entry_of_four_roots():
+    # Phases 2-3 leave no star with s >= 4, so phase 4 never meets one.
+    for strategy in PACK3_STRATEGIES:
+        with pytest.raises(ContractViolation, match="4-star at 0"):
+            max_3star_set(PartitionState(star_instance(4)), strategy)
+
+
+def test_max_3star_set_cap_refusal():
+    # 513 disjoint 3-stars, one candidate each, above the cap of 512.
+    inst = disjoint_3_stars(513)
+    assert len(max_3star_set(PartitionState(inst), "greedy")) == 513
+    with pytest.raises(CapExceeded, match="513 candidates > cap 512"):
         max_3star_set(PartitionState(inst), "exact")
 
 
-def test_max_3star_set_greedy_builds_no_candidates(monkeypatch):
-    # C(40, 3) = 9880 candidates; the greedy takes the three smallest roots.
-    monkeypatch.setattr(sixphase, "combinations", no_combinations)
-    stars = max_3star_set(PartitionState(star_instance(40)), "greedy")
-    assert stars == (Star(0, (1, 2, 3), ((0, 1), (0, 2), (0, 3))),)
+def test_max_3star_set_greedy_packs_every_disjoint_triple():
+    # 2000 triples, about four times the exact strategy's cap: the first fit is a
+    # loop, so no recursion limit is met.
+    state = PartitionState(disjoint_3_stars(2000))
+    view = state.view_upkeep().view
+    stars = max_3star_set(state, "greedy")
+    assert [star.center for star in stars] == sorted(view)
+    assert all(star.leaves == tuple(sorted(view[star.center])) for star in stars)
 
 
 def test_upgrade_unchanged_without_fork():
