@@ -319,6 +319,12 @@ def _prune_move(instance, reference):
 
 
 def _path_move(instance, reference):
+    """The least path of k > 1 unit edges through degree-2 non-terminals.
+
+    Each path is walked from both of its ends, the terminals and the nodes
+    of reference degree above 2, and oriented from its smaller end; the
+    least by (first end, last end, path) is returned, or None.
+    """
     adjacency = _degrees(reference)
     unit = reference.unit_edges(instance)
 
@@ -329,46 +335,20 @@ def _path_move(instance, reference):
             and all(connection(node, o) in unit for o in adjacency[node])
         )
 
+    def valid_end(node: int) -> bool:
+        return node in instance.terminals or len(adjacency[node]) > 2
+
     candidates = []
-    visited: set[int] = set()
-    for node in sorted(adjacency):
-        if node in visited or not interior(node):
-            continue
-        chain = [node]
-        visited.add(node)
-        ends = []
-        for direction in adjacency[node]:
-            prev, here = node, direction
-            while interior(here) and here not in visited:
-                visited.add(here)
-                chain.append(here)
-                nxt = [o for o in adjacency[here] if o != prev]
-                prev, here = here, nxt[0]
-            if interior(here):
-                break  # closed cycle of interiors; junk pruning handles it
-            ends.append((here, prev))
-        if len(ends) != 2:
-            continue
-        (end_a, before_a), (end_b, before_b) = ends
-        if end_a == end_b:
-            continue
-        path = [end_a]
-        prev, here = end_a, before_a
-        while here != end_b:
-            path.append(here)
-            nxt = [o for o in adjacency[here] if o != prev]
-            prev, here = here, nxt[0]
-        path.append(end_b)
-
-        def valid_end(n: int) -> bool:
-            return n in instance.terminals or len(adjacency[n]) > 2
-
-        if valid_end(end_a) and valid_end(end_b) and len(path) >= 3:
-            oriented = path if path[0] < path[-1] else list(reversed(path))
-            candidates.append(oriented)
-    if not candidates:
-        return None
-    return min(candidates, key=lambda p: (p[0], p[-1], p))
+    for end in filter(valid_end, adjacency):
+        for here in adjacency[end]:
+            path = [end]
+            while interior(here):
+                path.append(here)
+                here = next(o for o in adjacency[here] if o != path[-2])
+            if len(path) > 1 and here != end and valid_end(here):
+                path.append(here)
+                candidates.append(path if path[0] < path[-1] else path[::-1])
+    return min(candidates, key=lambda p: (p[0], p[-1], p), default=None)
 
 
 def _bridge_move(instance, reference, mode):

@@ -15,6 +15,7 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
@@ -232,15 +233,7 @@ def _cmd_audit(args) -> int:
                 "instance": name,
                 "mode": args.mode,
                 "reference_cost": opt.cost,
-                "trace": [
-                    {
-                        "kind": step.kind,
-                        "removed": [list(c) for c in step.removed],
-                        "added": [list(c) for c in step.added],
-                        "cost_delta": step.cost_delta,
-                    }
-                    for step in trace
-                ],
+                "trace": [asdict(step) for step in trace],
                 "classification": dict(sorted(histogram.items())),
                 "c_comps": len(c_comps),
             }

@@ -41,6 +41,9 @@ from stp12.core import (
 
 BRUTE_FORCE_NODE_CAP = 24
 DREYFUS_WAGNER_TERMINAL_CAP = 12
+# The DP reads one n-bit adjacency mask per node, n^2/8 bytes in all: at
+# this cap 128 MiB.
+DREYFUS_WAGNER_NODE_CAP = 1 << 15
 
 
 def brute_force_opt(instance: Instance, max_nodes: int = BRUTE_FORCE_NODE_CAP) -> Solution:
@@ -211,7 +214,8 @@ def dreyfus_wagner(instance: Instance) -> Solution:
     ORs one adjacency mask per minimal node, O(n ceil(n/w)) per row at worst
     and a few masks in practice.  Memory is O(2^(k-1) n) bits.  Agrees with
     brute_force_opt wherever both run; used as the second route in oracle
-    cross-checks.
+    cross-checks.  It refuses more than DREYFUS_WAGNER_TERMINAL_CAP
+    terminals or DREYFUS_WAGNER_NODE_CAP nodes before any mask is built.
     """
     terms = sorted(instance.terminals)
     k = len(terms)
@@ -220,6 +224,10 @@ def dreyfus_wagner(instance: Instance) -> Solution:
     if k > DREYFUS_WAGNER_TERMINAL_CAP:
         raise CapExceeded(
             f"dreyfus_wagner refuses |R|={k} > cap {DREYFUS_WAGNER_TERMINAL_CAP}"
+        )
+    if instance.node_count > DREYFUS_WAGNER_NODE_CAP:
+        raise CapExceeded(
+            f"dreyfus_wagner refuses n={instance.node_count} > cap {DREYFUS_WAGNER_NODE_CAP}"
         )
     if k == 1:
         return Solution(frozenset(), 0)

@@ -30,14 +30,7 @@ from stp12.core import (
 from stp12.exact import DREYFUS_WAGNER_TERMINAL_CAP, brute_force_opt, dreyfus_wagner
 from stp12.heuristics import find_max_star, finishing, preprocess_terminal_edges, rayward_smith
 from stp12.matching import AuxGraph, max_matching
-from stp12.sixphase import (
-    _comet_at,
-    best_comet,
-    cost_index,
-    six_phase,
-    star_cost_index,
-    structure_cost_index,
-)
+from stp12.sixphase import _comet_at, best_comet, cost_index, six_phase
 
 RS_BOUND = Fraction(4, 3)
 SIX_PHASE_BOUND = Fraction(5, 4)
@@ -131,7 +124,7 @@ def cold_min_cost_index(state: PartitionState) -> Fraction | None:
     `best_comet` restricts to indices below 1.
     """
     star = find_max_star(state)
-    indices = [star_cost_index(star.s)] if star is not None and star.s >= 2 else []
+    indices = [star.cost_index] if star is not None and star.s >= 2 else []
     for center in range(state.instance.node_count):
         if not state.is_terminal_component(center):
             comet = _comet_at(state, center)
@@ -327,7 +320,7 @@ def suite_oracles(
         # The cold search must reach the unrestricted minimum, and
         # best_comet that minimum when it is below 1, else None.
         structure = best_comet(state)
-        got_ci = None if structure is None else structure_cost_index(structure)
+        got_ci = None if structure is None else structure.cost_index
         cold_ci = cold_min_cost_index(state)
         want_ci = exhaustive_min_cost_index(state)
         below_one = want_ci if want_ci is not None and want_ci < 1 else None
@@ -448,7 +441,7 @@ def _ratio_suite(
     suite_name: str,
     run: str,
     bound: Fraction,
-    solver: Callable[[Instance, str], Solution],
+    solver: Callable[[Instance], Solution],
     corpus: list[tuple[str, Instance]] | None,
     out_dir: str | None,
 ) -> dict:
@@ -457,7 +450,7 @@ def _ratio_suite(
     max_ratio, max_instance = Fraction(0), None
     violations: list[dict] = []
     skipped: list[str] = []
-    runs = [(run, bound, lambda candidate, log: solver(candidate, "cheapest"))]
+    runs = [(run, bound, lambda candidate, log: solver(candidate))]
     for check in check_instances(instances, runs, out_dir):
         if check.skipped is not None:
             skipped.append(f"{check.name}: {check.skipped}")
@@ -516,22 +509,20 @@ def _violation_record(
 
 def suite_ratio_rs(
     corpus: list[tuple[str, Instance]] | None = None,
-    solver: Callable[[Instance, str], Solution] | None = None,
+    solver: Callable[[Instance], Solution] = rayward_smith,
     out_dir: str | None = None,
 ) -> dict:
     """Greedy heuristic ratio bound 4/3, checked exactly in rationals."""
-    run = solver or (lambda inst, mode: rayward_smith(inst, mode))
-    return _ratio_suite("ratio-rayward-smith", "rs", RS_BOUND, run, corpus, out_dir)
+    return _ratio_suite("ratio-rayward-smith", "rs", RS_BOUND, solver, corpus, out_dir)
 
 
 def suite_ratio_sixphase(
     corpus: list[tuple[str, Instance]] | None = None,
-    solver: Callable[[Instance, str], Solution] | None = None,
+    solver: Callable[[Instance], Solution] = six_phase,
     out_dir: str | None = None,
 ) -> dict:
     """Six-phase ratio bound 5/4, checked exactly in rationals."""
-    run = solver or (lambda inst, mode: six_phase(inst, mode))
-    return _ratio_suite("ratio-six-phase", "six-phase", SIX_PHASE_BOUND, run, corpus, out_dir)
+    return _ratio_suite("ratio-six-phase", "six-phase", SIX_PHASE_BOUND, solver, corpus, out_dir)
 
 
 def summary_json(summary: dict) -> str:

@@ -11,6 +11,7 @@ reads the instance off it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from stp12.core import (
     Connection,
@@ -27,24 +28,62 @@ from stp12.core import (
 
 FINISHING_MODES = ("strict-paper", "cheapest")
 
+CostIndex = Fraction
+
+
+def cost_index(t: int, c: int) -> CostIndex:
+    """Exact rational cost index c/(t-1) - 1 for t terminals and c edges."""
+    if t < 2:
+        raise InputError(f"cost index needs at least 2 terminals, got t={t}")
+    return Fraction(c, t - 1) - 1
+
+
+@dataclass(frozen=True)
+class Fork:
+    """A free non-terminal tied to the center and to two terminal components."""
+
+    node: int
+    leaves: tuple[int, int]          # the two terminal component roots
+    edges: tuple[Connection, Connection, Connection]  # center-fork, fork-leaf x2
+
+    def __post_init__(self):
+        if self.leaves[0] == self.leaves[1]:
+            raise InputError("fork leaves must be distinct terminal components")
+
 
 @dataclass(frozen=True)
 class Star:
-    """A free non-terminal center joined by edges to distinct terminal components."""
+    """A free non-terminal center joined by edges to s distinct terminal
+    components and by a forks to two further components each.
+
+    With forks it is a comet (`sixphase.Comet`).  It spans t = 2a + s
+    terminal components with c = 3a + s edges, and is ranked by its cost
+    index c/(t-1) - 1, the edge overhead per terminal merge.
+    """
 
     center: int
     leaves: tuple[int, ...]          # terminal component roots, ascending
     edges: tuple[Connection, ...]    # one representative edge per leaf
+    forks: tuple[Fork, ...] = ()
 
     @property
     def s(self) -> int:
         return len(self.leaves)
 
+    @property
+    def a(self) -> int:
+        return len(self.forks)
+
+    @property
+    def cost_index(self) -> CostIndex:
+        return cost_index(2 * self.a + self.s, 3 * self.a + self.s)
+
     def touched_components(self) -> tuple[int, ...]:
-        return (self.center, *self.leaves)
+        return (self.center, *self.leaves,
+                *(c for fork in self.forks for c in (fork.node, *fork.leaves)))
 
     def connections(self) -> tuple[Connection, ...]:
-        return self.edges
+        return (*self.edges, *(e for fork in self.forks for e in fork.edges))
 
 
 def find_max_star(state: PartitionState) -> Star | None:

@@ -1,12 +1,13 @@
 """The six-phase algorithm: star phases, 3-star packing, and comet collapses.
 
-A comet generalizes a star: a free non-terminal center carries b directly
-attached terminal components plus a fork nodes, each fork being a free
-non-terminal adjacent to the center and to two further terminal components.
-A comet with a forks and b direct terminals spans t = 2a + b terminal
-components using c = 3a + b edges; its cost index c/(t-1) - 1 measures the
-edge overhead per terminal merge, with a plain non-edge merge sitting at
-exactly 1.  The six phases:
+A comet is a star (`heuristics.Star`) with forks: a free non-terminal
+center carries b directly attached terminal components (the star's s
+leaves) plus a fork nodes, each fork being a free non-terminal adjacent to
+the center and to two further terminal components.  A comet with a forks
+and b direct terminals spans t = 2a + b terminal components using
+c = 3a + b edges, a star the same with a = 0; the one cost index
+c/(t-1) - 1 (`Star.cost_index`) measures the edge overhead per terminal
+merge, with a plain non-edge merge sitting at exactly 1.  The six phases:
 
 1. collapse terminal-terminal edges
 2. greedily collapse stars with s > 4
@@ -36,13 +37,11 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
 from stp12.core import (
     CapExceeded,
-    Connection,
     ContractViolation,
     InputError,
     Instance,
@@ -53,51 +52,29 @@ from stp12.core import (
     connection,
     edges_to,
 )
-from stp12.heuristics import Star, find_max_star, finishing, preprocess_terminal_edges
+from stp12.heuristics import (
+    CostIndex,
+    Fork,
+    Star,
+    cost_index,
+    find_max_star,
+    finishing,
+    preprocess_terminal_edges,
+)
 from stp12.matching import AuxGraph, max_matching
 
 PACK3_STRATEGIES = ("exact", "greedy")
 DEFAULT_PACK3_CAP = 512
 
-CostIndex = Fraction
-
-
-def cost_index(t: int, c: int) -> CostIndex:
-    """Exact rational cost index c/(t-1) - 1 for t terminals and c edges."""
-    if t < 2:
-        raise InputError(f"cost index needs at least 2 terminals, got t={t}")
-    return Fraction(c, t - 1) - 1
-
-
-def star_cost_index(s: int) -> CostIndex:
-    """Cost index of an s-star computed from its counts (t = s, c = s)."""
-    return cost_index(s, s)
-
 
 @dataclass(frozen=True)
-class Fork:
-    """A free non-terminal tied to the center and to two terminal components."""
-
-    node: int
-    leaves: tuple[int, int]          # the two terminal component roots
-    edges: tuple[Connection, Connection, Connection]  # center-fork, fork-leaf x2
+class Comet(Star):
+    """A star with at least one fork, whose components and nodes are distinct."""
 
     def __post_init__(self):
-        if self.leaves[0] == self.leaves[1]:
-            raise InputError("fork leaves must be distinct terminal components")
-
-
-@dataclass(frozen=True)
-class Comet:
-    """A center with a forks and b directly attached terminal components."""
-
-    center: int
-    directs: tuple[int, ...]         # terminal component roots, ascending
-    direct_edges: tuple[Connection, ...]
-    forks: tuple[Fork, ...]
-
-    def __post_init__(self):
-        comps = list(self.directs)
+        if not self.forks:
+            raise InputError("a comet needs at least one fork")
+        comps = list(self.leaves)
         nodes = [self.center]
         for fork in self.forks:
             comps.extend(fork.leaves)
@@ -106,46 +83,6 @@ class Comet:
             raise InputError("comet terminal components must be distinct")
         if len(set(nodes)) != len(nodes):
             raise InputError("comet fork nodes must be distinct from each other and the center")
-
-    @property
-    def a(self) -> int:
-        return len(self.forks)
-
-    @property
-    def b(self) -> int:
-        return len(self.directs)
-
-    @property
-    def terminal_count(self) -> int:
-        return 2 * self.a + self.b
-
-    @property
-    def edge_count(self) -> int:
-        return 3 * self.a + self.b
-
-    @property
-    def cost_index(self) -> CostIndex:
-        return cost_index(self.terminal_count, self.edge_count)
-
-    def touched_components(self) -> tuple[int, ...]:
-        comps = [self.center]
-        comps.extend(self.directs)
-        for fork in self.forks:
-            comps.append(fork.node)
-            comps.extend(fork.leaves)
-        return tuple(comps)
-
-    def connections(self) -> tuple[Connection, ...]:
-        conns = list(self.direct_edges)
-        for fork in self.forks:
-            conns.extend(fork.edges)
-        return tuple(conns)
-
-
-def structure_cost_index(structure: Star | Comet) -> CostIndex:
-    if isinstance(structure, Star):
-        return star_cost_index(structure.s)
-    return structure.cost_index
 
 
 def build_fork_candidates(
@@ -171,7 +108,7 @@ def build_fork_candidates(
     return pair_forks
 
 
-def best_comet(state: PartitionState) -> Star | Comet | None:
+def best_comet(state: PartitionState) -> Star | None:
     """Structure with the least cost index among those below 1, or None.
 
     Phase 6 collapses only structures whose cost index is below 1, so no
@@ -315,13 +252,8 @@ def _comet_at(state: PartitionState, center: int) -> Comet | None:
         f = pair_forks[pair][0]
         edges = (connection(center, f), *edges_to(state, f, pair))
         forks.append(Fork(node=f, leaves=pair, edges=edges))
-    directs = tuple(sorted(roots))
-    return Comet(
-        center=center,
-        directs=directs,
-        direct_edges=edges_to(state, center, directs),
-        forks=tuple(forks),
-    )
+    leaves = tuple(sorted(roots))
+    return Comet(center, leaves, edges_to(state, center, leaves), tuple(forks))
 
 
 def max_3star_set(state: PartitionState, strategy: str = "exact") -> tuple[Star, ...]:
@@ -382,9 +314,7 @@ def max_3star_set(state: PartitionState, strategy: str = "exact") -> tuple[Star,
                  for i in best)
 
 
-def upgrade_to_comets(
-    state: PartitionState, selected: tuple[Star, ...]
-) -> tuple[Star | Comet, ...]:
+def upgrade_to_comets(state: PartitionState, selected: tuple[Star, ...]) -> tuple[Star, ...]:
     """Replace selected 3-stars by (1,3)-comets wherever a free fork exists.
 
     Scans the selection in center order; a fork must be a free non-terminal
@@ -396,7 +326,7 @@ def upgrade_to_comets(
     for star in ordered:
         used_comps.update(star.leaves)
     blocked_nodes = {star.center for star in ordered}
-    result: list[Star | Comet] = []
+    result: list[Star] = []
     for star in ordered:
         fork = _find_free_fork(state, star.center, used_comps, blocked_nodes)
         if fork is None:
@@ -404,14 +334,7 @@ def upgrade_to_comets(
             continue
         used_comps.update(fork.leaves)
         blocked_nodes.add(fork.node)
-        result.append(
-            Comet(
-                center=star.center,
-                directs=star.leaves,
-                direct_edges=star.edges,
-                forks=(fork,),
-            )
-        )
+        result.append(Comet(star.center, star.leaves, star.edges, (fork,)))
     return tuple(result)
 
 
@@ -467,15 +390,14 @@ def six_phase(
     for structure in upgraded:
         collapse(state, structure.touched_components(), structure.connections())
     if log is not None:
-        comet_count = sum(1 for s in upgraded if isinstance(s, Comet))
+        comet_count = sum(1 for structure in upgraded if structure.forks)
         log.append(f"phase 5 upgraded {comet_count} to (1,3)-comets: cost {state.cost}")
 
     while (structure := best_comet(state)) is not None:
         collapse(state, structure.touched_components(), structure.connections())
         if log is not None:
-            kind = "star" if isinstance(structure, Star) else "comet"
-            ci = structure_cost_index(structure)
-            log.append(f"phase 6 collapse {kind} ci={ci}: cost {state.cost}")
+            kind = "comet" if structure.forks else "star"
+            log.append(f"phase 6 collapse {kind} ci={structure.cost_index}: cost {state.cost}")
 
     solution = finishing(state, mode)
     if log is not None:

@@ -1,17 +1,22 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from stp12 import audit
 from stp12.audit import (
     NormalizationStep,
     ReferenceSolution,
+    _degrees,
     bridge_step,
     decompose,
     normalize,
     path_step,
 )
-from stp12.core import ContractViolation, Instance, cost, is_valid_solution
-from stp12.exact import brute_force_opt
+from stp12.core import ContractViolation, Instance, connection, cost, is_valid_solution
+from stp12.exact import DREYFUS_WAGNER_TERMINAL_CAP, brute_force_opt, dreyfus_wagner
+from stp12.harness import full_corpus
+from stp12.io import GeneratorSpec, generate
 
 
 def ref(*pairs):
@@ -190,3 +195,99 @@ def test_normalize_never_beats_optimum_and_k2_only_on_optima():
 def test_normalization_step_is_frozen_record():
     step = NormalizationStep("path", ((0, 1), (1, 2)), ((0, 2),), 0)
     assert step.kind == "path" and step.cost_delta == 0
+
+
+def reference_path_move(instance, reference):
+    """The chain walk `audit._path_move` used before it walked from the ends."""
+    adjacency = _degrees(reference)
+    unit = reference.unit_edges(instance)
+
+    def interior(node: int) -> bool:
+        return (
+            node not in instance.terminals
+            and len(adjacency[node]) == 2
+            and all(connection(node, o) in unit for o in adjacency[node])
+        )
+
+    candidates = []
+    visited: set[int] = set()
+    for node in sorted(adjacency):
+        if node in visited or not interior(node):
+            continue
+        chain = [node]
+        visited.add(node)
+        ends = []
+        for direction in adjacency[node]:
+            prev, here = node, direction
+            while interior(here) and here not in visited:
+                visited.add(here)
+                chain.append(here)
+                nxt = [o for o in adjacency[here] if o != prev]
+                prev, here = here, nxt[0]
+            if interior(here):
+                break  # closed cycle of interiors; junk pruning handles it
+            ends.append((here, prev))
+        if len(ends) != 2:
+            continue
+        (end_a, before_a), (end_b, before_b) = ends
+        if end_a == end_b:
+            continue
+        path = [end_a]
+        prev, here = end_a, before_a
+        while here != end_b:
+            path.append(here)
+            nxt = [o for o in adjacency[here] if o != prev]
+            prev, here = here, nxt[0]
+        path.append(end_b)
+
+        def valid_end(n: int) -> bool:
+            return n in instance.terminals or len(adjacency[n]) > 2
+
+        if valid_end(end_a) and valid_end(end_b) and len(path) >= 3:
+            oriented = path if path[0] < path[-1] else list(reversed(path))
+            candidates.append(oriented)
+    if not candidates:
+        return None
+    return min(candidates, key=lambda p: (p[0], p[-1], p))
+
+
+def path_move_instances():
+    """The full corpus and 300 random-gnp instances of 20 to 32 nodes."""
+    rng = random.Random(47)
+    instances = [inst for _, inst in full_corpus()]
+    for _ in range(300):
+        n = rng.randint(20, 32)
+        params = {"n": n, "p": Fraction(rng.choice((3, 4, 6)), n), "r": rng.randint(4, 9)}
+        instances.append(generate(GeneratorSpec("random-gnp", params, rng.getrandbits(32))))
+    return instances
+
+
+def test_path_move_walked_from_the_ends_matches_the_chain_walk(monkeypatch):
+    # Every call normalize makes on an optimal reference, in both modes, and
+    # five references per instance with extra connections, mostly unit
+    # edges, which leave paths of k > 2 edges and cycles through one end.
+    rng = random.Random(53)
+    calls = found = 0
+
+    def checked_path_move(instance, reference):
+        nonlocal calls, found
+        got = path_move(instance, reference)
+        assert got == reference_path_move(instance, reference)
+        calls += 1
+        found += got is not None
+        return got
+
+    path_move = audit._path_move
+    monkeypatch.setattr(audit, "_path_move", checked_path_move)
+    for inst in path_move_instances():
+        oracle = dreyfus_wagner if len(inst.terminals) <= DREYFUS_WAGNER_TERMINAL_CAP else brute_force_opt
+        optimum = ReferenceSolution(oracle(inst).connections)
+        for mode in ("s3", "s4"):
+            normalize(inst, optimum, mode)
+        edges, n = sorted(inst.edges()), inst.node_count
+        for _ in range(5):
+            extra = {connection(*rng.choice(edges)) for _ in range(rng.randint(1, 4)) if edges}
+            if n > 1:
+                extra.add(connection(*rng.sample(range(n), 2)))
+            checked_path_move(inst, ReferenceSolution(optimum.connections | extra))
+    assert calls > 8000 and found > 200

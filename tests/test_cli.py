@@ -428,6 +428,17 @@ def test_audit_beyond_subset_oracle_cap(tmp_path):
     assert main(["audit", str(gen_path), "--mode", "s4", "--out", str(out_path)]) == 0
     entry = json.loads(out_path.read_text())["audit"][0]
     assert entry["reference_cost"] > 0
+    # Seed 5 in s3 mode takes a bridge and a path step; each step is written
+    # field by field, in the order NormalizationStep declares them.
+    assert main(["gen", "--family", "random-gnp", "--param", "n=26", "--param", "p=1/5",
+                 "--param", "r=8", "--seed", "5", "--out", str(gen_path)]) == 0
+    assert main(["audit", str(gen_path), "--mode", "s3", "--out", str(out_path)]) == 0
+    trace = json.loads(out_path.read_text())["audit"][0]["trace"]
+    assert [list(step) for step in trace] == [["kind", "removed", "added", "cost_delta"]] * 2
+    assert trace == [
+        {"kind": "bridge", "removed": [[2, 24]], "added": [[4, 13]], "cost_delta": 1},
+        {"kind": "path", "removed": [[2, 13], [2, 20]], "added": [[4, 20]], "cost_delta": 0},
+    ]
 
 
 def test_audit_refuses_beyond_the_dreyfus_wagner_terminal_cap(tmp_path, capsys):

@@ -4,7 +4,8 @@ from itertools import combinations
 import pytest
 
 from stp12.core import CapExceeded, Instance, cost, is_valid_solution
-from stp12.exact import _steiner_sets, brute_force_opt, dreyfus_wagner
+from stp12 import exact
+from stp12.exact import DREYFUS_WAGNER_NODE_CAP, _steiner_sets, brute_force_opt, dreyfus_wagner
 
 
 def star_gadget():
@@ -63,6 +64,21 @@ def test_caps_are_enforced():
         dreyfus_wagner(many)
     # explicit caps override the defaults
     assert brute_force_opt(Instance.from_edges(21, [], [0]), max_nodes=21).cost == 0
+
+
+def test_dreyfus_wagner_node_cap_refuses_before_building_the_masks(monkeypatch):
+    n = DREYFUS_WAGNER_NODE_CAP + 1
+    inst = Instance.from_edges(n, [(v, v + 1) for v in range(9)], range(10))
+    with pytest.raises(CapExceeded, match=f"n={n} > cap {DREYFUS_WAGNER_NODE_CAP}"):
+        dreyfus_wagner(inst)
+    assert "adjacency" not in inst.__dict__
+    # The cap itself is allowed; shown at a small cap, as the masks of
+    # 2^15 nodes alone take 128 MiB.
+    monkeypatch.setattr(exact, "DREYFUS_WAGNER_NODE_CAP", 12)
+    path = [(v, v + 1) for v in range(9)]
+    assert dreyfus_wagner(Instance.from_edges(12, path, range(10))).cost == 9
+    with pytest.raises(CapExceeded, match="n=13 > cap 12"):
+        dreyfus_wagner(Instance.from_edges(13, path, range(10)))
 
 
 def test_witnesses_are_valid_and_cost_consistent():

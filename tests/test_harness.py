@@ -78,7 +78,7 @@ def test_ratio_suite_flags_weak_stub_and_dumps_counterexample(tmp_path):
     # the finishing-only stub exceeds 4/3 on a plain 4-star (6 vs 4)
     summary = suite_ratio_rs(
         [FOUR_STAR],
-        solver=lambda inst, mode: finishing_only_solver(inst, mode),
+        solver=lambda inst: finishing_only_solver(inst, "cheapest"),
         out_dir=str(tmp_path),
     )
     assert not summary["passed"]
@@ -104,7 +104,7 @@ def test_ratio_suite_recomputes_a_lying_solvers_cost():
 
 
 def test_ratio_suite_reports_a_connection_outside_the_instance():
-    def outside(inst, mode):
+    def outside(inst):
         return Solution(frozenset({(0, inst.node_count)}), 2)
 
     summary = suite_ratio_sixphase([FOUR_STAR], solver=outside)

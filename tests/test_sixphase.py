@@ -29,10 +29,9 @@ from stp12.sixphase import (
     cost_index,
     max_3star_set,
     six_phase,
-    star_cost_index,
-    structure_cost_index,
     upgrade_to_comets,
 )
+from stp12.harness import full_corpus
 from test_packing_reference import after_phase_three, triple_gadget
 
 
@@ -66,17 +65,25 @@ def test_cost_index_closed_forms_sample():
     assert cost_index(4, 4) == Fraction(1, 3)          # 4-star
     assert cost_index(5, 6) == Fraction(1, 2)          # (1,3)-comet
     assert cost_index(2, 1) == 0                       # terminal edge
-    assert star_cost_index(3) == Fraction(1, 2)
+    assert Star(0, (1, 2, 3), ((0, 1), (0, 2), (0, 3))).cost_index == Fraction(1, 2)
     with pytest.raises(InputError):
         cost_index(1, 1)
 
 
 def test_comet_counts_and_index():
     fork = Fork(node=1, leaves=(4, 5), edges=((0, 1), (1, 4), (1, 5)))
-    comet = Comet(center=0, directs=(2, 3), direct_edges=((0, 2), (0, 3)), forks=(fork,))
-    assert comet.a == 1 and comet.b == 2
-    assert comet.terminal_count == 4 and comet.edge_count == 5
-    assert comet.cost_index == Fraction(2, 3)
+    comet = Comet(0, (2, 3), ((0, 2), (0, 3)), (fork,))
+    assert comet.a == 1 and comet.s == 2
+    assert comet.touched_components() == (0, 2, 3, 1, 4, 5)    # 4 terminal components
+    assert comet.connections() == ((0, 2), (0, 3), (0, 1), (1, 4), (1, 5))
+    assert comet.cost_index == Fraction(2, 3) == cost_index(4, 5)
+
+
+def test_comet_needs_a_fork():
+    with pytest.raises(InputError, match="at least one fork"):
+        Comet(0, (2, 3), ((0, 2), (0, 3)), forks=())
+    with pytest.raises(InputError, match="at least one fork"):
+        Comet(0, (2, 3), ((0, 2), (0, 3)))
 
 
 def test_every_comet_best_comet_can_score_loses_to_a_3_star():
@@ -90,9 +97,8 @@ def test_every_comet_best_comet_can_score_loses_to_a_3_star():
                      edges=((0, f), (f, 1000 + 2 * f), (f, 1001 + 2 * f)))
                 for f in range(1, a + 1)
             )
-            comet = Comet(center=0, directs=directs,
-                          direct_edges=tuple((0, d) for d in directs), forks=forks)
-            assert comet.cost_index > star_cost_index(3)
+            comet = Comet(0, directs, tuple((0, d) for d in directs), forks)
+            assert comet.cost_index > cost_index(3, 3)
 
 
 def test_a_matched_pair_with_two_fork_nodes_takes_the_smaller():
@@ -119,7 +125,7 @@ def test_comet_shape_matches_the_comet_built():
         state = fresh_state(inst)
         comet = _comet_at(state, 0)
         assert _comet_shape(inst, state.view_upkeep().view, 0) == shape
-        assert shape == (None if comet is None else (comet.a, comet.b))
+        assert shape == (None if comet is None else (comet.a, comet.s))
 
 
 def test_cheapest_finishing_takes_the_edge_between_two_packed_3_stars(monkeypatch):
@@ -150,7 +156,7 @@ def test_cheapest_finishing_takes_the_edge_between_two_packed_3_stars(monkeypatc
 def test_comet_rejects_shared_components():
     fork = Fork(node=1, leaves=(2, 5), edges=((0, 1), (1, 2), (1, 5)))
     with pytest.raises(InputError):
-        Comet(center=0, directs=(2, 3), direct_edges=((0, 2), (0, 3)), forks=(fork,))
+        Comet(0, (2, 3), ((0, 2), (0, 3)), (fork,))
 
 
 def test_best_comet_finds_1_2_comet():
@@ -158,8 +164,8 @@ def test_best_comet_finds_1_2_comet():
     state = fresh_state(inst)
     structure = best_comet(state)
     assert isinstance(structure, Comet)
-    assert (structure.a, structure.b) == (1, 2)
-    assert structure_cost_index(structure) == Fraction(2, 3)
+    assert (structure.a, structure.s) == (1, 2)
+    assert structure.cost_index == Fraction(2, 3)
     assert exhaustive_min_cost_index(state) == Fraction(2, 3)
 
 
@@ -180,7 +186,7 @@ def test_best_comet_finds_3_0_comet_at_terminal_free_center():
     state = fresh_state(inst)
     structure = best_comet(state)
     assert isinstance(structure, Comet) and structure.center == 0
-    assert (structure.a, structure.b) == (3, 0)
+    assert (structure.a, structure.s) == (3, 0)
     assert structure.cost_index == Fraction(4, 5) == exhaustive_min_cost_index(state)
 
 
@@ -190,9 +196,9 @@ def test_best_comet_prefers_large_star():
     inst = Instance.from_edges(8, edges, [1, 2, 3, 4, 6, 7])
     state = fresh_state(inst)
     structure = best_comet(state)
-    assert isinstance(structure, Star)
+    assert not structure.forks
     assert structure.s == 4
-    assert structure_cost_index(structure) == Fraction(1, 3)
+    assert structure.cost_index == Fraction(1, 3)
 
 
 def test_best_comet_absent_without_structures():
@@ -210,9 +216,8 @@ def test_best_comet_fork_exclusivity_fallback():
     structure = best_comet(state)
     want = exhaustive_min_cost_index(state)
     assert structure is not None
-    assert structure_cost_index(structure) == want
-    if isinstance(structure, Comet):
-        assert structure.a <= 1
+    assert structure.cost_index == want
+    assert structure.a <= 1
 
 
 def test_best_comet_matches_enumeration_randomized():
@@ -224,7 +229,7 @@ def test_best_comet_matches_enumeration_randomized():
         inst = random_instance(rng)
         state = fresh_state(inst)
         structure = best_comet(state)
-        got = None if structure is None else structure_cost_index(structure)
+        got = None if structure is None else structure.cost_index
         want = exhaustive_min_cost_index(state)
         assert cold_min_cost_index(state) == want
         if want is not None and want < 1:
@@ -371,7 +376,7 @@ def test_upgrade_builds_1_3_comet():
     assert len(stars) == 1
     upgraded = upgrade_to_comets(state, stars)
     assert isinstance(upgraded[0], Comet)
-    assert (upgraded[0].a, upgraded[0].b) == (1, 3)
+    assert (upgraded[0].a, upgraded[0].s) == (1, 3)
 
 
 def test_upgrade_competing_stars_share_one_fork():
@@ -388,6 +393,32 @@ def test_upgrade_competing_stars_share_one_fork():
     upgraded = upgrade_to_comets(state, stars)
     kinds = [type(s).__name__ for s in sorted(upgraded, key=lambda s: s.center)]
     assert kinds == ["Comet", "Star"]
+
+
+def test_upgrade_returns_a_comet_exactly_for_each_upgraded_star():
+    # perfbench counts phase-5 comets by type, so a star left as it is must
+    # stay a plain Star, and an upgraded one must be a Comet of its star
+    # plus one fork.
+    rng = random.Random(29)
+    instances = [inst for _, inst in full_corpus()]
+    instances += [random_instance(rng, max_nodes=14, max_terminals=9) for _ in range(150)]
+    upgraded_count = kept_count = 0
+    for inst in instances:
+        state = after_phase_three(inst)
+        selected = max_3star_set(state, "greedy")
+        upgraded = upgrade_to_comets(state, selected)
+        assert sorted(s.center for s in upgraded) == sorted(s.center for s in selected)
+        by_center = {star.center: star for star in selected}
+        for structure in upgraded:
+            star = by_center[structure.center]
+            if structure.forks:
+                assert type(structure) is Comet and structure.a == 1
+                assert (structure.leaves, structure.edges) == (star.leaves, star.edges)
+                upgraded_count += 1
+            else:
+                assert type(structure) is Star and structure is star
+                kept_count += 1
+    assert upgraded_count > 0 and kept_count > 0
 
 
 def test_six_phase_solves_single_star():

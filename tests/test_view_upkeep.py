@@ -22,13 +22,7 @@ from stp12.harness import cold_min_cost_index, exhaustive_min_cost_index, full_c
 from stp12.heuristics import rayward_smith
 from stp12.io import GeneratorSpec, generate
 from stp12.heuristics import Star, find_max_star
-from stp12.sixphase import (
-    _comet_at,
-    _comet_shape,
-    best_comet,
-    six_phase,
-    structure_cost_index,
-)
+from stp12.sixphase import _comet_at, _comet_shape, best_comet, six_phase
 
 
 def reference_edges(state, v):
@@ -75,7 +69,7 @@ def comet_keys(inst, state):
     for center in free_nodes(inst, state):
         comet = _comet_at(state, center)
         if comet is not None:
-            keys[center] = (comet.cost_index, -comet.terminal_count)
+            keys[center] = (comet.cost_index, -(2 * comet.a + comet.s))
     return keys
 
 
@@ -205,7 +199,7 @@ def test_cached_best_comet_matches_enumeration_and_cold_search(monkeypatch):
         want = exhaustive_min_cost_index(state)
         assert cold_min_cost_index(state) == want
         if want is not None and want < 1:
-            assert structure_cost_index(got) == want
+            assert got.cost_index == want
         else:
             assert got is None
             declined += want is not None
@@ -238,7 +232,7 @@ def test_comet_cache_matches_a_fresh_scoring_at_every_step(monkeypatch):
         wide = [f for f, reps in upkeep.view.items() if len(reps) >= 4]
         got = best_comet(state)
         steps += 1
-        star_won = isinstance(got, Star) and got.s >= 3
+        star_won = got is not None and not got.forks and got.s >= 3
         if wide:
             declining += 1
             assert star_won
@@ -315,7 +309,7 @@ def test_merge_reshapes_the_neighbourhoods_it_visits():
     inst = Instance.from_edges(10, edges, [0, 4, 7, 8, 9])
     state = PartitionState(inst)
     before = best_comet(state)
-    assert before.center == 5 and (before.a, before.b) == (1, 2)
+    assert before.center == 5 and (before.a, before.s) == (1, 2)
     assert before.forks[0].leaves == (4, 8)
     upkeep = state.view_upkeep()
 
@@ -467,7 +461,7 @@ def test_heaps_match_a_linear_scan_at_every_step(monkeypatch):
         else:
             assert want[0] < 1
             assert got == _comet_at(state, want[2])
-            assert (got.cost_index, -got.terminal_count) == want[:2]
+            assert (got.cost_index, -(2 * got.a + got.s)) == want[:2]
         return got
 
     monkeypatch.setattr(heuristics, "find_max_star", checked_find_max_star)
