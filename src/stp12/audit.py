@@ -114,15 +114,11 @@ def decompose(
 def _classify(instance: Instance, edges: list[Connection]) -> SteinerComponent:
     nodes = frozenset(n for e in edges for n in e)
     edge_set = frozenset(edges)
-    non_terminals = sorted(n for n in nodes if n not in instance.terminals)
-    terminals = [n for n in nodes if n in instance.terminals]
-    degree: dict[int, int] = {}
-    adjacency: dict[int, set[int]] = {}
-    for u, v in edges:
-        degree[u] = degree.get(u, 0) + 1
-        degree[v] = degree.get(v, 0) + 1
-        adjacency.setdefault(u, set()).add(v)
-        adjacency.setdefault(v, set()).add(u)
+    adjacency = _degrees(edges)
+    non_terminals = sorted(nodes - instance.terminals)
+
+    def terminal_neighbours(node: int) -> int:
+        return sum(other in instance.terminals for other in adjacency[node])
 
     if len(edges) == 1 and not non_terminals:
         return SteinerComponent(nodes, edge_set, "terminal-edge")
@@ -131,25 +127,26 @@ def _classify(instance: Instance, edges: list[Connection]) -> SteinerComponent:
         if all(center in e for e in edges):
             return SteinerComponent(nodes, edge_set, "star", (len(edges),))
         return SteinerComponent(nodes, edge_set, "other")
-    if len(non_terminals) >= 2 and all(degree[t] == 1 for t in terminals):
+    if len(non_terminals) >= 2 and all(len(adjacency[t]) == 1 for t in nodes & instance.terminals):
         for center in non_terminals:
             others = [f for f in non_terminals if f != center]
             if all(
-                degree[f] == 3
+                len(adjacency[f]) == 3
                 and center in adjacency[f]
-                and len(adjacency[f] & set(terminals)) == 2
+                and terminal_neighbours(f) == 2
                 for f in others
             ):
                 a = len(others)
-                b = len(adjacency[center] & set(terminals))
-                if degree[center] == a + b and len(edges) == 3 * a + b:
+                b = terminal_neighbours(center)
+                if len(adjacency[center]) == a + b and len(edges) == 3 * a + b:
                     return SteinerComponent(nodes, edge_set, "comet", (a, b))
     return SteinerComponent(nodes, edge_set, "other")
 
 
-def _degrees(reference: ReferenceSolution) -> dict[int, list[int]]:
+def _degrees(connections) -> dict[int, list[int]]:
+    """Each touched node's neighbours over a connection set."""
     adjacency: dict[int, list[int]] = {}
-    for u, v in reference.connections:
+    for u, v in connections:
         adjacency.setdefault(u, []).append(v)
         adjacency.setdefault(v, []).append(u)
     return adjacency
@@ -168,7 +165,7 @@ def path_step(
         raise ContractViolation("path step needs k > 1 edges")
     if len(set(path)) != len(path):
         raise ContractViolation("path nodes must be distinct")
-    adjacency = _degrees(reference)
+    adjacency = _degrees(reference.connections)
     removed = []
     for u, v in zip(path, path[1:]):
         conn = connection(u, v)
@@ -182,14 +179,7 @@ def path_step(
         if end not in instance.terminals and len(adjacency.get(end, ())) <= 2:
             raise ContractViolation(f"endpoint {end} must be a terminal or branch node")
     remaining = reference.connections - frozenset(removed)
-    side_a = _reachable(remaining, path[0])
-    if path[-1] in side_a:
-        return ReferenceSolution(remaining)
-    side_b = _reachable(remaining, path[-1])
-    reconnection = _pick_reconnection(
-        instance, side_a, side_b, fallback=connection(path[0], path[-1])
-    )
-    return ReferenceSolution(remaining | {reconnection})
+    return _reconnect(instance, remaining, path[0], path[-1], required=False)
 
 
 def bridge_step(
@@ -203,59 +193,37 @@ def bridge_step(
     if u in instance.terminals or v in instance.terminals:
         raise ContractViolation("bridge step needs both endpoints non-terminal")
     remaining = reference.connections - {edge}
-    side_u = _reachable(remaining, u)
-    if v in side_u:
+    return _reconnect(instance, remaining, u, v, required=True)
+
+
+def _reconnect(instance, remaining, a, b, required):
+    """Rejoin a and b after a cut, unless `remaining` still joins them.
+
+    Adds the smallest cross non-edge, preferring one between two terminals:
+    anchoring reconnections at terminals keeps non-terminal degrees equal to
+    their unit-edge degrees, so later path steps can still dissolve the
+    degenerate stars the rewriting leaves behind.  With no cross non-edge a
+    `required` reconnection is refused; otherwise (a, b) itself is added.
+    """
+    adjacency = _degrees(remaining)
+    side_a = _reachable(adjacency, a)
+    if b in side_a:
         return ReferenceSolution(remaining)
-    best = _pick_reconnection(instance, side_u, _reachable(remaining, v), fallback=None)
+    side_b = _reachable(adjacency, b)
+    cross = (connection(x, y) for x in side_a for y in side_b if not instance.has_edge(x, y))
+    best = min(cross, key=lambda c: (not instance.terminals.issuperset(c), c), default=None)
     if best is None:
-        raise ContractViolation("no non-edge reconnection exists across the cut")
+        if required:
+            raise ContractViolation("no non-edge reconnection exists across the cut")
+        best = connection(a, b)
     return ReferenceSolution(remaining | {best})
 
 
-def _pick_reconnection(
-    instance: Instance,
-    side_a: set[int],
-    side_b: set[int],
-    fallback: Connection | None,
-) -> Connection | None:
-    """Smallest cross pair, preferring terminal-terminal non-edges.
-
-    Anchoring reconnections at terminals keeps non-terminal degrees equal to
-    their unit-edge degrees, so later path steps can still dissolve the
-    degenerate stars the rewriting leaves behind.
-    """
-    best_terminal: Connection | None = None
-    best_any: Connection | None = None
-    for x in side_a:
-        for y in side_b:
-            if instance.has_edge(x, y):
-                continue
-            pair = connection(x, y)
-            if best_any is None or pair < best_any:
-                best_any = pair
-            if (
-                x in instance.terminals
-                and y in instance.terminals
-                and (best_terminal is None or pair < best_terminal)
-            ):
-                best_terminal = pair
-    if best_terminal is not None:
-        return best_terminal
-    if best_any is not None:
-        return best_any
-    return fallback
-
-
-def _reachable(connections: frozenset[Connection], start: int) -> set[int]:
-    adjacency: dict[int, list[int]] = {}
-    for a, b in connections:
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
+def _reachable(adjacency: dict[int, list[int]], start: int) -> set[int]:
     seen = {start}
     stack = [start]
     while stack:
-        node = stack.pop()
-        for other in adjacency.get(node, ()):
+        for other in adjacency.get(stack.pop(), ()):
             if other not in seen:
                 seen.add(other)
                 stack.append(other)
@@ -298,7 +266,7 @@ def normalize(
 
 
 def _prune_move(instance, reference):
-    adjacency = _degrees(reference)
+    adjacency = _degrees(reference.connections)
     # pendant connection at a non-terminal
     for node in sorted(adjacency):
         if node in instance.terminals or len(adjacency[node]) != 1:
@@ -310,7 +278,7 @@ def _prune_move(instance, reference):
     for node in sorted(adjacency):
         if node in seen:
             continue
-        component = _reachable(reference.connections, node)
+        component = _reachable(adjacency, node)
         seen.update(component)
         if not (component & instance.terminals):
             kept = frozenset(c for c in reference.connections if c[0] not in component)
@@ -325,7 +293,7 @@ def _path_move(instance, reference):
     of reference degree above 2, and oriented from its smaller end; the
     least by (first end, last end, path) is returned, or None.
     """
-    adjacency = _degrees(reference)
+    adjacency = _degrees(reference.connections)
     unit = reference.unit_edges(instance)
 
     def interior(node: int) -> bool:
@@ -368,10 +336,9 @@ def _bridge_move(instance, reference, mode):
 
 def _bridge_sides_big_enough(unit: frozenset[Connection], edge: Connection) -> bool:
     """s4 guard: both sides of the cut C-comp must keep >= 3 unit edges."""
-    remaining = unit - {edge}
+    adjacency = _degrees(unit - {edge})
     for endpoint in edge:
-        side = _reachable(remaining, endpoint)
-        side_edges = sum(1 for c in remaining if c[0] in side and c[1] in side)
-        if side_edges < 3:
+        side = _reachable(adjacency, endpoint)
+        if sum(len(adjacency.get(n, ())) for n in side) < 6:  # each edge twice
             return False
     return True

@@ -117,6 +117,8 @@ def _parse_params(pairs: list[str]) -> dict:
         if "=" not in pair:
             raise InputError(f"--param expects KEY=VALUE, got {pair!r}")
         key, _, value = pair.partition("=")
+        if key in params:
+            raise InputError(f"--param {key} is given twice")
         number = NUMBER.fullmatch(value)
         try:
             if number is None:
@@ -128,14 +130,12 @@ def _parse_params(pairs: list[str]) -> dict:
 
 
 def _solvers(args) -> dict:
-    table = {
-        "rs": lambda inst: rayward_smith(inst, args.finishing),
-        "six-phase": lambda inst: six_phase(inst, args.finishing, args.pack3),
-        "exact": lambda inst: brute_force_opt(inst),
+    """Each algorithm's run on one instance, with an optional log."""
+    return {
+        "rs": lambda inst, log=None: rayward_smith(inst, args.finishing, log=log),
+        "six-phase": lambda inst, log=None: six_phase(inst, args.finishing, args.pack3, log=log),
+        "exact": lambda inst, log=None: brute_force_opt(inst),
     }
-    if args.alg == "all":
-        return table
-    return {args.alg: table[args.alg]}
 
 
 def _emit(payload: dict, out: Path | None) -> None:
@@ -147,10 +147,13 @@ def _emit(payload: dict, out: Path | None) -> None:
 
 
 def _cmd_solve(args) -> int:
+    solvers = _solvers(args)
+    if args.alg != "all":
+        solvers = {args.alg: solvers[args.alg]}
     results = []
     for name, inst in _read_instances(args.inputs):
         per_algorithm = {}
-        for alg, run in _solvers(args).items():
+        for alg, run in solvers.items():
             outcome = run(inst)
             entry: dict = {"cost": outcome.cost}
             if args.witness:
@@ -179,12 +182,9 @@ def _cmd_compare(args) -> int:
         instances = chain(instances, ((spec.instance_id(), stpio.generate(spec))
                                       for spec in specs))
 
-    runs = (
-        ("rs", harness.RS_BOUND,
-         lambda inst, log: rayward_smith(inst, args.finishing, log=log)),
-        ("six-phase", harness.SIX_PHASE_BOUND,
-         lambda inst, log: six_phase(inst, args.finishing, args.pack3, log=log)),
-    )
+    solvers = _solvers(args)
+    runs = [(alg, bound, solvers[alg])
+            for alg, bound in (("rs", harness.RS_BOUND), ("six-phase", harness.SIX_PHASE_BOUND))]
     out_dir = str(args.out.parent if args.out is not None else Path.cwd())
     checks = harness.check_instances(instances, runs, out_dir)
     reports = []

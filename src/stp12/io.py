@@ -20,10 +20,6 @@ from stp12.core import CapExceeded, InputError, Instance
 
 STP_MAGIC = "33D32945 STP File, STP Format Version 1.0"
 
-GENERATOR_FAMILIES = (
-    "random-gnp", "random-sparse", "star-cluster", "comet-chain", "bp-adversarial"
-)
-
 # Largest node count parse_stp and generate accept.  An Instance holds one
 # neighbour tuple per node, so its memory grows with n + m; the bitmasks the
 # exact oracles read are built only on their first use.
@@ -315,19 +311,18 @@ def generate(spec: GeneratorSpec) -> Instance:
     A family whose parameters ask for more than MAX_NODES nodes is refused
     with CapExceeded before anything is drawn or allocated, and so is
     random-gnp above GNP_MAX_NODES and a random family expecting more than
-    MAX_EXPECTED_EDGES edges.
+    MAX_EXPECTED_EDGES edges.  A parameter the family does not read is
+    refused with InputError, also before anything is drawn.
     """
-    if spec.family == "random-gnp":
-        return _generate_gnp(spec)
-    if spec.family == "random-sparse":
-        return _generate_sparse(spec)
-    if spec.family == "star-cluster":
-        return _generate_star_cluster(spec)
-    if spec.family == "comet-chain":
-        return _generate_comet_chain(spec)
-    if spec.family == "bp-adversarial":
-        return _generate_bp_adversarial(spec)
-    raise InputError(f"unknown generator family {spec.family!r}")
+    if spec.family not in _GENERATORS:
+        raise InputError(f"unknown generator family {spec.family!r}")
+    build, keys = _GENERATORS[spec.family]
+    unknown = sorted(set(spec.params) - set(keys))
+    if unknown:
+        raise InputError(
+            f"{spec.family} has no parameter {unknown[0]!r}; it reads {', '.join(keys)}"
+        )
+    return build(spec)
 
 
 def _param(spec: GeneratorSpec, key: str, kind=int, minimum=None):
@@ -490,3 +485,14 @@ def _generate_bp_adversarial(spec: GeneratorSpec) -> Instance:
         if i + 1 < depth:
             edges.append((center, i + 1))
     return Instance.from_edges(3 * depth, edges, terminals)
+
+
+# Each family's builder and the parameters it reads.
+_GENERATORS = {
+    "random-gnp": (_generate_gnp, ("n", "p", "r")),
+    "random-sparse": (_generate_sparse, ("n", "p", "r")),
+    "star-cluster": (_generate_star_cluster, ("k", "m")),
+    "comet-chain": (_generate_comet_chain, ("a", "b", "count")),
+    "bp-adversarial": (_generate_bp_adversarial, ("depth",)),
+}
+GENERATOR_FAMILIES = tuple(_GENERATORS)

@@ -13,7 +13,14 @@ from stp12.audit import (
     normalize,
     path_step,
 )
-from stp12.core import ContractViolation, Instance, connection, cost, is_valid_solution
+from stp12.core import (
+    Connection,
+    ContractViolation,
+    Instance,
+    connection,
+    cost,
+    is_valid_solution,
+)
 from stp12.exact import DREYFUS_WAGNER_TERMINAL_CAP, brute_force_opt, dreyfus_wagner
 from stp12.harness import full_corpus
 from stp12.io import GeneratorSpec, generate
@@ -199,7 +206,7 @@ def test_normalization_step_is_frozen_record():
 
 def reference_path_move(instance, reference):
     """The chain walk `audit._path_move` used before it walked from the ends."""
-    adjacency = _degrees(reference)
+    adjacency = _degrees(reference.connections)
     unit = reference.unit_edges(instance)
 
     def interior(node: int) -> bool:
@@ -291,3 +298,145 @@ def test_path_move_walked_from_the_ends_matches_the_chain_walk(monkeypatch):
                 extra.add(connection(*rng.sample(range(n), 2)))
             checked_path_move(inst, ReferenceSolution(optimum.connections | extra))
     assert calls > 8000 and found > 200
+
+
+def reference_pick_reconnection(
+    instance: Instance,
+    side_a: set[int],
+    side_b: set[int],
+    fallback: Connection | None,
+) -> Connection | None:
+    """Smallest cross pair, preferring terminal-terminal non-edges.
+
+    Anchoring reconnections at terminals keeps non-terminal degrees equal to
+    their unit-edge degrees, so later path steps can still dissolve the
+    degenerate stars the rewriting leaves behind.
+    """
+    best_terminal: Connection | None = None
+    best_any: Connection | None = None
+    for x in side_a:
+        for y in side_b:
+            if instance.has_edge(x, y):
+                continue
+            pair = connection(x, y)
+            if best_any is None or pair < best_any:
+                best_any = pair
+            if (
+                x in instance.terminals
+                and y in instance.terminals
+                and (best_terminal is None or pair < best_terminal)
+            ):
+                best_terminal = pair
+    if best_terminal is not None:
+        return best_terminal
+    if best_any is not None:
+        return best_any
+    return fallback
+
+
+def reference_reachable(connections: frozenset[Connection], start: int) -> set[int]:
+    adjacency: dict[int, list[int]] = {}
+    for a, b in connections:
+        adjacency.setdefault(a, []).append(b)
+        adjacency.setdefault(b, []).append(a)
+    seen = {start}
+    stack = [start]
+    while stack:
+        node = stack.pop()
+        for other in adjacency.get(node, ()):
+            if other not in seen:
+                seen.add(other)
+                stack.append(other)
+    return seen
+
+
+def reference_reconnect(instance, remaining, a, b, fallback):
+    """The tail path_step (fallback (a, b)) and bridge_step (fallback None)
+    ended in before `audit._reconnect`, with the outcome it reached: the
+    connections it returns, or None for a refused bridge."""
+    side_a = reference_reachable(remaining, a)
+    if b in side_a:
+        return "joined", remaining
+    pair = reference_pick_reconnection(
+        instance, side_a, reference_reachable(remaining, b), fallback
+    )
+    if pair is None:
+        return "refused", None
+    if instance.has_edge(*pair):
+        return "endpoint fallback", remaining | {pair}
+    if instance.terminals.issuperset(pair):
+        return "terminal pair", remaining | {pair}
+    return "other non-edge", remaining | {pair}
+
+
+def reconnect_cases():
+    """Hand-built steps, one per outcome of the reconnect rule."""
+    square = [(0, 1), (1, 2), (2, 3), (0, 3)]
+    bridged = [(0, 1), (0, 2), (1, 3)]
+    return [
+        # the cycle's closing edge (0, 3) still joins the path's ends
+        ("path", Instance.from_edges(4, square, [0, 3]), square, [0, 1, 2, 3]),
+        # the only cross pair (0, 3) is an edge: the endpoints are rejoined
+        ("path", Instance.from_edges(4, square, [0, 3]), square[:3], [0, 1, 2, 3]),
+        # terminals 2 and 3 are not adjacent: (2, 3) is added
+        ("bridge", Instance.from_edges(4, bridged, [2, 3]), bridged, (0, 1)),
+        # terminals 2 and 3 are adjacent, so (0, 3) is the least non-edge
+        ("bridge", Instance.from_edges(4, bridged + [(2, 3)], [2, 3]), bridged, (0, 1)),
+        # every cross pair is an edge: the bridge is refused
+        ("bridge", Instance.from_edges(4, bridged + [(2, 3), (0, 3), (1, 2)], [2, 3]),
+         bridged, (0, 1)),
+    ]
+
+
+def test_path_and_bridge_steps_reconnect_as_the_old_tail(monkeypatch):
+    # Every step normalize takes, in both modes, on optimal references and
+    # on five references per instance with extra connections, and the
+    # hand-built steps above; the two outcomes optimal references reach
+    # (terminal pair, endpoint fallback) must not be the only ones seen.
+    rng = random.Random(59)
+    outcomes = dict.fromkeys(
+        ("joined", "terminal pair", "other non-edge", "endpoint fallback", "refused"), 0
+    )
+
+    def checked(step, instance, reference, removed, ends, fallback, *args):
+        remaining = reference.connections - frozenset(removed)
+        outcome, want = reference_reconnect(instance, remaining, *ends, fallback)
+        outcomes[outcome] += 1
+        try:
+            got = step(instance, reference, *args).connections
+        except ContractViolation as refusal:
+            assert want is None and "no non-edge reconnection" in str(refusal)
+            raise
+        assert got == want
+        return ReferenceSolution(got)
+
+    def checked_path_step(instance, reference, path):
+        removed = [connection(u, v) for u, v in zip(path, path[1:])]
+        ends = path[0], path[-1]
+        return checked(path_step, instance, reference, removed, ends, connection(*ends), path)
+
+    def checked_bridge_step(instance, reference, edge):
+        return checked(bridge_step, instance, reference, [edge], edge, None, edge)
+
+    monkeypatch.setattr(audit, "path_step", checked_path_step)
+    monkeypatch.setattr(audit, "bridge_step", checked_bridge_step)
+    for inst in path_move_instances():
+        oracle = dreyfus_wagner if len(inst.terminals) <= DREYFUS_WAGNER_TERMINAL_CAP else brute_force_opt
+        optimum = oracle(inst).connections
+        edges, n = sorted(inst.edges()), inst.node_count
+        references = [optimum]
+        for _ in range(5):
+            extra = {connection(*rng.choice(edges)) for _ in range(rng.randint(1, 4)) if edges}
+            if n > 1:
+                extra.add(connection(*rng.sample(range(n), 2)))
+            references.append(optimum | extra)
+        for connections in references:
+            for mode in ("s3", "s4"):
+                normalize(inst, ReferenceSolution(connections), mode)
+    for kind, inst, connections, where in reconnect_cases():
+        step = checked_path_step if kind == "path" else checked_bridge_step
+        try:
+            step(inst, ref(*connections), where)
+        except ContractViolation:
+            pass
+    assert all(outcomes.values()), outcomes

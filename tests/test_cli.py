@@ -150,6 +150,33 @@ def test_gen_malformed_param_exits_two(tmp_path, capsys, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "family, params, message",
+    [
+        ("random-gnp", ["n=10", "p=1/2", "r=3", "typo=1"], "random-gnp has no parameter 'typo'"),
+        ("random-gnp", ["n=10", "p=1/2", "r=3", "n=12"], "--param n is given twice"),
+        ("random-gnp", ["=3", "n=10", "p=1/2", "r=3"], "random-gnp has no parameter ''"),
+        ("star-cluster", ["k=4", "m=1", "n=5"], "star-cluster has no parameter 'n'"),
+    ],
+)
+def test_gen_refuses_unknown_repeated_or_empty_params(tmp_path, capsys, family, params, message):
+    # A key the family does not read is never accepted silently, and a
+    # repeated key never overrides the first.
+    out = tmp_path / "x.stp"
+    args = ["gen", "--family", family, "--out", str(out)]
+    for pair in params:
+        args += ["--param", pair]
+    assert main(args) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compare_refuses_a_repeated_param(capsys):
+    assert main(["compare", "--family", "star-cluster", "--param", "k=4", "--param", "m=1",
+                 "--param", "m=2"]) == 2
+    assert "--param m is given twice" in capsys.readouterr().err
+
+
 def test_gen_refuses_too_many_nodes(tmp_path, capsys):
     # Just above the limit, so that a missing cap fails fast instead of
     # drawing or allocating without bound.

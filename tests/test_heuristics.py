@@ -246,6 +246,29 @@ def test_no_edge_joins_two_terminal_components_after_the_star_loop(monkeypatch):
     assert finished == len(cases) and split > 300
 
 
+def test_rs_finishing_modes_agree():
+    # With no edge between two terminal components after the star loop (as
+    # above), the cheapest finishing takes no edge and chains the same
+    # components between the same smallest terminals as strict-paper.
+    rng = random.Random(67)
+    cases = [inst for _, inst in full_corpus(seed=0)]
+    for _ in range(400):
+        n = rng.randint(9, 60)
+        params = {"n": n, "p": Fraction(rng.choice((2, 3, 4)), n), "r": rng.randint(2, n // 2)}
+        cases.append(generate(GeneratorSpec("random-gnp", params, rng.getrandbits(32))))
+    cases += [
+        generate(GeneratorSpec("random-sparse", {"n": 2000, "p": Fraction(4, 1999), "r": 500}, seed))
+        for seed in (1, 2, 3)
+    ]
+    split = 0
+    for inst in cases:
+        cheapest = rayward_smith(inst, "cheapest")
+        assert cheapest == rayward_smith(inst, "strict-paper")
+        # Only finishing adds a non-edge, and only between two components.
+        split += any(not inst.has_edge(*c) for c in cheapest.connections)
+    assert split > 500, split
+
+
 def full_scan_terminal_graph(state):
     """The terminal component graph by a scan of every instance edge in order."""
     edges = {}

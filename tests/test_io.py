@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -270,6 +271,23 @@ def test_generate_refuses_too_many_nodes_before_drawing(monkeypatch, family, par
     monkeypatch.setattr(stpio, "Instance", NoInstance)
     monkeypatch.setattr(stpio.random, "Random", no_draws)
     with pytest.raises(CapExceeded, match=f"{family} makes {nodes} nodes"):
+        generate(GeneratorSpec(family, params))
+
+
+@pytest.mark.parametrize(
+    "family, params, key",
+    [
+        ("random-gnp", {"n": 10, "p": Fraction(1, 2), "r": 3, "typo": 1}, "typo"),
+        ("random-gnp", {"n": 10, "p": Fraction(1, 2), "r": 3, "": 3}, ""),
+        ("star-cluster", {"k": 4, "m": 1, "n": 5}, "n"),
+        # refused before the node cap is looked at
+        ("bp-adversarial", {"depth": LIMIT, "k": 4}, "k"),
+    ],
+)
+def test_generate_refuses_unknown_parameters_before_drawing(monkeypatch, family, params, key):
+    monkeypatch.setattr(stpio, "Instance", NoInstance)
+    monkeypatch.setattr(stpio.random, "Random", no_draws)
+    with pytest.raises(InputError, match=re.escape(f"{family} has no parameter {key!r}")):
         generate(GeneratorSpec(family, params))
 
 
