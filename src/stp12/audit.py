@@ -14,8 +14,11 @@ reference with three moves until none applies:
 
 In s4 mode a bridge may only cut where both sides keep at least three edges,
 which is what preserves comets: a fork's side has exactly two edges.  After
-s3-mode normalization every S-comp is a terminal edge or a proper star;
-after s4 mode, a terminal edge, a proper star, or a comet with a + b > 2.
+s3-mode normalization every S-comp is a terminal edge or a star, and a
+star of s <= 2 has its center at an end of a non-edge connection, so no
+path move runs through it (comet chains of two gadgets leave such stars);
+after s4 mode, a terminal edge, a proper star (s >= 3), or a comet with
+a + b > 2.
 """
 
 from __future__ import annotations

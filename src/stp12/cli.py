@@ -6,7 +6,8 @@ optimal reference and report the classification histogram), gen (write a
 generated instance as an .stp file).
 
 Exit codes: 0 success, 1 reported violation, 2 input/parse error, 3 cap
-refusal (for compare: the oracle cap skipped every instance).
+refusal (for compare: the oracle cap skipped every instance), 4 internal
+error (a broken precondition inside the program, not a finding).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 from stp12 import harness
 from stp12 import io as stpio
 from stp12.audit import NORMALIZE_MODES, ReferenceSolution, decompose, normalize
-from stp12.core import CapExceeded, InputError, Instance
+from stp12.core import CapExceeded, ContractViolation, InputError, Instance
 from stp12.exact import brute_force_opt, dreyfus_wagner
 from stp12.heuristics import FINISHING_MODES, rayward_smith
 from stp12.sixphase import PACK3_STRATEGIES, six_phase
@@ -98,6 +99,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ContractViolation as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 def _read_instances(paths: list[str]) -> list[tuple[str, Instance]]:
@@ -169,18 +173,19 @@ def _cmd_solve(args) -> int:
 def _cmd_compare(args) -> int:
     if not args.inputs and args.family is None:
         raise InputError("compare needs input files or --family")
-    instances = _read_instances(args.inputs)
+    drawn = ()
     if args.family is not None:
         if args.count < 1:
             raise InputError(f"--count must be at least 1, got {args.count}")
         if args.count > MAX_COMPARE_COUNT:
             raise CapExceeded(f"--count {args.count} above the limit {MAX_COMPARE_COUNT}")
         params = _parse_params(args.param)
-        # Drawn one at a time as the check reaches them.
+        # Checked before any instance is; drawn one at a time as the check reaches them.
+        stpio.check_params(args.family, params)
         specs = (stpio.GeneratorSpec(args.family, params, seed=args.seed + i)
                  for i in range(args.count))
-        instances = chain(instances, ((spec.instance_id(), stpio.generate(spec))
-                                      for spec in specs))
+        drawn = ((spec.instance_id(), stpio.generate(spec)) for spec in specs)
+    instances = chain(_read_instances(args.inputs), drawn)
 
     solvers = _solvers(args)
     runs = [(alg, bound, solvers[alg])

@@ -118,13 +118,18 @@ def exhaustive_min_cost_index(state: PartitionState) -> Fraction | None:
 def cold_min_cost_index(state: PartitionState) -> Fraction | None:
     """Least cost index of the largest star and of the comet at every free center.
 
-    Each comet is built by `sixphase._comet_at`, with no comet cache and no
-    stop at index 1, so on any state this must equal
-    `exhaustive_min_cost_index`: it checks the comet search that
-    `best_comet` restricts to indices below 1.
+    A largest star of s >= 3 beats every comet, so its index is returned
+    before any comet is built: a comet with b <= 2 has index above 1/2, and
+    one with 3 <= b <= s has (a+1)/(2a+b-1) >= 1/(b-1) >= 1/(s-1).  Else
+    every entry holds at most two roots, as `sixphase._comet_at` requires,
+    and each comet is built with no comet cache and no stop at index 1.  So
+    on any state this must equal `exhaustive_min_cost_index`: it checks the
+    comet search that `best_comet` restricts to indices below 1.
     """
     star = find_max_star(state)
-    indices = [star.cost_index] if star is not None and star.s >= 2 else []
+    if star is not None and star.s >= 3:
+        return star.cost_index
+    indices = [star.cost_index] if star is not None and star.s == 2 else []
     for center in range(state.instance.node_count):
         if not state.is_terminal_component(center):
             comet = _comet_at(state, center)
@@ -151,7 +156,11 @@ def finishing_only_solver(instance: Instance, mode: str = "strict-paper") -> Sol
 def minimize_instance(
     instance: Instance, predicate: Callable[[Instance], bool]
 ) -> Instance:
-    """Greedy node deletion preserving `predicate`; assumes it already holds."""
+    """Greedy node deletion preserving `predicate`; assumes it already holds.
+
+    A candidate on which the predicate raises CapExceeded or InputError does
+    not keep it; any other error, a ContractViolation say, propagates.
+    """
     current = instance
     changed = True
     while changed:
@@ -162,7 +171,7 @@ def minimize_instance(
             candidate = _delete_node(current, v)
             try:
                 keeps = candidate is not None and predicate(candidate)
-            except Exception:
+            except (CapExceeded, InputError):
                 keeps = False
             if keeps:
                 current = candidate

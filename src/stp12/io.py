@@ -311,23 +311,31 @@ def generate(spec: GeneratorSpec) -> Instance:
     A family whose parameters ask for more than MAX_NODES nodes is refused
     with CapExceeded before anything is drawn or allocated, and so is
     random-gnp above GNP_MAX_NODES and a random family expecting more than
-    MAX_EXPECTED_EDGES edges.  A parameter the family does not read is
+    MAX_EXPECTED_EDGES edges.  A parameter set `check_params` refuses is
     refused with InputError, also before anything is drawn.
     """
-    if spec.family not in _GENERATORS:
-        raise InputError(f"unknown generator family {spec.family!r}")
-    build, keys = _GENERATORS[spec.family]
-    unknown = sorted(set(spec.params) - set(keys))
+    check_params(spec.family, spec.params)
+    return _GENERATORS[spec.family][0](spec)
+
+
+def check_params(family: str, params: dict[str, Any]) -> None:
+    """Refuse an unknown family, or parameters other than those it reads.
+
+    Every family reads all of its parameters, so a missing one is refused
+    as well as one the family does not read.
+    """
+    if family not in _GENERATORS:
+        raise InputError(f"unknown generator family {family!r}")
+    keys = _GENERATORS[family][1]
+    unknown = sorted(set(params) - set(keys))
     if unknown:
-        raise InputError(
-            f"{spec.family} has no parameter {unknown[0]!r}; it reads {', '.join(keys)}"
-        )
-    return build(spec)
+        raise InputError(f"{family} has no parameter {unknown[0]!r}; it reads {', '.join(keys)}")
+    missing = [key for key in keys if key not in params]
+    if missing:
+        raise InputError(f"{family} needs parameter {missing[0]!r}")
 
 
 def _param(spec: GeneratorSpec, key: str, kind=int, minimum=None):
-    if key not in spec.params:
-        raise InputError(f"{spec.family} needs parameter {key!r}")
     try:
         value = kind(spec.params[key])
         if value != spec.params[key]:  # int() truncates a Fraction

@@ -19,9 +19,10 @@ merge, with a plain non-edge merge sitting at exactly 1.  The six phases:
 6. repeatedly collapse the structure with the least cost index while it is
    below 1, then finish like the greedy heuristic.  `best_comet` looks
    only among structures with index below 1: stars of s >= 3, and comets
-   with a + b >= 3.  A center with b direct components and m neighbours
-   whose entry holds two or more roots has a <= m, so it is not scored
-   when b + m < 3.
+   with a + b >= 3.  Comets are scored only once no star of s >= 3
+   stands, so every entry then holds at most two roots.  A center with b
+   direct components and m neighbours whose entry is a pair of roots has
+   a <= m, so it is not scored when b + m < 3.
 
 Phases 2 and 3 run as one loop that collapses a largest star while s >= 4.
 Both phases always take a largest star, so phase 2 is exactly the run of
@@ -38,7 +39,6 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
 
 from stp12.core import (
     CapExceeded,
@@ -88,23 +88,26 @@ class Comet(Star):
 def build_fork_candidates(
     instance: Instance, view: TerminalView, center: int
 ) -> dict[tuple[int, int], list[int]]:
-    """Map each servable terminal-component pair to the fork nodes realizing it.
+    """Map each fork-servable terminal-component pair to the fork nodes realizing it.
 
-    A fork node must be a free non-terminal adjacent to the center; pairs may
-    not touch components already attached directly to the center.  Returns
-    no pair at all (no comet) when a neighbour's entry holds more than 3
-    roots, which `best_comet`'s calls never meet; see `_comet_pairs`.
+    A fork node is a free non-terminal adjacent to the center whose entry is
+    a pair of roots, neither attached directly to the center; it serves that
+    one pair.  Phase 6 scores comets only once no star of s >= 3 stands, so
+    every entry holds at most two roots; an entry of 3 or more, at the
+    center or at a neighbour, is refused with ContractViolation.
     """
-    directs = view.get(center, set())
+    directs = view.get(center, ())
+    if len(directs) > 2:
+        raise ContractViolation(f"comet search met a {len(directs)}-root center {center}")
     pair_forks: dict[tuple[int, int], list[int]] = {}
     for f in instance.neighbors(center):
         reps = view.get(f)
         if reps is None or len(reps) < 2:
             continue
-        if len(reps) > 3:
-            return {}
-        for pair in combinations(sorted(reps.difference(directs)), 2):
-            pair_forks.setdefault(pair, []).append(f)
+        if len(reps) > 2:
+            raise ContractViolation(f"comet search met a {len(reps)}-root entry at {f}")
+        if reps.isdisjoint(directs):
+            pair_forks.setdefault(tuple(sorted(reps)), []).append(f)
     return pair_forks
 
 
@@ -114,10 +117,10 @@ def best_comet(state: PartitionState) -> Star | None:
     Phase 6 collapses only structures whose cost index is below 1, so no
     other is looked for.  A star with s >= 3 has cost index 1/(s-1) <= 1/2
     and a 2-star index 1, so the largest star is the only star that counts.
-    For centers with at most two direct components, forks are maximized
-    through a maximum matching on the fork-servable pairs; a comet with a
-    forks and b directs has index (a+1)/(2a+b-1), below 1 exactly when
-    a + b >= 3.  Ties break on more terminals, then smaller center id.
+    A comet's forks are maximized through a maximum matching on the
+    fork-servable pairs; a comet with a forks and b directs has index
+    (a+1)/(2a+b-1), below 1 exactly when a + b >= 3.  Ties break on more
+    terminals, then smaller center id.
 
     Comets are scored only when one can win.  Every comet `_comet_at`
     returns has a >= 1 and b <= 2, so index (a+1)/(2a+b-1) > 1/2.  So
@@ -148,10 +151,10 @@ def _best_comet_key(state: PartitionState) -> tuple | None:
     (index below 1) are kept.  The best kept key is read off a lazy heap
     of the keys; `best_comet` builds the comet of the winning center alone.
 
-    A fork node's entry holds two or more roots, and at most 3 (or the
-    center gets no comet), so it serves at most one matched pair: a <= m,
-    the center's neighbours whose entry holds two or more roots.  So a
-    center with b + m < 3 is not scored.
+    Scoring happens only once no star of s >= 3 stands, so a fork node's
+    entry is a pair of roots and serves one pair: a <= m, the center's
+    neighbours whose entry holds two roots.  So a center with b + m < 3 is
+    not scored.
     """
     instance = state.instance
     upkeep = state.view_upkeep()
@@ -188,29 +191,6 @@ def _shape_key(a: int, b: int) -> tuple[CostIndex, int]:
     return cost_index(2 * a + b, 3 * a + b), -(2 * a + b)
 
 
-def _comet_pairs(
-    instance: Instance, view: TerminalView, center: int
-) -> tuple[set[int], dict[tuple[int, int], list[int]]] | None:
-    """The center's direct roots and fork-servable pairs, or None if it has no comet.
-
-    A center with more than two directs, or with no pair a fork can serve,
-    gets no comet; `_comet_shape` and `_comet_at` both start here.
-
-    `six_phase` never reaches this guard or the decline in
-    `build_fork_candidates` beside an entry of more than 3 roots: it scores
-    comets only once no star of s >= 3 stands.  Both stay so that the two
-    callers give an answer on any partition state, as the fresh scorings
-    of the tests do beside such a star.
-    """
-    directs = view.get(center, set())
-    if len(directs) > 2:
-        return None
-    pair_forks = build_fork_candidates(instance, view, center)
-    if not pair_forks:
-        return None
-    return directs, pair_forks
-
-
 def _comet_shape(instance: Instance, view: TerminalView, center: int) -> tuple[int, int] | None:
     """(a, b) of the comet `_comet_at` builds at center, or None if it builds none.
 
@@ -218,41 +198,36 @@ def _comet_shape(instance: Instance, view: TerminalView, center: int) -> tuple[i
     matching of the fork-servable pairs.  When those pairs are pairwise
     disjoint (one pair, most often), they are the matching and none is run.
     """
-    found = _comet_pairs(instance, view, center)
-    if found is None:
+    pairs = build_fork_candidates(instance, view, center)
+    if not pairs:
         return None
-    directs, pairs = found
     if len({root for pair in pairs for root in pair}) == 2 * len(pairs):
         a = len(pairs)
     else:
         a = len(max_matching(AuxGraph.build(pairs)))
-    return a, len(directs)
+    return a, len(view.get(center, ()))
 
 
 def _comet_at(state: PartitionState, center: int) -> Comet | None:
-    """Comet with the most forks at a free center with at most two directs.
+    """Comet with the most forks at a free center, or None if no fork serves it.
 
     The forks are a maximum matching of the fork-servable pairs, each pair
-    served by its first fork node; every edge comes from `edges_to`.
-    `best_comet` builds it only at the center whose shape (`_comet_shape`)
-    wins, and only when no star of s >= 3 stands, so every entry holds at
-    most two roots and each fork node serves at most one pair.  Called on
-    any other state, as a fresh scoring beside such a star may be, it gives
-    no comet to a center next to an entry of 4 or more roots, and with
-    every entry at 3 roots or fewer the pairs one fork node serves share
-    roots pairwise, so matched pairs, being disjoint, still get distinct
-    forks.
+    served by its first fork node; every edge comes from `edges_to`.  Each
+    fork node serves one pair, so matched pairs, being disjoint, get
+    distinct forks.  A center next to an entry of 3 or more roots is
+    refused, as `build_fork_candidates` says.  `best_comet` builds it only
+    at the center whose shape (`_comet_shape`) wins.
     """
-    found = _comet_pairs(state.instance, state.view_upkeep().view, center)
-    if found is None:
+    view = state.view_upkeep().view
+    pair_forks = build_fork_candidates(state.instance, view, center)
+    if not pair_forks:
         return None
-    roots, pair_forks = found
     forks = []
     for pair in sorted(max_matching(AuxGraph.build(pair_forks)).pairs):
         f = pair_forks[pair][0]
         edges = (connection(center, f), *edges_to(state, f, pair))
         forks.append(Fork(node=f, leaves=pair, edges=edges))
-    leaves = tuple(sorted(roots))
+    leaves = tuple(sorted(view.get(center, ())))
     return Comet(center, leaves, edges_to(state, center, leaves), tuple(forks))
 
 

@@ -22,7 +22,7 @@ from stp12.core import (
     is_valid_solution,
 )
 from stp12.exact import DREYFUS_WAGNER_TERMINAL_CAP, brute_force_opt, dreyfus_wagner
-from stp12.harness import full_corpus
+from stp12.harness import full_corpus, gadget_corpus
 from stp12.io import GeneratorSpec, generate
 
 
@@ -176,6 +176,41 @@ def test_normalize_preserves_validity_throughout():
                         or (comp.kind == "star" and comp.params[0] >= 3)
                         or (comp.kind == "comet" and sum(comp.params) > 2)
                     ), comp
+
+
+def test_normalized_dreyfus_wagner_optima_keep_the_stated_shapes():
+    # s3 leaves terminal edges and stars, and a star of s <= 2 only where
+    # its center ends a non-edge connection (comet chains of two or three
+    # gadgets give such stars); s4 leaves terminal edges, proper stars and
+    # comets with a + b > 2.
+    specs = [GeneratorSpec("comet-chain", {"a": a, "b": b, "count": count})
+             for a in range(4) for b in range(4) for count in (2, 3) if a or b]
+    cases = dict(gadget_corpus()) | {spec.instance_id(): generate(spec) for spec in specs}
+    small_stars = 0
+    classes = {}
+    for name, inst in cases.items():
+        if len(inst.terminals) > DREYFUS_WAGNER_TERMINAL_CAP:
+            continue
+        reference = ReferenceSolution(dreyfus_wagner(inst).connections)
+        for mode in ("s3", "s4"):
+            normalized, _ = normalize(inst, reference, mode)
+            s_comps, _ = decompose(inst, normalized)
+            classes[name, mode] = sorted({comp.label() for comp in s_comps})
+            non_edge_ends = {v for c in normalized.connections - normalized.unit_edges(inst)
+                             for v in c}
+            for comp in s_comps:
+                proper = comp.kind == "terminal-edge" or (
+                    comp.kind == "star" and comp.params[0] >= 3
+                )
+                if mode == "s4":
+                    assert proper or (comp.kind == "comet" and sum(comp.params) > 2), comp
+                elif not proper:
+                    assert comp.kind == "star", comp
+                    [center] = comp.nodes - inst.terminals
+                    assert center in non_edge_ends, comp
+                    small_stars += 1
+    assert classes["comet-chain(a=2,b=2,count=2,seed=0)", "s3"] == ["star(2)"]
+    assert small_stars >= 5
 
 
 def test_normalize_never_beats_optimum_and_k2_only_on_optima():

@@ -7,7 +7,7 @@ import pytest
 from stp12 import cli, harness
 from stp12 import io as stpio
 from stp12.cli import main
-from stp12.core import Solution, cost, is_valid_solution
+from stp12.core import ContractViolation, Solution, cost, is_valid_solution
 from stp12.exact import brute_force_opt, dreyfus_wagner
 from stp12.io import parse_stp
 from test_harness import lying_solver
@@ -367,6 +367,37 @@ def test_compare_draws_each_instance_when_its_check_reaches_it(tmp_path, monkeyp
     assert main(["compare", "--family", "star-cluster", "--param", "k=4", "--param", "m=1",
                  "--count", "3", "--out", str(tmp_path / "report.json")]) == 0
     assert calls == ["generate", "opt"] * 3
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        (["n=10", "p=1/2", "r=3", "typo=1"], "random-gnp has no parameter 'typo'"),
+        (["n=10", "p=1/2"], "random-gnp needs parameter 'r'"),
+    ],
+)
+def test_compare_refuses_bad_family_params_before_any_check(p3_file, monkeypatch, capsys,
+                                                              params, message):
+    def no_oracle(inst):
+        raise AssertionError("compare checked an instance")
+
+    monkeypatch.setattr(harness, "brute_force_opt", no_oracle)
+    args = ["compare", str(p3_file), "--family", "random-gnp"]
+    for pair in params:
+        args += ["--param", pair]
+    assert main(args) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["solve", "--alg", "six-phase"], ["compare"]])
+def test_an_internal_error_exits_4(p3_file, monkeypatch, capsys, command):
+    # Exit 1 means compare found a violation; a broken precondition is not one.
+    def broken(inst, mode, pack3, log=None):
+        raise ContractViolation("comet search met a 3-root entry at 1")
+
+    monkeypatch.setattr(cli, "six_phase", broken)
+    assert main(command + [str(p3_file)]) == 4
+    assert "internal error: comet search met a 3-root entry at 1" in capsys.readouterr().err
 
 
 def test_compare_refuses_no_instances(capsys):

@@ -1,7 +1,9 @@
 from fractions import Fraction
 
+import pytest
+
 from stp12 import harness, sixphase
-from stp12.core import Instance, PartitionState, Solution
+from stp12.core import ContractViolation, Instance, PartitionState, Solution
 from stp12.exact import brute_force_opt, dreyfus_wagner
 from stp12.harness import (
     bp_sweep,
@@ -161,6 +163,20 @@ def test_minimize_instance_shrinks_to_core():
     shrunk = minimize_instance(padded, violates)
     assert shrunk.node_count <= 5
     assert violates(shrunk)
+
+
+def test_minimize_instance_lets_an_internal_error_through():
+    # Only CapExceeded and InputError mean "does not keep the predicate";
+    # a broken precondition during minimization must not vanish.
+    inst = generate(GeneratorSpec("star-cluster", {"k": 4, "m": 1}))
+
+    def predicate(candidate):
+        if candidate.node_count < inst.node_count:
+            raise ContractViolation("comet search met a 3-root entry at 1")
+        return True
+
+    with pytest.raises(ContractViolation, match="comet search met"):
+        minimize_instance(inst, predicate)
 
 
 def test_matching_oracle_agrees_on_petersen():

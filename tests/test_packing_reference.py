@@ -15,10 +15,13 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
+
 from stp12 import sixphase
 from stp12.core import (
     CapExceeded,
     Connection,
+    ContractViolation,
     InputError,
     Instance,
     PartitionState,
@@ -226,55 +229,72 @@ def test_max_3star_set_matches_reference():
     assert refused and differ
 
 
-def fork_gadget(rng):
-    """Center 0 with one to three fork nodes over four to eight terminals.
+def fork_gadget(rng, reach):
+    """Center 0 with up to two directs and fork nodes over shared terminals.
 
-    A fork node reaching four or more terminals is a star of s >= 4, so the
-    comets next to it are declined.
+    Each fork node reaches `reach(terminal_count)` terminals; with fewer
+    terminals than twice the fork nodes their pairs overlap.
     """
-    fork_count, terminal_count = rng.randint(1, 3), rng.randint(4, 8)
+    fork_count, terminal_count = rng.randint(1, 4), rng.randint(4, 8)
     n = 1 + fork_count + terminal_count
     terminals = range(1 + fork_count, n)
     edges = {(0, f) for f in range(1, 1 + fork_count)}
     for f in range(1, 1 + fork_count):
-        reach = rng.randint(2, min(5, terminal_count))
-        edges.update((f, t) for t in rng.sample(terminals, reach))
+        edges.update((f, t) for t in rng.sample(terminals, reach(terminal_count)))
     edges.update((0, t) for t in rng.sample(terminals, rng.randint(0, 2)))
     return Instance.from_edges(n, sorted(edges), terminals)
 
 
-def test_comets_next_to_a_large_entry_are_declined_and_the_rest_have_the_most_forks():
-    # Fork node 1 alone serves every pair of terminals 2..5: the matching
-    # pairs (2, 3) with (4, 5), which cannot both have fork 1, but the
-    # 4-star at 1 beats any comet at 0.
+def test_comet_search_refuses_a_center_next_to_an_entry_of_3_or_more_roots():
+    # Fork node 1 alone reaches terminals 2..5, and center 6 holds three
+    # directs; fork gadgets add random entries of 2 to 5 roots.
     single = Instance.from_edges(
-        6, [(0, 1), (1, 2), (1, 3), (1, 4), (1, 5)], [2, 3, 4, 5]
+        7, [(0, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 6), (3, 6), (4, 6)], [2, 3, 4, 5]
     )
     rng = random.Random(11)
-    states = []
-    for inst in [single] + [fork_gadget(rng) for _ in range(80)]:
+    instances = [single] + [fork_gadget(rng, lambda k: rng.randint(2, min(5, k)))
+                            for _ in range(80)]
+    refused = served = 0
+    for inst in instances:
         state = PartitionState(inst)
         preprocess_terminal_edges(state)
-        states.append(state)
-    declined = multi_fork = 0
-    for state in states + phase_one_states():
-        inst = state.instance
         view = state.view_upkeep().view
-        star = find_max_star(state)
-        winner = sixphase.best_comet(state)
+        for center in range(inst.node_count):
+            if state.is_terminal_component(center):
+                continue
+            if any(len(view.get(v, ())) >= 3 for v in (center, *inst.neighbors(center))):
+                refused += 1
+                with pytest.raises(ContractViolation, match="comet search met"):
+                    sixphase._comet_at(state, center)
+                with pytest.raises(ContractViolation, match="comet search met"):
+                    sixphase._comet_shape(inst, view, center)
+            else:
+                comet = sixphase._comet_at(state, center)
+                shape = sixphase._comet_shape(inst, view, center)
+                assert shape == (None if comet is None else (comet.a, comet.s))
+                served += comet is not None
+    assert refused >= 50 and served >= 5
+
+
+def test_comets_at_states_six_phase_scores_have_the_most_forks():
+    # Every fork node reaches exactly two terminals, so every entry holds at
+    # most two roots, and the pairs of several fork nodes overlap.
+    rng = random.Random(11)
+    multi_fork = 0
+    for _ in range(120):
+        inst = fork_gadget(rng, lambda k: 2)
+        state = PartitionState(inst)
+        preprocess_terminal_edges(state)
+        view = state.view_upkeep().view
+        assert all(len(reps) <= 2 for reps in view.values())
         for center in range(inst.node_count):
             if state.is_terminal_component(center):
                 continue
             comet = sixphase._comet_at(state, center)
-            if any(len(view.get(f, ())) >= 4 for f in inst.neighbors(center)):
-                declined += 1
-                assert comet is None
-                assert star.s >= 4 and winner == star
-            elif len(view.get(center, ())) <= 2:
-                forks = () if comet is None else comet.forks
-                nodes = [fork.node for fork in forks]
-                assert len(set(nodes)) == len(nodes)
-                want = max_fork_set(build_fork_candidates(inst, view, center))
-                assert len(forks) == len(want)
-                multi_fork += len(forks) >= 2
-    assert declined >= 50 and multi_fork >= 5
+            forks = () if comet is None else comet.forks
+            nodes = [fork.node for fork in forks]
+            assert len(set(nodes)) == len(nodes)
+            want = max_fork_set(build_fork_candidates(inst, view, center))
+            assert len(forks) == len(want)
+            multi_fork += len(forks) >= 2
+    assert multi_fork >= 5

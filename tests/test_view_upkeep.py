@@ -6,11 +6,12 @@ every representative edge `edges_to` gives against a plain scan, check
 that the merge reports reshaped the closed neighbourhood of every entry it
 changed and that every free center it leaves out keeps its comet sort key,
 check the phase-6 comet cache against the exhaustive enumeration, a cold
-search and a fresh scoring of every center, and check the star and comet
-heaps against a linear scan of the view and the cache.  `best_comet` looks
-only for a structure with cost index below 1, and the cache keeps only
-those comets; the cold search of the largest star and every center's
-comet must still reach the unrestricted minimum.
+search and a fresh scoring of every center six-phase can score (one whose
+closed neighbourhood holds entries of at most two roots), and check the
+star and comet heaps against a linear scan of the view and the cache.
+`best_comet` looks only for a structure with cost index below 1, and the
+cache keeps only those comets; the cold search of the largest star and
+every center's comet must still reach the unrestricted minimum.
 """
 
 import random
@@ -64,9 +65,17 @@ def free_nodes(inst, state):
 
 
 def comet_keys(inst, state):
-    """Cost index and terminal count of the best comet at every free center."""
+    """Cost index and terminal count of the best comet at every center six-phase can score.
+
+    Phase 6 scores comets only when every entry holds at most two roots, and
+    `_comet_at` refuses a center whose closed neighbourhood holds a larger
+    entry; such centers are left out.
+    """
+    view = state.view_upkeep().view
     keys = {}
     for center in free_nodes(inst, state):
+        if any(len(view.get(v, ())) > 2 for v in (center, *inst.neighbors(center))):
+            continue
         comet = _comet_at(state, center)
         if comet is not None:
             keys[center] = (comet.cost_index, -(2 * comet.a + comet.s))
@@ -148,8 +157,7 @@ def gnp_instances():
 
 def larger_gnp_instances():
     # Larger instances re-root big components, which renames many roots.
-    # On (800, 4) phase 6 also grows entries to 4 roots, so comets next to
-    # them are declined until a merge reshapes them.
+    # On (800, 4) phase 6 also grows entries to 4 roots.
     return [
         generate(GeneratorSpec("random-gnp", {"n": n, "p": Fraction(4, n), "r": n // 4}, seed))
         for n, seed in ((600, 4), (800, 5), (800, 4))
@@ -216,27 +224,19 @@ def test_comet_cache_matches_a_fresh_scoring_at_every_step(monkeypatch):
     # A call leaves the cache absent, or `reshaped` unscored, only when a
     # star of s >= 3 wins it; the kept keys outside `reshaped` must equal
     # a fresh scoring's keys below 1 at every step, and every other call
-    # scores all of `reshaped`.  Some steps must have an entry of 4 or more roots: a star
-    # wins there, and a fresh scoring gives no comet next to it.  (Once the
-    # cache exists, six-phase never grows an entry past 3 roots, so these
-    # steps all come before the first scoring.)
-    steps = declining = 0
+    # scores all of `reshaped`.
+    steps = 0
 
     def outside_reshaped(keys, upkeep):
         return {c: key[:2] for c, key in keys.items() if c not in upkeep.reshaped}
 
     def checked_best_comet(state):
-        nonlocal steps, declining
+        nonlocal steps
         inst = state.instance
         upkeep = state.view_upkeep()
-        wide = [f for f, reps in upkeep.view.items() if len(reps) >= 4]
         got = best_comet(state)
         steps += 1
         star_won = got is not None and not got.forks and got.s >= 3
-        if wide:
-            declining += 1
-            assert star_won
-            assert not closed_neighbourhoods(inst, wide) & comet_keys(inst, state).keys()
         if upkeep.comets is None:
             assert star_won
             return got
@@ -253,7 +253,6 @@ def test_comet_cache_matches_a_fresh_scoring_at_every_step(monkeypatch):
     for inst, pack3 in corpus_and_gnp() + [(inst, "greedy") for inst in larger_gnp_instances()]:
         six_phase(inst, pack3=pack3)
     assert steps > 1033
-    assert declining > 0
 
 
 def test_first_comet_scoring_skips_only_centers_that_cannot_go_below_1(monkeypatch):
