@@ -6,7 +6,8 @@ optimal reference and report the classification histogram), gen (write a
 generated instance as an .stp file).
 
 Exit codes: 0 success, 1 reported violation, 2 input/parse error, 3 cap
-refusal (for compare: the oracle cap skipped every instance), 4 internal
+refusal (for solve: any requested run, the others still reported; for
+compare: the oracle cap skipped every instance), 4 internal
 error (a broken precondition inside the program, not a finding).
 """
 
@@ -151,14 +152,27 @@ def _emit(payload: dict, out: Path | None) -> None:
 
 
 def _cmd_solve(args) -> int:
+    """Run each requested algorithm on each instance.
+
+    A run refused by a size cap is recorded as `{"refused": message}` under
+    its instance and printed on stderr; the other runs go on, and the exit
+    code is 3 when any run was refused.
+    """
     solvers = _solvers(args)
     if args.alg != "all":
         solvers = {args.alg: solvers[args.alg]}
     results = []
+    refused = False
     for name, inst in _read_instances(args.inputs):
         per_algorithm = {}
         for alg, run in solvers.items():
-            outcome = run(inst)
+            try:
+                outcome = run(inst)
+            except CapExceeded as exc:
+                per_algorithm[alg] = {"refused": str(exc)}
+                print(f"{name} {alg}: refused: {exc}", file=sys.stderr)
+                refused = True
+                continue
             entry: dict = {"cost": outcome.cost}
             if args.witness:
                 entry["connections"] = sorted(outcome.connections)
@@ -167,7 +181,7 @@ def _cmd_solve(args) -> int:
         results.append({"instance": name, "results": per_algorithm})
     if args.out is not None:
         _emit({"solve": results}, args.out)
-    return 0
+    return 3 if refused else 0
 
 
 def _cmd_compare(args) -> int:

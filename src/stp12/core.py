@@ -48,7 +48,10 @@ class Instance:
     with n + m, not with n^2, and `from_edges` takes O(n + m log d) for
     degree d.  `has_edge` is a binary search in one tuple.  The exact oracles
     want one bitmask per node; those are built from the tuples on the first
-    read of `adjacency` and kept, so the heuristics never build them.
+    read of `adjacency` and kept, so the heuristics never build them.  The
+    terminal data every heuristic run reads (`terminal_flags`,
+    `sorted_terminals` and `terminal_edges`) is built the same way, once
+    per instance, so repeated runs on one instance share it.
     """
 
     node_count: int
@@ -99,6 +102,19 @@ class Instance:
             flags[t] = True
         return tuple(flags)
 
+    @cached_property
+    def sorted_terminals(self) -> tuple[int, ...]:
+        """The terminals, ascending."""
+        return tuple(sorted(self.terminals))
+
+    @cached_property
+    def terminal_edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges joining two terminals, as (u, v) with u < v, in lexicographic order."""
+        flags = self.terminal_flags
+        around = self.neighbourhoods
+        return tuple([(u, v) for u in self.sorted_terminals for v in around[u]
+                      if v > u and flags[v]])
+
     def has_edge(self, u: int, v: int) -> bool:
         around = self.neighbourhoods[u]
         i = bisect_left(around, v)
@@ -113,15 +129,6 @@ class Instance:
         for u, around in enumerate(self.neighbourhoods):
             for v in around[bisect_right(around, u):]:
                 yield u, v
-
-    def terminal_edges(self) -> Iterator[tuple[int, int]]:
-        """The edges joining two terminals, as (u, v) with u < v, in lexicographic order."""
-        flags = self.terminal_flags
-        for u in sorted(self.terminals):
-            around = self.neighbourhoods[u]
-            for v in around[bisect_right(around, u):]:
-                if flags[v]:
-                    yield u, v
 
     def edge_count(self) -> int:
         return sum(map(len, self.neighbourhoods)) // 2
@@ -305,13 +312,14 @@ def _build_upkeep(state: PartitionState) -> ViewUpkeep:
     """Terminal view of the current partition, built anew.
 
     Only the members of terminal components, the terminals and the absorbed
-    nodes, have their neighbours scanned.
+    nodes, have their neighbours scanned, in any order: the view holds sets
+    and `sizes` is a heap of distinct keys.
     """
     instance = state.instance
     members = instance.terminals.union(state.absorbed)
     view: TerminalView = {}
     touching: dict[int, set[int]] = {}
-    for u in sorted(members):
+    for u in members:
         root = state.find(u)
         for v in instance.neighbors(u):
             if v not in members:
@@ -402,7 +410,7 @@ def induced_graph(state: PartitionState) -> dict[tuple[int, int], Connection]:
     instance = state.instance
     flags = state._terminal_flag
     find = state.find
-    candidates = list(instance.terminal_edges())
+    candidates = list(instance.terminal_edges)
     for a in state.absorbed:
         candidates.extend(connection(a, v) for v in instance.neighbors(a))
     edges: dict[tuple[int, int], Connection] = {}

@@ -126,10 +126,10 @@ def cold_min_cost_index(state: PartitionState) -> Fraction | None:
     on any state this must equal `exhaustive_min_cost_index`: it checks the
     comet search that `best_comet` restricts to indices below 1.
     """
-    star = find_max_star(state)
+    star = find_max_star(state, 2)
     if star is not None and star.s >= 3:
         return star.cost_index
-    indices = [star.cost_index] if star is not None and star.s == 2 else []
+    indices = [star.cost_index] if star is not None else []
     for center in range(state.instance.node_count):
         if not state.is_terminal_component(center):
             comet = _comet_at(state, center)
@@ -324,8 +324,7 @@ def suite_oracles(
             "random-gnp", {"n": n, "p": p, "r": r}, seed=rng2.getrandbits(32)
         )
         inst = stpio.generate(spec)
-        state = PartitionState(inst)
-        preprocess_terminal_edges(state)
+        state = preprocess_terminal_edges(inst)
         # The cold search must reach the unrestricted minimum, and
         # best_comet that minimum when it is below 1, else None.
         structure = best_comet(state)

@@ -22,6 +22,7 @@ from stp12.core import (
     Solution,
     collapse,
     connection,
+    cost,
     edges_to,
     induced_graph,
 )
@@ -86,30 +87,34 @@ class Star:
         return (*self.edges, *(e for fork in self.forks for e in fork.edges))
 
 
-def find_max_star(state: PartitionState) -> Star | None:
-    """Largest star in the current component graph, or None if there is none.
+def find_max_star(state: PartitionState, min_s: int) -> Star | None:
+    """Largest star in the current component graph, or None if it has fewer
+    than `min_s` leaves or there is none.
 
     Ties go to the smallest center.  The star is read off the state's kept
     terminal view (`PartitionState.view_upkeep`), and its edges off
-    `edges_to`.
+    `edges_to`.  Callers pass the smallest s they collapse, so a star they
+    would reject is never built.
     """
     upkeep = state.view_upkeep()
     center = upkeep.largest()
-    if center is None:
+    if center is None or len(upkeep.view[center]) < min_s:
         return None
     leaves = tuple(sorted(upkeep.view[center]))
     return Star(center, leaves, edges_to(state, center, leaves))
 
 
-def preprocess_terminal_edges(state: PartitionState) -> PartitionState:
-    """Merge along every edge whose two endpoints are both terminal nodes.
+def preprocess_terminal_edges(instance: Instance) -> PartitionState:
+    """A new partition of `instance` merged along every terminal-terminal edge.
 
-    The terminal-terminal edges are visited once, in lexicographic order;
-    after that every such edge lies inside one component.  Each edge that
-    joins two components is a one-edge spanning tree of them, so it is
-    merged with a direct `union` and costs 1.
+    The terminal-terminal edges (`Instance.terminal_edges`) are visited
+    once, in lexicographic order; after that every such edge lies inside
+    one component.  Each edge that joins two components is a one-edge
+    spanning tree of them, so it is merged with a direct `union` and
+    costs 1.
     """
-    for u, v in state.instance.terminal_edges():
+    state = PartitionState(instance)
+    for u, v in instance.terminal_edges:
         if state.union(u, v):
             state.connections.append((u, v))
             state.cost += 1
@@ -123,30 +128,32 @@ def finishing(state: PartitionState, mode: str = "cheapest") -> Solution:
     between their smallest terminal nodes (a non-edge whenever the greedy
     phases ran first).  cheapest spans the components with representative
     edges where available and non-edges otherwise, so it never costs more.
+    The state's connections are already priced in `state.cost`, so only
+    the connections added here are.
     """
     if mode not in FINISHING_MODES:
         raise InputError(f"unknown finishing mode {mode!r}")
     instance = state.instance
     roots = state.terminal_components()
-    conns = list(state.connections)
     if len(roots) <= 1:
-        return Solution.from_connections(instance, conns)
+        return Solution(frozenset(state.connections), state.cost)
 
     # Kruskal on the component metric (1 with a representative edge, 2
     # otherwise), which is optimal for two-valued weights.  strict-paper
     # takes no edge, so it chains every component.
+    added: list[Connection] = []
     group = DisjointSets(instance.node_count)
     if mode == "cheapest":
         for (a, b), rep in sorted(induced_graph(state).items()):
             if group.union(a, b):
-                conns.append(rep)
+                added.append(rep)
     anchors: dict[int, int] = {}    # each component's smallest terminal
-    for t in sorted(instance.terminals):
+    for t in instance.sorted_terminals:
         anchors.setdefault(state.find(t), t)
     remaining = sorted({group.find(r) for r in roots})
     for a, b in zip(remaining, remaining[1:]):
-        conns.append(connection(anchors[a], anchors[b]))
-    return Solution.from_connections(instance, conns)
+        added.append(connection(anchors[a], anchors[b]))
+    return Solution(frozenset(state.connections + added), state.cost + cost(instance, added))
 
 
 def rayward_smith(
@@ -155,14 +162,10 @@ def rayward_smith(
     """Run the three-step greedy and return a valid solution."""
     if not instance.terminals:
         raise InputError("rayward_smith needs at least one terminal")
-    state = PartitionState(instance)
-    preprocess_terminal_edges(state)
+    state = preprocess_terminal_edges(instance)
     if log is not None:
         log.append(f"preprocessing: cost {state.cost}")
-    while True:
-        star = find_max_star(state)
-        if star is None or star.s <= 2:
-            break
+    while (star := find_max_star(state, 3)) is not None:
         collapse(state, star.touched_components(), star.connections())
         if log is not None:
             log.append(f"collapse {star.s}-star at {star.center}: cost {state.cost}")

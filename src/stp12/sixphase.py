@@ -131,8 +131,8 @@ def best_comet(state: PartitionState) -> Star | None:
     on the entries around its center when it is scored, so scoring later
     gives the same keys.
     """
-    star = find_max_star(state)
-    if star is not None and star.s >= 3:
+    star = find_max_star(state, 3)
+    if star is not None:
         return star
     best = _best_comet_key(state)
     return None if best is None else _comet_at(state, best[2])
@@ -341,16 +341,12 @@ def six_phase(
     if not instance.terminals:
         raise InputError("six_phase needs at least one terminal")
 
-    state = PartitionState(instance)
-    preprocess_terminal_edges(state)
+    state = preprocess_terminal_edges(instance)
     if log is not None:
         log.append(f"phase 1 terminal edges: cost {state.cost}")
 
     phase = 2
-    while True:
-        star = find_max_star(state)
-        if star is None or star.s < 4:
-            break
+    while (star := find_max_star(state, 4)) is not None:
         if star.s == 4:
             phase = 3
         collapse(state, star.touched_components(), star.connections())

@@ -9,7 +9,9 @@ from stp12 import io as stpio
 from stp12.cli import main
 from stp12.core import ContractViolation, Solution, cost, is_valid_solution
 from stp12.exact import brute_force_opt, dreyfus_wagner
+from stp12.heuristics import rayward_smith
 from stp12.io import parse_stp
+from stp12.sixphase import six_phase
 from test_harness import lying_solver
 
 P3_TEXT = """\
@@ -39,6 +41,27 @@ def test_solve_six_phase_on_p3(p3_file, capsys):
     assert main(["solve", "--alg", "six-phase", str(p3_file)]) == 0
     out = capsys.readouterr().out
     assert "six-phase: cost 2" in out
+
+
+def test_solve_all_keeps_its_report_when_the_oracle_refuses(tmp_path, capsys):
+    # Over the subset oracle's node cap, `exact` is refused; RS and
+    # six-phase still run, the refusal is recorded under the instance, the
+    # report is written, and the exit code is 3.
+    gen_path = tmp_path / "g40.stp"
+    assert main(["gen", "--family", "random-sparse", "--param", "n=40", "--param", "p=1/10",
+                 "--param", "r=8", "--out", str(gen_path)]) == 0
+    capsys.readouterr()
+    out_path = tmp_path / "o.json"
+    assert main(["solve", str(gen_path), "--out", str(out_path)]) == 3
+    captured = capsys.readouterr()
+    message = "brute_force_opt refuses n=40 > cap 24"
+    assert f"g40.stp exact: refused: {message}" in captured.err
+    results = json.loads(out_path.read_text())["solve"][0]["results"]
+    assert results["exact"] == {"refused": message}
+    inst = parse_stp(gen_path.read_text())
+    for alg, run in (("rs", rayward_smith), ("six-phase", six_phase)):
+        assert results[alg] == {"cost": run(inst).cost}
+        assert f"g40.stp {alg}: cost {results[alg]['cost']}" in captured.out
 
 
 def test_solve_all_algorithms_agree_on_p3(p3_file, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -67,8 +68,9 @@ def check_against_masks(inst, node_count, edges, terminals, pairs=None):
     assert inst.node_count == node_count and inst.terminals == terms
     assert [inst.neighbors(v) for v in range(node_count)] == [decoded(m) for m in masks]
     assert list(inst.edges()) == want_edges
-    assert list(inst.terminal_edges()) == [(u, v) for u, v in want_edges
-                                           if u in terms and v in terms]
+    assert inst.sorted_terminals == tuple(sorted(terms))
+    assert inst.terminal_edges == tuple((u, v) for u, v in want_edges
+                                        if u in terms and v in terms)
     assert inst.edge_count() == len(want_edges)
     if pairs is None:
         pairs = [(u, v) for u in range(node_count) for v in range(node_count)]
@@ -89,6 +91,34 @@ def test_tuple_queries_match_bitmasks_on_the_corpus():
         rebuilt = Instance.from_edges(n, listed, inst.terminals)
         check_against_masks(rebuilt, n, listed, inst.terminals)
         check_against_masks(inst, inst.node_count, edges, inst.terminals)
+
+
+def lexicographic_terminal_edges(inst):
+    """The terminal-terminal edges as a generator, one bisect per terminal."""
+    flags = inst.terminal_flags
+    for u in sorted(inst.terminals):
+        around = inst.neighbourhoods[u]
+        for v in around[bisect_right(around, u):]:
+            if flags[v]:
+                yield u, v
+
+
+def test_cached_terminal_data_matches_a_fresh_computation():
+    # Each tuple is built on its first read and then kept on the instance.
+    cases = [inst for _, inst in full_corpus(seed=0)]
+    for n, seed in ((40, 1), (300, 2), (2000, 3)):
+        for r in (1, n // 4, n // 2, n):
+            p = Fraction(4, n - 1)
+            cases += [stpio.generate(stpio.GeneratorSpec(family, {"n": n, "p": p, "r": r}, seed))
+                      for family in ("random-gnp", "random-sparse")]
+    with_edges = 0
+    for inst in cases:
+        edges = inst.terminal_edges
+        assert inst.sorted_terminals == tuple(sorted(inst.terminals))
+        assert edges == tuple(lexicographic_terminal_edges(inst))
+        assert inst.terminal_edges is edges
+        with_edges += bool(edges)
+    assert with_edges > len(cases) // 2
 
 
 def test_tuple_queries_match_bitmasks_on_random_sparse_draws():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from stp12 import harness, sixphase
-from stp12.core import ContractViolation, Instance, PartitionState, Solution
+from stp12.core import ContractViolation, Instance, Solution
 from stp12.exact import brute_force_opt, dreyfus_wagner
 from stp12.harness import (
     bp_sweep,
@@ -47,7 +47,7 @@ def test_suite_oracles_detects_a_comet_search_past_index_1(monkeypatch):
     # Offering a 2-star (cost index 1) when nothing is below 1 is the
     # unrestricted minimum, which best_comet must not return.
     def with_two_stars(state):
-        star = find_max_star(state)
+        star = find_max_star(state, 1)
         return sixphase.best_comet(state) or (star if star and star.s == 2 else None)
 
     monkeypatch.setattr(harness, "best_comet", with_two_stars)
@@ -188,6 +188,5 @@ def test_matching_oracle_agrees_on_petersen():
 
 def test_exhaustive_ci_none_when_no_structures():
     inst = Instance.from_edges(3, [], [0, 1, 2])
-    state = PartitionState(inst)
-    preprocess_terminal_edges(state)
+    state = preprocess_terminal_edges(inst)
     assert exhaustive_min_cost_index(state) is None

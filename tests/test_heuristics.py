@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 from stp12 import harness, heuristics, sixphase
@@ -38,7 +39,7 @@ def random_instance(rng, max_nodes=12, max_terminals=6):
 
 def test_find_max_star_full_fan():
     inst = big_star(5)
-    star = find_max_star(PartitionState(inst))
+    star = find_max_star(PartitionState(inst), 1)
     assert star is not None
     assert star.center == 0 and star.s == 5
     assert star.edges == tuple((0, i) for i in range(1, 6))
@@ -48,7 +49,7 @@ def test_find_max_star_prefers_larger():
     # center 0 reaches three terminals, center 1 reaches four
     edges = [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (1, 5)]
     inst = Instance.from_edges(6, edges, [2, 3, 4, 5])
-    star = find_max_star(PartitionState(inst))
+    star = find_max_star(PartitionState(inst), 1)
     assert star.center == 1 and star.s == 4
 
 
@@ -56,10 +57,10 @@ def test_residual_star_shrinks_after_collapse():
     edges = [(0, 2), (0, 3), (0, 4), (0, 5), (1, 4), (1, 5)]
     inst = Instance.from_edges(6, edges, [2, 3, 4, 5])
     state = PartitionState(inst)
-    star = find_max_star(state)
+    star = find_max_star(state, 1)
     assert star.center == 0 and star.s == 4
     collapse(state, star.touched_components(), star.connections())
-    residual = find_max_star(state)
+    residual = find_max_star(state, 1)
     assert residual is not None and residual.s == 1
 
 
@@ -69,7 +70,7 @@ def two_edge_component():
     # free nodes 2 and 4 touch no terminal
     edges = [(0, 6), (0, 7), (5, 6), (5, 7), (1, 5), (3, 5), (2, 4)]
     inst = Instance.from_edges(8, edges, [0, 1, 3, 6, 7])
-    state = preprocess_terminal_edges(PartitionState(inst))
+    state = preprocess_terminal_edges(inst)
     return inst, state
 
 
@@ -78,7 +79,7 @@ def test_find_max_star_uses_smallest_edge_into_component():
     assert state.view_upkeep().view == {5: {0, 1, 3}}
     # one edge per root, in the order asked for
     assert edges_to(state, 5, (3, 0, 1)) == ((3, 5), (5, 6), (1, 5))
-    star = find_max_star(state)
+    star = find_max_star(state, 1)
     assert star.center == 5 and star.leaves == (0, 1, 3)
     assert star.edges == ((5, 6), (1, 5), (3, 5))
 
@@ -87,31 +88,31 @@ def test_find_max_star_tie_goes_to_smallest_center():
     # centers 1 and 5 both touch three terminals; 5's leaves sort first
     edges = [(1, 2), (1, 3), (1, 4), (0, 5), (2, 5), (3, 5)]
     inst = Instance.from_edges(6, edges, [0, 2, 3, 4])
-    star = find_max_star(PartitionState(inst))
+    star = find_max_star(PartitionState(inst), 1)
     assert star.center == 1 and star.leaves == (2, 3, 4)
 
 
 def test_no_star_when_no_free_center():
     inst = Instance.from_edges(2, [(0, 1)], [0, 1])
-    assert find_max_star(PartitionState(inst)) is None
+    assert find_max_star(PartitionState(inst), 1) is None
 
 
 def test_preprocess_collapses_adjacent_terminals():
     inst = Instance.from_edges(2, [(0, 1)], [0, 1])
-    state = preprocess_terminal_edges(PartitionState(inst))
+    state = preprocess_terminal_edges(inst)
     assert {state.find(v) for v in range(2)} == {0} and state.cost == 1
 
 
 def test_preprocess_terminal_path():
     inst = Instance.from_edges(3, [(0, 1), (1, 2)], [0, 1, 2])
-    state = preprocess_terminal_edges(PartitionState(inst))
+    state = preprocess_terminal_edges(inst)
     assert state.cost == 2
     assert {state.find(v) for v in range(3)} == {0}
 
 
 def test_preprocess_fixed_point_when_nothing_to_do():
     inst = Instance.from_edges(4, [(0, 1)], [2, 3])
-    state = preprocess_terminal_edges(PartitionState(inst))
+    state = preprocess_terminal_edges(inst)
     assert state.cost == 0 and state.connections == []
 
 
@@ -137,7 +138,10 @@ def test_preprocess_matches_the_two_pass_loop():
     ]
     for inst in cases:
         want = two_pass_preprocess(inst, PartitionState(inst))
-        got = preprocess_terminal_edges(PartitionState(inst))
+        got = preprocess_terminal_edges(inst)
+        assert got.instance is inst
+        nodes = range(inst.node_count)
+        assert [got.find(v) for v in nodes] == [want.find(v) for v in nodes]
         assert got.connections == want.connections
         assert got.cost == want.cost
 
@@ -151,7 +155,7 @@ def test_finishing_strict_with_no_edges():
 
 def test_finishing_single_component():
     inst = Instance.from_edges(2, [(0, 1)], [0, 1])
-    state = preprocess_terminal_edges(PartitionState(inst))
+    state = preprocess_terminal_edges(inst)
     assert finishing(state, "strict-paper").cost == 1
 
 
@@ -185,14 +189,77 @@ def test_single_terminal_trivial():
     assert sol.cost == 0 and sol.connections == frozenset()
 
 
+def cost_cases():
+    """The corpus, random-gnp n = 200-800 and one random-sparse n = 2000 draw."""
+    cases = [inst for _, inst in full_corpus(seed=0)]
+    cases += [
+        generate(GeneratorSpec("random-gnp", {"n": n, "p": Fraction(4, n), "r": n // 4}, seed))
+        for n, seed in ((200, 1), (400, 2), (600, 3), (800, 4))
+    ]
+    cases.append(generate(
+        GeneratorSpec("random-sparse", {"n": 2000, "p": Fraction(4, 1999), "r": 500}, 1)
+    ))
+    return cases
+
+
 def test_output_valid_and_cost_recomputable():
+    # Finishing prices only the connections it adds; the rest are priced
+    # as they are merged.  The sum must equal a pricing of the whole set.
+    # After RS and six-phase finishing adds only non-edges, so the
+    # finishing-only baseline, which skips phase 1, is run too: it also
+    # adds edges.
     rng = random.Random(404)
-    for _ in range(150):
-        inst = random_instance(rng)
+    cases = [random_instance(rng) for _ in range(150)] + cost_cases()
+    runs = non_edges = finishing_edges = 0
+    for inst in cases:
         for mode in ("strict-paper", "cheapest"):
-            sol = rayward_smith(inst, mode)
-            assert is_valid_solution(inst, sol.connections)
-            assert cost(inst, sol.connections) == sol.cost
+            solutions = [rayward_smith(inst, mode)]
+            solutions += [six_phase(inst, mode, pack3) for pack3 in ("exact", "greedy")]
+            solutions.append(finishing_only_solver(inst, mode))
+            for sol in solutions:
+                assert is_valid_solution(inst, sol.connections)
+                assert cost(inst, sol.connections) == sol.cost
+            non_edges += sum(any(not inst.has_edge(*c) for c in sol.connections)
+                             for sol in solutions[:3])
+            finishing_edges += any(inst.has_edge(*c) for c in solutions[3].connections)
+            runs += 3
+    assert runs == 6 * len(cases) and non_edges > runs // 4
+    assert finishing_edges > len(cases) // 4
+
+
+def test_find_max_star_below_its_floor_builds_no_star(monkeypatch):
+    # RS stops below s = 3, phases 2-3 below s = 4 and best_comet's star
+    # below s = 3.  At each stop the largest entry is below the floor, and
+    # find_max_star returns None without looking up an edge.
+    stops = Counter()
+
+    def refused_edges_to(state, v, roots):
+        raise AssertionError(f"edges_to({v}, {roots}) for a star below the floor")
+
+    def checked(caller):
+        def checked_find_max_star(state, min_s):
+            largest = max(map(len, state.view_upkeep().view.values()), default=0)
+            if largest >= min_s:
+                return find_max_star(state, min_s)
+            with monkeypatch.context() as patch:
+                patch.setattr(heuristics, "edges_to", refused_edges_to)
+                assert find_max_star(state, min_s) is None
+            stops[caller, min_s, largest > 0] += 1
+            return None
+        return checked_find_max_star
+
+    monkeypatch.setattr(heuristics, "find_max_star", checked("rs"))
+    monkeypatch.setattr(sixphase, "find_max_star", checked("six-phase"))
+    cases = cost_cases()
+    for inst in cases:
+        rayward_smith(inst)
+        six_phase(inst, pack3="greedy")
+    # Each RS run stops once and each six-phase run once after phases 2-3;
+    # best_comet's star search stops at every comet or final step.
+    assert {key[:2] for key in stops} == {("rs", 3), ("six-phase", 4), ("six-phase", 3)}
+    assert stops["rs", 3, True] + stops["rs", 3, False] == len(cases)
+    assert stops["six-phase", 4, True] + stops["six-phase", 4, False] == len(cases)
+    assert min(stops[(*key, True)] for key in (("rs", 3), ("six-phase", 4), ("six-phase", 3))) > 500
 
 
 def test_cheapest_never_beats_strict_and_ratio_bound():

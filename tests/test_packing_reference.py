@@ -158,9 +158,8 @@ def triple_gadget(rng):
 
 def after_phase_three(inst):
     """The state `six_phase` hands phase 4: phases 1-3 run on a fresh state."""
-    state = PartitionState(inst)
-    preprocess_terminal_edges(state)
-    while (star := find_max_star(state)) is not None and star.s >= 4:
+    state = preprocess_terminal_edges(inst)
+    while (star := find_max_star(state, 4)) is not None:
         collapse(state, star.touched_components(), star.connections())
     return state
 
@@ -198,8 +197,7 @@ def phase_one_states():
     instances += [generate(spec) for spec in specs]
     states = []
     for inst in instances:
-        state = PartitionState(inst)
-        preprocess_terminal_edges(state)
+        state = preprocess_terminal_edges(inst)
         states.append(state)
     return states
 
@@ -256,8 +254,7 @@ def test_comet_search_refuses_a_center_next_to_an_entry_of_3_or_more_roots():
                             for _ in range(80)]
     refused = served = 0
     for inst in instances:
-        state = PartitionState(inst)
-        preprocess_terminal_edges(state)
+        state = preprocess_terminal_edges(inst)
         view = state.view_upkeep().view
         for center in range(inst.node_count):
             if state.is_terminal_component(center):
@@ -283,8 +280,7 @@ def test_comets_at_states_six_phase_scores_have_the_most_forks():
     multi_fork = 0
     for _ in range(120):
         inst = fork_gadget(rng, lambda k: 2)
-        state = PartitionState(inst)
-        preprocess_terminal_edges(state)
+        state = preprocess_terminal_edges(inst)
         view = state.view_upkeep().view
         assert all(len(reps) <= 2 for reps in view.values())
         for center in range(inst.node_count):

@@ -35,12 +35,6 @@ from stp12.harness import full_corpus
 from test_packing_reference import after_phase_three, triple_gadget
 
 
-def fresh_state(inst):
-    state = PartitionState(inst)
-    preprocess_terminal_edges(state)
-    return state
-
-
 def comet_gadget_1_3():
     # center 0, direct terminals 2..4, fork 1 reaching terminals 5 and 6
     edges = [(0, 2), (0, 3), (0, 4), (0, 1), (1, 5), (1, 6)]
@@ -106,7 +100,7 @@ def test_a_matched_pair_with_two_fork_nodes_takes_the_smaller():
     # and 6, so the matched pair (5, 6) can be served by either
     edges = [(0, 3), (0, 4), (0, 1), (0, 2), (1, 5), (1, 6), (2, 5), (2, 6)]
     inst = Instance.from_edges(7, edges, [3, 4, 5, 6])
-    state = fresh_state(inst)
+    state = preprocess_terminal_edges(inst)
     assert build_fork_candidates(inst, state.view_upkeep().view, 0) == {(5, 6): [1, 2]}
     assert [fork.node for fork in _comet_at(state, 0).forks] == [1]
     assert six_phase(inst).connections == {(0, 1), (0, 3), (0, 4), (1, 5), (1, 6)}
@@ -122,7 +116,7 @@ def test_comet_shape_matches_the_comet_built():
     for forks, shape in (((2, 3, 4, 5), (2, 1)), ((2,), (1, 1)), ((), None)):
         kept = [(u, v) for u, v in edges if not ({u, v} & ({2, 3, 4, 5} - set(forks)))]
         inst = Instance.from_edges(10, kept, terminals)
-        state = fresh_state(inst)
+        state = preprocess_terminal_edges(inst)
         comet = _comet_at(state, 0)
         assert _comet_shape(inst, state.view_upkeep().view, 0) == shape
         assert shape == (None if comet is None else (comet.a, comet.s))
@@ -161,7 +155,7 @@ def test_comet_rejects_shared_components():
 
 def test_best_comet_finds_1_2_comet():
     inst = comet_gadget_1_2()
-    state = fresh_state(inst)
+    state = preprocess_terminal_edges(inst)
     structure = best_comet(state)
     assert isinstance(structure, Comet)
     assert (structure.a, structure.s) == (1, 2)
@@ -174,7 +168,7 @@ def test_best_comet_fork_uses_smallest_edge_into_component():
     # component {5, 6, 7}, through (1, 6) and (1, 7)
     edges = [(0, 2), (0, 3), (0, 1), (1, 4), (1, 6), (1, 7), (5, 6), (5, 7)]
     inst = Instance.from_edges(8, edges, [2, 3, 4, 5, 6, 7])
-    structure = best_comet(fresh_state(inst))
+    structure = best_comet(preprocess_terminal_edges(inst))
     assert isinstance(structure, Comet) and structure.center == 0
     assert structure.forks == (Fork(node=1, leaves=(4, 5), edges=((0, 1), (1, 4), (1, 6))),)
 
@@ -183,7 +177,7 @@ def test_best_comet_finds_3_0_comet_at_terminal_free_center():
     # center 0 touches no terminal; forks 1, 2, 3 each reach two terminals
     edges = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 6), (2, 7), (3, 8), (3, 9)]
     inst = Instance.from_edges(10, edges, range(4, 10))
-    state = fresh_state(inst)
+    state = preprocess_terminal_edges(inst)
     structure = best_comet(state)
     assert isinstance(structure, Comet) and structure.center == 0
     assert (structure.a, structure.s) == (3, 0)
@@ -194,7 +188,7 @@ def test_best_comet_prefers_large_star():
     # center 0 carries four directs; the comet option has a worse index
     edges = [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (5, 6), (5, 7)]
     inst = Instance.from_edges(8, edges, [1, 2, 3, 4, 6, 7])
-    state = fresh_state(inst)
+    state = preprocess_terminal_edges(inst)
     structure = best_comet(state)
     assert not structure.forks
     assert structure.s == 4
@@ -212,7 +206,7 @@ def test_best_comet_fork_exclusivity_fallback():
     # fork 1 is a 4-star, which beats any comet at 0
     edges = [(0, 1), (1, 2), (1, 3), (1, 4), (1, 5), (0, 6), (0, 7)]
     inst = Instance.from_edges(8, edges, [2, 3, 4, 5, 6, 7])
-    state = fresh_state(inst)
+    state = preprocess_terminal_edges(inst)
     structure = best_comet(state)
     want = exhaustive_min_cost_index(state)
     assert structure is not None
@@ -227,7 +221,7 @@ def test_best_comet_matches_enumeration_randomized():
     below = declined = 0
     for _ in range(120):
         inst = random_instance(rng)
-        state = fresh_state(inst)
+        state = preprocess_terminal_edges(inst)
         structure = best_comet(state)
         got = None if structure is None else structure.cost_index
         want = exhaustive_min_cost_index(state)
@@ -302,7 +296,7 @@ def test_max_3star_set_uses_smallest_edge_into_component():
     # free node 5 reaches the terminal component {0, 6, 7} by (5, 6) and (5, 7)
     edges = [(0, 6), (0, 7), (5, 6), (5, 7), (1, 5), (3, 5)]
     inst = Instance.from_edges(8, edges, [0, 1, 3, 6, 7])
-    stars = max_3star_set(fresh_state(inst))
+    stars = max_3star_set(preprocess_terminal_edges(inst))
     assert stars == (Star(5, (0, 1, 3), ((5, 6), (1, 5), (3, 5))),)
 
 
@@ -371,7 +365,7 @@ def test_upgrade_unchanged_without_fork():
 
 def test_upgrade_builds_1_3_comet():
     inst = comet_gadget_1_3()
-    state = fresh_state(inst)
+    state = preprocess_terminal_edges(inst)
     stars = max_3star_set(state)
     assert len(stars) == 1
     upgraded = upgrade_to_comets(state, stars)

@@ -19,7 +19,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from stp12.core import Instance, PartitionState, collapse  # noqa: E402
+from stp12.core import Instance, collapse  # noqa: E402
 from stp12.heuristics import find_max_star, preprocess_terminal_edges  # noqa: E402
 from stp12.sixphase import _best_comet_key  # noqa: E402
 from test_view_upkeep import (  # noqa: E402
@@ -61,9 +61,8 @@ def merge_walk(inst, pick):
     along a path that starts at it, by direct unions or by one collapse.
     So every union touches a terminal component.
     """
-    state = PartitionState(inst)
-    preprocess_terminal_edges(state)
-    while (star := find_max_star(state)) is not None and star.s >= 3:
+    state = preprocess_terminal_edges(inst)
+    while (star := find_max_star(state, 3)) is not None:
         collapse(state, star.touched_components(), star.connections())
     _best_comet_key(state)
     check_representative_edges(state)
