@@ -38,6 +38,8 @@ NUMBER = re.compile(r"-?[0-9]+(/[0-9]+|\.[0-9]+)?")
 # Most instances `compare --family` generates; a larger --count is refused
 # before the first draw.
 MAX_COMPARE_COUNT = 10_000
+FINISHING_HELP = ("six-phase's finishing rule; rs chains its components, which "
+                  "after its star loop is also the cheapest finishing")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,7 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="run an algorithm on instance files")
     solve.add_argument("inputs", nargs="+", help=".stp instance files")
     solve.add_argument("--alg", choices=ALGORITHMS, default="all")
-    solve.add_argument("--finishing", choices=FINISHING_MODES, default="cheapest")
+    solve.add_argument("--finishing", choices=FINISHING_MODES, default="cheapest",
+                       help=FINISHING_HELP)
     solve.add_argument("--pack3", choices=PACK3_STRATEGIES, default="exact")
     solve.add_argument("--witness", action="store_true",
                        help="print the connection set as well")
@@ -64,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--count", type=int, default=1,
                          help="instances to generate (seed, seed+1, ...)")
     compare.add_argument("--seed", type=int, default=0)
-    compare.add_argument("--finishing", choices=FINISHING_MODES, default="cheapest")
+    compare.add_argument("--finishing", choices=FINISHING_MODES, default="cheapest",
+                         help=FINISHING_HELP)
     compare.add_argument("--pack3", choices=PACK3_STRATEGIES, default="exact")
     compare.add_argument("--out", type=Path, default=None)
 
@@ -108,10 +112,14 @@ def main(argv: list[str] | None = None) -> int:
 def _read_instances(paths: list[str]) -> list[tuple[str, Instance]]:
     out = []
     for path in paths:
+        cap = stpio.MAX_DOCUMENT_CHARS
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read(cap + 1)
         except UnicodeDecodeError as exc:
             raise InputError(f"{path}: not UTF-8 text: {exc}") from None
+        if len(text) > cap:
+            raise CapExceeded(f"{path}: more than {cap} characters")
         out.append((Path(path).name, stpio.parse_stp(text)))
     return out
 
@@ -137,7 +145,7 @@ def _parse_params(pairs: list[str]) -> dict:
 def _solvers(args) -> dict:
     """Each algorithm's run on one instance, with an optional log."""
     return {
-        "rs": lambda inst, log=None: rayward_smith(inst, args.finishing, log=log),
+        "rs": lambda inst, log=None: rayward_smith(inst, log=log),
         "six-phase": lambda inst, log=None: six_phase(inst, args.finishing, args.pack3, log=log),
         "exact": lambda inst, log=None: brute_force_opt(inst),
     }

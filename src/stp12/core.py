@@ -214,8 +214,7 @@ class ViewUpkeep:
 
     `touching` maps each terminal root to the free nodes whose view entry
     holds it.  `comets` is where `sixphase.best_comet` keeps each center's
-    best comet sort key between calls, for comets with cost index below 1,
-    and `comet_keys` the heap it reads the best one from.
+    best comet sort key between calls, for comets with cost index below 1.
 
     `sizes` is a lazy min-heap of `(-len(entry), center)`: a merge pushes an
     entry again only when its size changes, and `largest` drops the tops
@@ -231,7 +230,6 @@ class ViewUpkeep:
     touching: dict[int, set[int]]
     sizes: list[tuple[int, int]]
     comets: dict[int, tuple] | None = None
-    comet_keys: list[tuple] = field(default_factory=list)
     reshaped: set[int] = field(default_factory=set)
 
     def largest(self) -> int | None:

@@ -1,7 +1,7 @@
 """Greedy star-contraction heuristic over the collapse machinery.
 
 Three steps: collapse terminal-terminal edges, repeatedly collapse a largest
-star (stop at s = 2), then connect whatever terminal components remain.  Star
+star (stop at s = 2), then chain whatever terminal components remain.  Star
 centers are always free non-terminals: `PartitionState.merge` refuses a merge
 that joins no terminal component, so a component that contains no terminal
 is an original singleton.  Each step takes the `PartitionState` alone and
@@ -156,10 +156,13 @@ def finishing(state: PartitionState, mode: str = "cheapest") -> Solution:
     return Solution(frozenset(state.connections + added), state.cost + cost(instance, added))
 
 
-def rayward_smith(
-    instance: Instance, mode: str = "cheapest", log: list[str] | None = None
-) -> Solution:
-    """Run the three-step greedy and return a valid solution."""
+def rayward_smith(instance: Instance, *, log: list[str] | None = None) -> Solution:
+    """Run the three-step greedy and return a valid solution.
+
+    Phase 1 joins every terminal-terminal edge and each star every terminal
+    component next to its center, so no edge joins two terminal components
+    after the star loop: the strict-paper chain is the cheapest finishing.
+    """
     if not instance.terminals:
         raise InputError("rayward_smith needs at least one terminal")
     state = preprocess_terminal_edges(instance)
@@ -169,7 +172,7 @@ def rayward_smith(
         collapse(state, star.touched_components(), star.connections())
         if log is not None:
             log.append(f"collapse {star.s}-star at {star.center}: cost {state.cost}")
-    solution = finishing(state, mode)
+    solution = finishing(state, "strict-paper")
     if log is not None:
-        log.append(f"finishing ({mode}): cost {solution.cost}")
+        log.append(f"finishing: cost {solution.cost}")
     return solution

@@ -30,8 +30,12 @@ MAX_NODES = 100_000
 GNP_MAX_NODES = 10_000
 # Largest expected edge count p * n(n-1)/2 the two random families accept.
 # Both keep every edge they draw: at n = MAX_NODES and p = 1 that is
-# 5 * 10^9 edges.
+# 5 * 10^9 edges.  It is also the most E lines parse_stp accepts.
 MAX_EXPECTED_EDGES = 1_000_000
+# Most characters `cli` reads from one instance file.  A document within
+# the node and edge caps takes about 1.9 * 10^7: 10^6 lines `E u v 1` and
+# 10^5 lines `T v`, of ids up to six digits.
+MAX_DOCUMENT_CHARS = 1 << 25
 # Most lines parse_stp checks as one run of E or T lines, so the run's token
 # lists stay bounded.
 RUN_LINES = 1024
@@ -61,8 +65,10 @@ def parse_stp(text: str) -> Instance:
     same message whichever way the line was first read.
 
     A declared Edges or Terminals count must equal the E or T lines present.
-    A Nodes count above MAX_NODES is refused with CapExceeded on its line,
-    before anything is allocated for it.  Every other malformed line raises
+    A Nodes count above MAX_NODES, an Edges count above MAX_EXPECTED_EDGES
+    and the E line that takes the count of E lines past it are refused with
+    CapExceeded on their line, before anything is kept for them; a run
+    that would cross the edge cap fails.  Every other malformed line raises
     ParseError with its number, for example a line outside any SECTION, a
     second Nodes, Edges or Terminals line, a Nodes count below 1, a token
     after the value of a Nodes, Edges, Terminals or T line, a terminal
@@ -135,7 +141,12 @@ def parse_stp(text: str) -> Instance:
             elif keyword == "EDGES":
                 if "Edges" in declared:
                     raise ParseError("second Edges line", lineno)
-                declared["Edges"] = (_int_field(tokens, lineno, "Edges"), lineno)
+                count = _int_field(tokens, lineno, "Edges")
+                if count > MAX_EXPECTED_EDGES:
+                    raise CapExceeded(
+                        f"line {lineno}: Edges {count} above the limit {MAX_EXPECTED_EDGES}"
+                    )
+                declared["Edges"] = (count, lineno)
             elif keyword == "E":
                 _edge_line(line, tokens, lineno, node_count, pairs, edges)
             else:
@@ -179,6 +190,8 @@ def _add_edges(
 ) -> bool:
     """Add a run of edge lines, split into `E u v w` fields, if it passes
     every check of `_edge_line`; otherwise add nothing and return False."""
+    if len(pairs) + len(fields) // 4 > MAX_EXPECTED_EDGES:
+        return False
     try:
         us = list(map(int, fields[1::4]))
         vs = list(map(int, fields[2::4]))
@@ -239,6 +252,9 @@ def _edge_line(
     pair = (min(u, v) - 1, max(u, v) - 1)
     if pair in pairs:
         raise ParseError(f"edge {u} {v} listed twice", lineno)
+    if len(pairs) >= MAX_EXPECTED_EDGES:
+        raise CapExceeded(f"line {lineno}: E line {len(pairs) + 1} "
+                          f"above the limit {MAX_EXPECTED_EDGES}")
     pairs.add(pair)
     if w == 1:
         edges.append(pair)

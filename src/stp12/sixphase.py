@@ -35,7 +35,6 @@ and the log labels it that way.
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
@@ -148,8 +147,8 @@ def _best_comet_key(state: PartitionState) -> tuple | None:
     scored again only when a merge changed, added or removed the entry of
     the center or of a neighbour, which puts the center in `reshaped`, or
     the center is no longer free.  Only keys of shapes with a + b >= 3
-    (index below 1) are kept.  The best kept key is read off a lazy heap
-    of the keys; `best_comet` builds the comet of the winning center alone.
+    (index below 1) are kept, a few dozen at most, so the best is their
+    minimum; `best_comet` builds the comet of the winning center alone.
 
     Scoring happens only once no star of s >= 3 stands, so a fork node's
     entry is a pair of roots and serves one pair: a <= m, the center's
@@ -158,8 +157,7 @@ def _best_comet_key(state: PartitionState) -> tuple | None:
     """
     instance = state.instance
     upkeep = state.view_upkeep()
-    view, keys = upkeep.view, upkeep.comet_keys
-    comets = upkeep.comets
+    view, comets = upkeep.view, upkeep.comets
     if comets is None:
         # Only a free node next to a fork can be a center, also one with no
         # direct terminal component: a (3,0)-comet has cost index 4/5.
@@ -176,13 +174,8 @@ def _best_comet_key(state: PartitionState) -> tuple | None:
             continue
         shape = _comet_shape(instance, view, center)
         if shape is not None and sum(shape) >= 3:
-            key = (*_shape_key(*shape), center)
-            comets[center] = key
-            heapq.heappush(keys, key)
-    # A key that is not the one kept for its center was scored again or is gone.
-    while keys and comets.get(keys[0][2]) is not keys[0]:
-        heapq.heappop(keys)
-    return keys[0] if keys else None
+            comets[center] = (*_shape_key(*shape), center)
+    return min(comets.values(), default=None)
 
 
 @cache

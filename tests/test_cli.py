@@ -97,6 +97,30 @@ def test_oversized_nodes_exit_three(tmp_path, capsys):
     assert "refused: line 2: Nodes" in capsys.readouterr().err
 
 
+def test_file_above_the_character_cap_exits_three(tmp_path, capsys, monkeypatch):
+    # The cap is read at call time and counts the characters text mode
+    # reads, so a CRLF file reads as long as its LF form.
+    path = tmp_path / "crlf.stp"
+    path.write_bytes(P3_TEXT.replace("\n", "\r\n").encode())
+    monkeypatch.setattr(stpio, "MAX_DOCUMENT_CHARS", len(P3_TEXT))
+    assert main(["solve", str(path)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(stpio, "MAX_DOCUMENT_CHARS", len(P3_TEXT) - 1)
+    assert main(["solve", str(path)]) == 3
+    assert f"refused: {path}: more than {len(P3_TEXT) - 1} characters" in capsys.readouterr().err
+
+
+def test_edges_past_the_edge_cap_exit_three(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(stpio, "MAX_EXPECTED_EDGES", 1)
+    path = tmp_path / "p3.stp"
+    path.write_text(P3_TEXT)
+    assert main(["solve", str(path)]) == 3
+    assert "refused: line 3: Edges 2 above the limit 1" in capsys.readouterr().err
+    path.write_text(P3_TEXT.replace("Edges 2\n", ""))
+    assert main(["solve", str(path)]) == 3
+    assert "refused: line 4: E line 2 above the limit 1" in capsys.readouterr().err
+
+
 def test_parse_error_exits_two(tmp_path, capsys):
     path = tmp_path / "bad.stp"
     path.write_text("SECTION Graph\nNodes 2\nEdges 1\nE 1 2 7\nEND\nEOF\n")
@@ -126,14 +150,16 @@ def test_non_utf8_input_exits_two(tmp_path, capsys, command):
 
 
 def test_finishing_mode_dominance(p3_file, tmp_path):
-    costs = {}
+    # --finishing picks six-phase's rule; RS returns one solution under both.
+    results = {}
     for mode in ("cheapest", "strict-paper"):
         out_path = tmp_path / f"{mode}.json"
-        assert main(["solve", str(p3_file), "--alg", "rs",
+        assert main(["solve", str(p3_file), "--alg", "all", "--witness",
                      "--finishing", mode, "--out", str(out_path)]) == 0
-        payload = json.loads(out_path.read_text())
-        costs[mode] = payload["solve"][0]["results"]["rs"]["cost"]
-    assert costs["cheapest"] <= costs["strict-paper"]
+        results[mode] = json.loads(out_path.read_text())["solve"][0]["results"]
+    cheapest, strict = results["cheapest"], results["strict-paper"]
+    assert cheapest["rs"] == strict["rs"]
+    assert cheapest["six-phase"]["cost"] <= strict["six-phase"]["cost"]
 
 
 def test_gen_then_solve_round_trip(tmp_path, capsys):
@@ -249,7 +275,7 @@ def test_compare_document_format(p3_file, tmp_path):
             "ratios": dict.fromkeys(runs, one),
             "skipped": None,
             "traces": {
-                "rs/cheapest": ["preprocessing: cost 0", "finishing (cheapest): cost 2"],
+                "rs/cheapest": ["preprocessing: cost 0", "finishing: cost 2"],
                 "six-phase/cheapest": [
                     "phase 1 terminal edges: cost 0",
                     "phase 4 packed 0 disjoint 3-stars (exact)",
@@ -284,8 +310,8 @@ def test_compare_checks_the_depth7_witness(tmp_path):
 def test_compare_reports_and_dumps_a_violation(tmp_path, monkeypatch):
     # Negative control: skipping every greedy phase costs 6 on a 4-star
     # whose optimum is 4, above the 4/3 bound.
-    def weak_rs(inst, mode, log=None):
-        return harness.finishing_only_solver(inst, mode)
+    def weak_rs(inst, log=None):
+        return harness.finishing_only_solver(inst, "cheapest")
 
     monkeypatch.setattr(cli, "rayward_smith", weak_rs)
     out_path = tmp_path / "report.json"
@@ -300,7 +326,7 @@ def test_compare_reports_and_dumps_a_violation(tmp_path, monkeypatch):
     assert violation["reason"] == "ratio above bound"
     dumped = parse_stp((tmp_path / violation["path"]).read_text())
     opt = brute_force_opt(dumped).cost
-    assert Fraction(weak_rs(dumped, "cheapest").cost, opt) > harness.RS_BOUND
+    assert Fraction(weak_rs(dumped).cost, opt) > harness.RS_BOUND
 
 
 def test_compare_flags_an_invalid_solution(tmp_path, monkeypatch):

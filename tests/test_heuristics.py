@@ -15,6 +15,7 @@ from stp12.core import (
 from stp12.exact import brute_force_opt
 from stp12.harness import finishing_only_solver, full_corpus
 from stp12.heuristics import (
+    FINISHING_MODES,
     find_max_star,
     finishing,
     preprocess_terminal_edges,
@@ -212,18 +213,20 @@ def test_output_valid_and_cost_recomputable():
     cases = [random_instance(rng) for _ in range(150)] + cost_cases()
     runs = non_edges = finishing_edges = 0
     for inst in cases:
-        for mode in ("strict-paper", "cheapest"):
-            solutions = [rayward_smith(inst, mode)]
+        solutions = [rayward_smith(inst)]
+        baselines = []
+        for mode in FINISHING_MODES:
             solutions += [six_phase(inst, mode, pack3) for pack3 in ("exact", "greedy")]
-            solutions.append(finishing_only_solver(inst, mode))
-            for sol in solutions:
-                assert is_valid_solution(inst, sol.connections)
-                assert cost(inst, sol.connections) == sol.cost
-            non_edges += sum(any(not inst.has_edge(*c) for c in sol.connections)
-                             for sol in solutions[:3])
-            finishing_edges += any(inst.has_edge(*c) for c in solutions[3].connections)
-            runs += 3
-    assert runs == 6 * len(cases) and non_edges > runs // 4
+            baselines.append(finishing_only_solver(inst, mode))
+        for sol in solutions + baselines:
+            assert is_valid_solution(inst, sol.connections)
+            assert cost(inst, sol.connections) == sol.cost
+        non_edges += sum(any(not inst.has_edge(*c) for c in sol.connections)
+                         for sol in solutions)
+        finishing_edges += sum(any(inst.has_edge(*c) for c in sol.connections)
+                               for sol in baselines)
+        runs += len(solutions)
+    assert runs == 5 * len(cases) and non_edges > runs // 4
     assert finishing_edges > len(cases) // 4
 
 
@@ -262,14 +265,32 @@ def test_find_max_star_below_its_floor_builds_no_star(monkeypatch):
     assert min(stops[(*key, True)] for key in (("rs", 3), ("six-phase", 4), ("six-phase", 3))) > 500
 
 
-def test_cheapest_never_beats_strict_and_ratio_bound():
+def rs_with_final_state(monkeypatch, inst):
+    """RS's solution and the state it hands to finishing."""
+    states = []
+
+    def recorded_finishing(state, mode):
+        states.append(state)
+        return finishing(state, mode)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(heuristics, "finishing", recorded_finishing)
+        solution = rayward_smith(inst)
+    [state] = states
+    return solution, state
+
+
+def test_cheapest_never_beats_strict_and_ratio_bound(monkeypatch):
+    # Both finishing rules on the state RS's star loop leaves; RS itself
+    # returns the strict-paper chain.
     rng = random.Random(777)
     for _ in range(150):
         inst = random_instance(rng)
         opt = brute_force_opt(inst).cost
-        cheap = rayward_smith(inst, "cheapest").cost
-        strict = rayward_smith(inst, "strict-paper").cost
-        assert cheap <= strict
+        rs, state = rs_with_final_state(monkeypatch, inst)
+        cheap = finishing(state, "cheapest").cost
+        strict = finishing(state, "strict-paper").cost
+        assert cheap <= strict == rs.cost
         assert cheap >= opt
         if opt > 0:
             assert Fraction(cheap, opt) <= Fraction(4, 3)
@@ -281,9 +302,9 @@ def test_cheapest_never_beats_strict_and_ratio_bound():
 def test_no_edge_joins_two_terminal_components_after_the_star_loop(monkeypatch):
     # Phase 1 joins every terminal-terminal edge, and every star takes all
     # the terminal components next to its center.  So when RS finishes, no
-    # instance edge joins two terminal components, and the cheapest
-    # finishing's scan of the component graph finds no edge to take: its
-    # `induced_graph` is empty, by its own scan and by a scan of every edge.
+    # instance edge joins two terminal components, and a scan of the
+    # component graph would find no edge to take: `induced_graph` is empty,
+    # by its own scan and by a scan of every edge.
     finished = split = 0
 
     def checked_finishing(state, mode="cheapest"):
@@ -313,10 +334,11 @@ def test_no_edge_joins_two_terminal_components_after_the_star_loop(monkeypatch):
     assert finished == len(cases) and split > 300
 
 
-def test_rs_finishing_modes_agree():
+def test_rs_finishing_modes_agree(monkeypatch):
     # With no edge between two terminal components after the star loop (as
     # above), the cheapest finishing takes no edge and chains the same
-    # components between the same smallest terminals as strict-paper.
+    # components between the same smallest terminals as strict-paper, the
+    # chain RS returns.
     rng = random.Random(67)
     cases = [inst for _, inst in full_corpus(seed=0)]
     for _ in range(400):
@@ -329,11 +351,26 @@ def test_rs_finishing_modes_agree():
     ]
     split = 0
     for inst in cases:
-        cheapest = rayward_smith(inst, "cheapest")
-        assert cheapest == rayward_smith(inst, "strict-paper")
+        rs, state = rs_with_final_state(monkeypatch, inst)
+        assert finishing(state, "cheapest") == finishing(state, "strict-paper") == rs
         # Only finishing adds a non-edge, and only between two components.
-        split += any(not inst.has_edge(*c) for c in cheapest.connections)
+        split += any(not inst.has_edge(*c) for c in rs.connections)
     assert split > 500, split
+
+
+def test_rs_never_scans_the_component_graph(monkeypatch):
+    # RS chains the components its star loop leaves, so it has no use for
+    # the component graph; six-phase's finishing still scans it.
+    def refused_induced_graph(state):
+        raise AssertionError("rayward_smith built the terminal component graph")
+
+    monkeypatch.setattr(heuristics, "induced_graph", refused_induced_graph)
+    chained = 0
+    for inst in cost_cases():
+        solution = rayward_smith(inst)
+        # Only finishing adds a non-edge: this run chained two components.
+        chained += any(not inst.has_edge(*c) for c in solution.connections)
+    assert chained > 300, chained
 
 
 def full_scan_terminal_graph(state):

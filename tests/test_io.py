@@ -164,6 +164,43 @@ def test_parse_accepts_nodes_at_limit():
         parse_stp(f"SECTION Graph\nNodes {stpio.MAX_NODES + 1}\nEND\nEOF\n")
 
 
+def test_parse_refuses_an_edges_count_above_the_edge_cap():
+    limit = stpio.MAX_EXPECTED_EDGES
+    text = f"SECTION Graph\nNodes {stpio.MAX_NODES}\nEdges {limit + 1}\nEND\nEOF\n"
+    with pytest.raises(CapExceeded, match=f"line 3: Edges {limit + 1} above the limit {limit}"):
+        parse_stp(text)
+    with pytest.raises(ParseError, match=f"Edges declares {limit}, found 0"):
+        parse_stp(text.replace(str(limit + 1), str(limit)))
+
+
+def edge_document(edge_lines: int, declared: int | None) -> str:
+    head = ["SECTION Graph", "Nodes 9"] + ([] if declared is None else [f"Edges {declared}"])
+    edges = [f"E 1 {v} 1" for v in range(2, 2 + edge_lines)]
+    return "\n".join(head + edges + ["END", "SECTION Terminals", "T 1", "END", "EOF"]) + "\n"
+
+
+@pytest.mark.parametrize("bulk", [True, False], ids=["bulk", "per-line"])
+def test_parse_refuses_the_e_line_past_a_small_edge_cap(monkeypatch, bulk):
+    # The cap is read when parse_stp runs.  Per-line: no run is added in bulk.
+    results = []
+    add_edges = stpio._add_edges
+
+    def recorded_add_edges(*args):
+        results.append(add_edges(*args) if bulk else False)
+        return results[-1]
+
+    monkeypatch.setattr(stpio, "_add_edges", recorded_add_edges)
+    monkeypatch.setattr(stpio, "MAX_EXPECTED_EDGES", 5)
+    assert len(list(parse_stp(edge_document(5, 5)).edges())) == 5
+    assert results == [bulk]
+    results.clear()
+    with pytest.raises(CapExceeded, match="line 8: E line 6 above the limit 5"):
+        parse_stp(edge_document(6, None))
+    assert results == [False]
+    with pytest.raises(CapExceeded, match="line 3: Edges 6 above the limit 5"):
+        parse_stp(edge_document(6, 6))
+
+
 def test_parse_skips_comment_sections_and_magic():
     text = (
         "33D32945 STP File, STP Format Version 1.0\n"

@@ -4,9 +4,10 @@
 `T` lines were checked in bulk: every line goes through one loop, and each
 `E` line is checked and added on its own.  It also refuses a second
 `Edges` or `Terminals` line, and an integer field beyond `int`'s digit
-limit, with a ParseError, as `parse_stp` now does.  Both parsers must
-give the same outcome on every document: an equal `Instance`, or the same
-exception type, line and message.
+limit, with a ParseError, and an `Edges` count or an `E` line beyond
+`io.MAX_EXPECTED_EDGES` with CapExceeded, as `parse_stp` now does.  Both
+parsers must give the same outcome on every document: an equal
+`Instance`, or the same exception type, line and message.
 
 Beyond the small random documents of `test_io`, the documents here hold
 more than three runs of `E` lines and more than one run of `T` lines
@@ -66,7 +67,12 @@ def reference_parse_stp(text: str) -> Instance:
             elif keyword == "EDGES":
                 if "Edges" in declared:
                     raise ParseError("second Edges line", lineno)
-                declared["Edges"] = (_int_field(tokens, lineno, "Edges"), lineno)
+                count = _int_field(tokens, lineno, "Edges")
+                if count > stpio.MAX_EXPECTED_EDGES:
+                    raise CapExceeded(
+                        f"line {lineno}: Edges {count} above the limit {stpio.MAX_EXPECTED_EDGES}"
+                    )
+                declared["Edges"] = (count, lineno)
             elif keyword == "E":
                 if len(tokens) != 4:
                     raise ParseError(f"edge line needs 'E u v w', got {line!r}", lineno)
@@ -82,6 +88,9 @@ def reference_parse_stp(text: str) -> Instance:
                 pair = (min(u, v) - 1, max(u, v) - 1)
                 if pair in pairs:
                     raise ParseError(f"edge {u} {v} listed twice", lineno)
+                if len(pairs) >= stpio.MAX_EXPECTED_EDGES:
+                    raise CapExceeded(f"line {lineno}: E line {len(pairs) + 1} "
+                                      f"above the limit {stpio.MAX_EXPECTED_EDGES}")
                 pairs.add(pair)
                 if w == 1:
                     edges.append(pair)
@@ -373,3 +382,35 @@ def test_long_documents_with_one_fault_match_the_reference(fault):
         expected = assert_same_outcome("\n".join(lines) + "\n")
         if refused is not None:
             assert isinstance(expected, tuple) == refused, expected
+
+
+@pytest.mark.parametrize("declared", [True, False], ids=["edges-line", "no-edges-line"])
+def test_edge_cap_refuses_the_same_line_as_the_reference(monkeypatch, declared):
+    # Caps in the middle of the first run, at the end of the second, one
+    # below the number of E lines and at it.  The run that would cross the
+    # cap fails in bulk, and the per-line rule refuses the line past it.
+    results = []
+    add_edges = stpio._add_edges
+
+    def recorded_add_edges(*args):
+        results.append(add_edges(*args))
+        return results[-1]
+
+    monkeypatch.setattr(stpio, "_add_edges", recorded_add_edges)
+    for cap in (RUN_LINES // 2, 2 * RUN_LINES, EDGE_LINES - 1, EDGE_LINES):
+        monkeypatch.setattr(stpio, "MAX_EXPECTED_EDGES", cap)
+        lines, first_e, _ = document(random.Random(cap))
+        if not declared:
+            first_e -= 1
+            del lines[first_e]
+        results.clear()
+        expected = assert_same_outcome("\n".join(lines) + "\n")
+        if cap == EDGE_LINES:
+            assert isinstance(expected, Instance) and all(results)
+        elif declared:
+            message = f"line {first_e}: Edges {EDGE_LINES} above the limit {cap}"
+            assert expected == (CapExceeded, None, message) and results == []
+        else:
+            message = f"line {first_e + cap + 1}: E line {cap + 1} above the limit {cap}"
+            assert expected == (CapExceeded, None, message)
+            assert results[-1] is False and results.count(False) == 1

@@ -459,7 +459,7 @@ PINNED_LOGS = {
             "preprocessing: cost 1",
             "collapse 5-star at 0: cost 6",
             "collapse 5-star at 6: cost 11",
-            "finishing (cheapest): cost 11",
+            "finishing: cost 11",
         ],
     ),
     ("star-cluster", (("k", 4), ("m", 2))): (
@@ -475,7 +475,7 @@ PINNED_LOGS = {
             "preprocessing: cost 1",
             "collapse 4-star at 0: cost 5",
             "collapse 4-star at 5: cost 9",
-            "finishing (cheapest): cost 9",
+            "finishing: cost 9",
         ],
     ),
     ("comet-chain", (("a", 2), ("b", 2), ("count", 2))): (
@@ -489,7 +489,7 @@ PINNED_LOGS = {
         ],
         [
             "preprocessing: cost 0",
-            "finishing (cheapest): cost 22",
+            "finishing: cost 22",
         ],
     ),
 }

@@ -8,7 +8,8 @@ changed and that every free center it leaves out keeps its comet sort key,
 check the phase-6 comet cache against the exhaustive enumeration, a cold
 search and a fresh scoring of every center six-phase can score (one whose
 closed neighbourhood holds entries of at most two roots), and check the
-star and comet heaps against a linear scan of the view and the cache.
+star heap and the least cached comet key against a linear scan of the
+view and the cache.
 `best_comet` looks only for a structure with cost index below 1, and the
 cache keeps only those comets; the cold search of the largest star and
 every center's comet must still reach the unrestricted minimum.
